@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: fit, predict, experiment, sensitivity, shards,
-uncertainty, generate. Exit codes: 0 success, 1 runtime failure,
-2 usage or configuration error.
+Subcommands: fit, predict, experiment, sensitivity, search, shards,
+uncertainty, generate. Each subcommand accepts only the flags it reads.
+Exit codes: 0 success, 1 runtime failure, 2 usage or configuration
+error (including a malformed model file or CSV).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .dmr import fit_dmr
 from .errors import ConfigError, JacobiPriorError
-from .glm import JacobiHyper, default_hyper, fit_jacobi
+from .glm import FAMILIES, JacobiHyper, default_hyper, fit_jacobi
 from .hyper import sensitivity_grid, stochastic_search
 from .mc import sample_beta, summarize
 from .modelio import StoredModel, labels_to_counts, load_csv_dataset
@@ -35,13 +36,11 @@ from .simlab import (
     run_experiment,
 )
 
-GLM_FAMILIES = ("logit", "probit", "poisson")
-
 
 def _hyper_from_args(args, family: str) -> JacobiHyper:
     schedule = "one_over_n" if args.schedule == "one-over-n" else "fixed"
     if args.a is None and args.b is None:
-        base = default_hyper(family if family in GLM_FAMILIES else "poisson")
+        base = default_hyper(family)
         return JacobiHyper(base.a, base.b, schedule)
     if args.a is None or args.b is None:
         raise ConfigError("--a and --b must be given together")
@@ -280,11 +279,12 @@ def cmd_generate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="root seed")
-    common.add_argument("--stream", type=int, default=0, help="seed stream id")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
-    common.add_argument("--format", choices=("csv", "table"), default="csv")
+    seed_flags = argparse.ArgumentParser(add_help=False)
+    seed_flags.add_argument("--seed", type=int, default=0, help="root seed")
+    seed_flags.add_argument("--stream", type=int, default=0, help="seed stream id")
+
+    threads_flag = argparse.ArgumentParser(add_help=False)
+    threads_flag.add_argument("--threads", type=int, default=1, help="worker threads")
 
     hyper_flags = argparse.ArgumentParser(add_help=False)
     hyper_flags.add_argument("--a", type=float, default=None, help="prior shape a")
@@ -299,36 +299,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", parents=[common, hyper_flags], help="fit a model from CSV")
+    p = sub.add_parser("fit", parents=[hyper_flags], help="fit a model from CSV")
     p.add_argument("--train", required=True)
     p.add_argument("--target", default=None, help="numeric response column")
     p.add_argument("--classes", default=None, help="class label column (multinomial)")
     p.add_argument(
         "--family",
-        choices=GLM_FAMILIES + ("multinomial",),
+        choices=FAMILIES + ("multinomial",),
         default="logit",
     )
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", parents=[common], help="predict from a stored model")
+    p = sub.add_parser("predict", help="predict from a stored model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("experiment", parents=[common], help="run a replication experiment")
+    p = sub.add_parser("experiment", help="run a replication experiment")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--format", choices=("csv", "table"), default="csv")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser(
-        "sensitivity", parents=[common], help="shape-pair sensitivity grid"
-    )
+    p = sub.add_parser("sensitivity", help="shape-pair sensitivity grid")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--family", choices=GLM_FAMILIES, default="logit")
+    p.add_argument("--family", choices=FAMILIES, default="logit")
     p.add_argument("--grid-min", type=float, default=0.05)
     p.add_argument("--grid-max", type=float, default=2.0)
     p.add_argument("--grid-steps", type=int, default=12)
@@ -337,11 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("search", parents=[common], help="stochastic shape-pair search")
+    p = sub.add_parser("search", parents=[seed_flags], help="stochastic shape-pair search")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--family", choices=GLM_FAMILIES, default="logit")
+    p.add_argument("--family", choices=FAMILIES, default="logit")
     p.add_argument("--budget", type=int, default=50)
     p.add_argument("--objective", choices=("rmse", "accuracy", "utility"), default="rmse")
     p.add_argument("--disbursement", default=None, help="loan amount column (utility)")
@@ -349,28 +348,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser(
-        "shards", parents=[common, hyper_flags], help="partitioned distributed fit"
+        "shards",
+        parents=[seed_flags, threads_flag, hyper_flags],
+        help="partitioned distributed fit",
     )
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--family", choices=GLM_FAMILIES, default="logit")
+    p.add_argument("--family", choices=FAMILIES, default="logit")
     p.add_argument("--shards", type=int, required=True)
     p.add_argument("--emit-partials", default=None, help="JSON debug dump path")
     p.add_argument("--out", default=None, help="coefficient CSV path")
     p.set_defaults(func=cmd_shards)
 
     p = sub.add_parser(
-        "uncertainty", parents=[common, hyper_flags], help="Monte Carlo coefficient draws"
+        "uncertainty",
+        parents=[seed_flags, threads_flag, hyper_flags],
+        help="Monte Carlo coefficient draws",
     )
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--family", choices=GLM_FAMILIES, default="logit")
+    p.add_argument("--family", choices=FAMILIES, default="logit")
     p.add_argument("--draws", type=int, default=1000)
     p.add_argument("--level", type=float, default=0.9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_uncertainty)
 
-    p = sub.add_parser("generate", parents=[common], help="write synthetic datasets")
+    p = sub.add_parser("generate", parents=[seed_flags], help="write synthetic datasets")
     p.add_argument(
         "--kind",
         choices=("logistic", "poisson", "dmr", "sinc", "circular"),

@@ -1,8 +1,9 @@
 """Distributed multinomial regression on category counts.
 
 The multinomial likelihood factorizes into K independent Poisson
-regressions sharing the design, so the whole fit is K latent-mode
-projections against one QR factorization. Prediction is a row-wise
+regressions sharing the design, so the whole fit is one count-mode
+latent map of the n x K table followed by one projection of that
+latent matrix against one QR factorization. Prediction is a row-wise
 softmax over the per-class linear predictors.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidResponseError
-from .glm import JacobiHyper, default_hyper
+from .glm import JacobiHyper, check_response, default_hyper, latent_vector
 from .linalg import LeastSquaresSolver, as_matrix, stable_matvec
 
 
@@ -27,10 +28,7 @@ class CountTable:
         c = np.asarray(self.counts, dtype=float)
         if c.ndim != 2 or c.shape[1] < 2:
             raise DimensionMismatchError(f"counts must be n x K with K >= 2, got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise InvalidResponseError("counts contain non-finite entries")
-        if np.any(c < 0) or np.any(c != np.floor(c)):
-            raise InvalidResponseError("counts must be non-negative integers")
+        check_response(c, "poisson")
         self.counts = c
 
     @property
@@ -70,6 +68,7 @@ class DmrModel:
     betas: np.ndarray  # p x K
     hyper: JacobiHyper
     n_train: int
+    eta_hat: np.ndarray | None = None  # n x K training latents; None when loaded from disk
 
 
 def fit_dmr(X, Y: CountTable, hyper: JacobiHyper | None = None) -> DmrModel:
@@ -79,16 +78,11 @@ def fit_dmr(X, Y: CountTable, hyper: JacobiHyper | None = None) -> DmrModel:
     (X, Y[:, k]); the shared QR only saves work, it cannot change the
     answer.
     """
-    X = as_matrix(X)
-    if Y.n != X.shape[0]:
-        raise DimensionMismatchError(f"counts have {Y.n} rows, design has {X.shape[0]}")
+    solver = LeastSquaresSolver(X)
     if hyper is None:
         hyper = default_hyper("poisson")
-    a, b = hyper.resolve(Y.n)
-    solver = LeastSquaresSolver(X)
-    etas = np.log((Y.counts + a) / (1.0 + b))
-    betas = np.column_stack([solver.solve(etas[:, k]) for k in range(Y.n_classes)])
-    return DmrModel(betas=betas, hyper=hyper, n_train=X.shape[0])
+    eta_hat = latent_vector(Y.counts, "poisson", hyper)
+    return DmrModel(betas=solver.solve(eta_hat), hyper=hyper, n_train=solver.n, eta_hat=eta_hat)
 
 
 def latent_matrix(model: DmrModel, X0) -> np.ndarray:

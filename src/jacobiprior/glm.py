@@ -181,54 +181,52 @@ def probit_mode(
     raise NoConvergenceError(f"probit mode did not reach |grad| <= {tol} in {max_iter} iterations")
 
 
-def _validate_binary_vector(y: np.ndarray):
-    bad = np.nonzero((y != 0.0) & (y != 1.0))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise InvalidResponseError(f"binary response must be 0 or 1; offending index {i}: {y[i]!r}")
+def check_response(y: np.ndarray, family: str):
+    """Raise InvalidResponseError naming the first entry of y invalid for family.
 
-
-def _validate_count_vector(y: np.ndarray):
-    bad = np.nonzero((y < 0) | (y != np.floor(y)))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise InvalidResponseError(
-            f"count response must be a non-negative integer; offending index {i}: {y[i]!r}"
-        )
+    Binary families take a 0/1 vector; ``poisson`` takes a vector or an
+    n x K matrix of non-negative integer counts, and a bad count is
+    named by its row (and column, for a matrix).
+    """
+    validate_family(family)
+    if family == "poisson":
+        bad = ~np.isfinite(y) | (y < 0) | (y != np.floor(y))
+        what = "count response must be a non-negative integer"
+    else:
+        bad = (y != 0.0) & (y != 1.0)
+        what = "binary response must be 0 or 1"
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f"row {idx[0]}, column {idx[1]}" if len(idx) == 2 else f"index {idx[0]}"
+        raise InvalidResponseError(f"{what}; offending {where}: {float(y[idx])!r}")
 
 
 def latent_vector(y, family: str, hyper: JacobiHyper | None = None) -> np.ndarray:
-    """Element-wise posterior modes for a response vector.
+    """Element-wise posterior modes for a response vector or count matrix.
 
-    Resolves the one_over_n schedule using len(y). Binary families
-    only take two distinct values, so the probit optimization runs at
-    most twice regardless of n.
+    ``poisson`` also accepts an n x K count matrix and maps every
+    column at once. Resolves the one_over_n schedule using the row
+    count n. Binary families only take two distinct values, so the
+    probit optimization runs at most twice regardless of n.
     """
     validate_family(family)
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise DimensionMismatchError(f"y must be 1-d, got ndim={y.ndim}")
-    n = y.shape[0]
+    ndims = (1, 2) if family == "poisson" else (1,)
+    if y.ndim not in ndims:
+        raise DimensionMismatchError(f"{family} response must have ndim in {ndims}, got {y.ndim}")
+    check_response(y, family)
     if hyper is None:
         hyper = default_hyper(family)
-    a, b = hyper.resolve(n)
+    a, b = hyper.resolve(y.shape[0])
     if family == "poisson":
-        if not np.all(np.isfinite(y)):
-            raise DimensionMismatchError("y contains non-finite entries")
-        _validate_count_vector(y)
-        if np.any(y + a <= 0):
-            raise InvalidHyperError("need y + a > 0 for all counts")
         return np.log((y + a) / (1.0 + b))
-    is_one = y == 1.0
-    if not np.all(is_one | (y == 0.0)):
-        _validate_binary_vector(y)  # raises with the offending index
     if family == "logit":
         mode0 = logit_mode(0, a, b)
         mode1 = logit_mode(1, a, b)
     else:
         mode0 = probit_mode(0, a, b)
         mode1 = probit_mode(1, a, b)
-    return np.where(is_one, mode1, mode0)
+    return np.where(y == 1.0, mode1, mode0)
 
 
 def fit_jacobi(X, y, family: str, hyper: JacobiHyper | None = None) -> FittedGLM:

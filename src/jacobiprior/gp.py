@@ -6,6 +6,12 @@ latent field, the training latents are set to their per-observation
 posterior modes (probit modes for binary labels, log modes for
 counts), beta to their projection, and prediction is the usual GP
 conditional mean through the kernel system.
+
+The latents and their projection come from the GLM and multinomial
+fits themselves (``fit_jacobi`` with the probit family, ``fit_dmr``);
+this module adds only the kernel system. Probability and class
+prediction build the cross-kernel once per call and no covariance;
+only ``gp_predict_latent`` returns a predictive covariance.
 """
 
 from __future__ import annotations
@@ -17,14 +23,14 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
-from .dmr import CountTable, softmax_rows
+from .dmr import CountTable, fit_dmr, softmax_rows
 from .errors import (
     DimensionMismatchError,
     InvalidHyperError,
     NotPositiveDefiniteError,
 )
-from .glm import JacobiHyper, default_hyper, latent_vector
-from .linalg import LeastSquaresSolver, as_matrix
+from .glm import JacobiHyper, fit_jacobi
+from .linalg import as_matrix
 
 KERNEL_KINDS = ("exponential", "squared_exponential")
 
@@ -88,17 +94,28 @@ def _factor_gram(X, params: KernelParams):
 def gp_fit_binary(
     X, y, hyper: JacobiHyper | None = None, params: KernelParams = KernelParams()
 ) -> GPModel:
-    """Binary GP classifier: probit latent modes, projected mean, cached solve."""
+    """Binary GP classifier: the probit projection fit plus a cached kernel solve."""
     X = as_matrix(X)
-    if hyper is None:
-        hyper = default_hyper("probit")
-    eta_hat = latent_vector(y, "probit", hyper)
-    if eta_hat.shape[0] != X.shape[0]:
-        raise DimensionMismatchError("y length does not match design rows")
-    beta = LeastSquaresSolver(X).solve(eta_hat)
+    fit = fit_jacobi(X, y, "probit", hyper)
     chol = _factor_gram(X, params)
-    alpha = scipy.linalg.cho_solve(chol, eta_hat - X @ beta, check_finite=False)
-    return GPModel(X_train=X, beta=beta, eta_hat=eta_hat, params=params, chol=chol, alpha=alpha)
+    alpha = scipy.linalg.cho_solve(chol, fit.eta_hat - X @ fit.beta, check_finite=False)
+    return GPModel(
+        X_train=X, beta=fit.beta, eta_hat=fit.eta_hat, params=params, chol=chol, alpha=alpha
+    )
+
+
+def _cross_kernel(model: GPModel, X0) -> tuple[np.ndarray, np.ndarray]:
+    """Validated X0 and the cross-kernel block S(X0, X_train)."""
+    X0 = as_matrix(X0, "X0")
+    if X0.shape[1] != model.X_train.shape[1]:
+        raise DimensionMismatchError(
+            f"X0 has {X0.shape[1]} columns, model expects {model.X_train.shape[1]}"
+        )
+    return X0, kernel_matrix(X0, model.X_train, model.params)
+
+
+def _latent_mean(model: GPModel, X0: np.ndarray, Ks: np.ndarray) -> np.ndarray:
+    return X0 @ model.beta + Ks @ model.alpha
 
 
 def gp_predict_latent(
@@ -109,27 +126,21 @@ def gp_predict_latent(
     The covariance defaults to the standard conditional form
     S(X0, X0) - S(X0, X) [S + sigma^2 I]^{-1} S(X, X0); passing
     ``include_prior_var=False`` returns only the subtracted cross term,
-    which some replication targets use.
+    which some replication targets use. This is the only prediction
+    path that builds a covariance.
     """
-    X0 = as_matrix(X0, "X0")
-    if X0.shape[1] != model.X_train.shape[1]:
-        raise DimensionMismatchError(
-            f"X0 has {X0.shape[1]} columns, model expects {model.X_train.shape[1]}"
-        )
-    Ks = kernel_matrix(X0, model.X_train, model.params)
-    mean = X0 @ model.beta + Ks @ model.alpha
+    X0, Ks = _cross_kernel(model, X0)
     cross = Ks @ scipy.linalg.cho_solve(model.chol, Ks.T, check_finite=False)
     if include_prior_var:
         cov = kernel_matrix(X0, X0, model.params) - cross
     else:
         cov = cross
-    return mean, cov
+    return _latent_mean(model, X0, Ks), cov
 
 
 def gp_predict_proba(model: GPModel, X0) -> np.ndarray:
     """P(y = 1) at each test point: probit link applied to the latent mean."""
-    mean, _ = gp_predict_latent(model, X0)
-    return ndtr(mean)
+    return ndtr(_latent_mean(model, *_cross_kernel(model, X0)))
 
 
 @dataclass
@@ -143,7 +154,8 @@ class GPMulticlass:
         return len(self.models)
 
     def predict_latent_means(self, X0) -> np.ndarray:
-        return np.column_stack([gp_predict_latent(m, X0)[0] for m in self.models])
+        X0, Ks = _cross_kernel(self.models[0], X0)
+        return np.column_stack([_latent_mean(m, X0, Ks) for m in self.models])
 
     def predict_proba(self, X0) -> np.ndarray:
         return softmax_rows(self.predict_latent_means(X0))
@@ -158,29 +170,14 @@ def gp_fit_multiclass(
     hyper: JacobiHyper | None = None,
     params: KernelParams = KernelParams(),
 ) -> GPMulticlass:
-    """Per-class count-mode latents against a shared Gram factorization."""
+    """Per-class count-mode latents and fits from ``fit_dmr``, one shared Gram solve."""
     X = as_matrix(X)
-    if Y.n != X.shape[0]:
-        raise DimensionMismatchError(f"counts have {Y.n} rows, design has {X.shape[0]}")
-    if hyper is None:
-        hyper = default_hyper("poisson")
-    a, b = hyper.resolve(Y.n)
-    etas = np.log((Y.counts + a) / (1.0 + b))
-    solver = LeastSquaresSolver(X)
+    fit = fit_dmr(X, Y, hyper)
     chol = _factor_gram(X, params)
-    models = []
-    for k in range(Y.n_classes):
-        eta_k = etas[:, k]
-        beta_k = solver.solve(eta_k)
-        alpha_k = scipy.linalg.cho_solve(chol, eta_k - X @ beta_k, check_finite=False)
-        models.append(
-            GPModel(
-                X_train=X,
-                beta=beta_k,
-                eta_hat=eta_k,
-                params=params,
-                chol=chol,
-                alpha=alpha_k,
-            )
-        )
-    return GPMulticlass(models=models)
+    alphas = scipy.linalg.cho_solve(chol, fit.eta_hat - X @ fit.betas, check_finite=False)
+    return GPMulticlass(
+        models=[
+            GPModel(X_train=X, beta=beta, eta_hat=eta, params=params, chol=chol, alpha=alpha)
+            for beta, eta, alpha in zip(fit.betas.T.copy(), fit.eta_hat.T.copy(), alphas.T.copy())
+        ]
+    )

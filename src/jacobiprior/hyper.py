@@ -15,9 +15,6 @@ SEARCH_LO = 1e-3
 SEARCH_HI = 2.0
 OBJECTIVES = ("rmse", "accuracy", "utility")
 
-# An ad-hoc shape pair used in loan-default studies; kept as a named preset.
-PRESET_LOAN_AD_HOC = (0.6, 0.4)
-
 
 @dataclass
 class GridReport:

@@ -1,9 +1,12 @@
 """Dense least-squares and Cholesky kernels.
 
 All estimators in this library reduce to one of two solves: the
-orthogonal projection of a latent vector onto the column space of the
+orthogonal projection of latent values onto the column space of the
 design (via QR, never via an explicit normal-equations inverse), and a
-symmetric positive definite solve for kernel systems.
+symmetric positive definite solve for kernel systems. The projection
+is one call, ``LeastSquaresSolver.solve``, for a single latent vector
+(GLM fits, Monte Carlo draws) and for an n x K latent matrix
+(multinomial and multiclass GP fits) alike.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import threading
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dormqr, dtrcon, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dormqr, dtrcon, dtrtrs
 
 from .errors import (
     DimensionMismatchError,
@@ -57,13 +60,20 @@ class LeastSquaresSolver:
     def __init__(self, X):
         X = as_matrix(X)
         n, p = X.shape
-        if n < p:
-            raise RankDeficientError(f"need n >= p, got n={n} < p={p}")
+        if n < max(p, 1):
+            raise RankDeficientError(f"need n >= p and n >= 1, got n={n}, p={p}")
         self.X = X
         self.n = n
         self.p = p
         self._lock = threading.Lock()
-        (self._qr, self._tau), _ = scipy.linalg.qr(X, mode="raw")
+        # dgeqrf with the workspace scipy.linalg.qr queries gives its exact
+        # factor without the wrapper's repeated checks and second copy of X,
+        # which cost more than the factorization itself at n = 100.
+        qr = np.array(X, order="F")
+        lwork = max(1, int(dgeqrf(qr, lwork=-1, overwrite_a=1)[2][0]))
+        self._qr, self._tau, _, info = dgeqrf(qr, lwork=lwork, overwrite_a=1)
+        if info != 0:
+            raise RankDeficientError(f"dgeqrf failed with info={info}")
         self.R = np.triu(self._qr[:p, :])
         # cond(X) == cond(R) because Q has orthonormal columns; dtrcon's
         # reciprocal 1-norm estimate on the small triangular factor is
@@ -76,24 +86,35 @@ class LeastSquaresSolver:
             )
 
     def solve(self, t: np.ndarray) -> np.ndarray:
-        """Return argmin over beta of ||X beta - t||_2."""
+        """Return argmin over beta of ||X beta - t||_2, column by column.
+
+        ``t`` is an n-vector (returns p values) or an n x K matrix
+        (returns p x K). Column k of a matrix result is bit-identical to
+        ``solve(t[:, k])``: each column gets its own reflector
+        application and triangular solve, because one blocked
+        multi-column LAPACK call rounds differently.
+        """
         t = np.asarray(t, dtype=float)
-        if t.shape[0] != self.n:
+        if t.ndim not in (1, 2) or t.shape[0] != self.n:
             raise DimensionMismatchError(
-                f"rhs length {t.shape[0]} != design rows {self.n}"
+                f"rhs shape {t.shape} does not have design rows {self.n}"
             )
-        c = t.reshape(-1, 1).astype(float, copy=True)
+        cols = t.reshape(self.n, -1)
+        betas = []
         # dormqr sets each reflector's diagonal entry in the stored factor
         # to 1 and restores it afterwards; the lock keeps concurrent solves
         # from reading the factor in between.
         with self._lock:
-            cq, _, info = dormqr("L", "T", self._qr, self._tau, c, 64, overwrite_c=1)
-        if info != 0:
-            raise RankDeficientError(f"dormqr failed with info={info}")
-        beta, info = dtrtrs(self.R, cq[: self.p], lower=0)
-        if info != 0:
-            raise RankDeficientError(f"triangular solve failed with info={info}")
-        return beta[:, 0]
+            for k in range(cols.shape[1]):
+                c = cols[:, k : k + 1].copy()
+                cq, _, info = dormqr("L", "T", self._qr, self._tau, c, 64, overwrite_c=1)
+                if info != 0:
+                    raise RankDeficientError(f"dormqr failed with info={info}")
+                beta, info = dtrtrs(self.R, cq[: self.p], lower=0)
+                if info != 0:
+                    raise RankDeficientError(f"triangular solve failed with info={info}")
+                betas.append(beta)
+        return betas[0][:, 0] if t.ndim == 1 else np.hstack(betas)
 
 
 def stable_matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:

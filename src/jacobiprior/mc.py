@@ -17,13 +17,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DimensionMismatchError, InsufficientDrawsError
-from .glm import (
-    JacobiHyper,
-    _validate_binary_vector,
-    _validate_count_vector,
-    default_hyper,
-    validate_family,
-)
+from .glm import JacobiHyper, check_response, default_hyper, validate_family
 from .linalg import LeastSquaresSolver, as_matrix, as_vector
 from .rng import SeedSpec, derive_rng
 
@@ -91,10 +85,7 @@ def sample_beta(
         raise DimensionMismatchError(f"y length {y.shape[0]} != design rows {X.shape[0]}")
     if n_draws < 1:
         raise InsufficientDrawsError("n_draws must be >= 1")
-    if family == "poisson":
-        _validate_count_vector(y)
-    else:
-        _validate_binary_vector(y)
+    check_response(y, family)
     if hyper is None:
         hyper = default_hyper(family)
     a, b = hyper.resolve(y.shape[0])

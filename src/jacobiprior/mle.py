@@ -19,7 +19,7 @@ from .errors import (
     RankDeficientError,
     SeparationError,
 )
-from .glm import _validate_binary_vector, _validate_count_vector
+from .glm import check_response
 from .linalg import as_matrix, as_vector
 
 
@@ -64,12 +64,8 @@ def fit_mle(
         raise DimensionMismatchError(f"y length {y.shape[0]} != design rows {n}")
     if n < p:
         raise RankDeficientError(f"need n >= p, got n={n} < p={p}")
-    if family == "logit":
-        _validate_binary_vector(y)
-        deviance = _logit_deviance
-    else:
-        _validate_count_vector(y)
-        deviance = _poisson_deviance
+    check_response(y, family)
+    deviance = _logit_deviance if family == "logit" else _poisson_deviance
 
     beta = np.zeros(p)
     eta = X @ beta

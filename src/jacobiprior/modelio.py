@@ -16,8 +16,8 @@ import numpy as np
 
 from .dmr import CountTable, DmrModel, predict_class, predict_proba
 from .errors import ConfigError, MissingFeatureError
-from .glm import FittedGLM, JacobiHyper, predict, validate_family
-from .linalg import as_matrix
+from .glm import FittedGLM, JacobiHyper, inverse_link
+from .linalg import as_matrix, stable_matvec
 
 MODEL_FORMAT = "jacobiprior-model"
 MODEL_VERSION = 1
@@ -56,8 +56,8 @@ def load_csv_dataset(
     (possibly non-numeric) class label column, ``disbursement`` a
     numeric loan-amount column; the remaining columns are features
     unless ``features`` restricts them explicitly (columns outside the
-    subset are ignored entirely). Missing values are rejected with the
-    offending row index.
+    subset are ignored entirely). Missing and non-finite values (``nan``,
+    ``inf``) are rejected with the offending row index and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -97,13 +97,22 @@ def load_csv_dataset(
                 v.append(_parse_float(record[disbursement], i, disbursement))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return CsvDataset(
+    data = CsvDataset(
         feature_names=feature_names,
         X=np.asarray(rows, dtype=float),
         y=np.asarray(y, dtype=float) if target is not None else None,
         labels=labels if classes is not None else None,
         disbursement=np.asarray(v, dtype=float) if disbursement is not None else None,
     )
+    names = feature_names + [c for c in (target, disbursement) if c is not None]
+    parsed = np.column_stack([data.X] + [c for c in (data.y, data.disbursement) if c is not None])
+    if not np.isfinite(parsed).all():
+        # Rescan only on failure, to name the first offending cell.
+        row, j = np.argwhere(~np.isfinite(parsed))[0]
+        raise ConfigError(
+            f"row {row + 1}: column {names[j]!r} has non-finite value {float(parsed[row, j])!r}"
+        )
+    return data
 
 
 def labels_to_counts(labels: list) -> tuple[CountTable, list]:
@@ -181,30 +190,40 @@ class StoredModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "StoredModel":
+        if not isinstance(doc, dict):
+            raise ConfigError("model file must hold a JSON object")
         if doc.get("format") != MODEL_FORMAT:
             raise ConfigError(f"not a {MODEL_FORMAT} file")
         if doc.get("version") != MODEL_VERSION:
             raise ConfigError(f"unsupported model version {doc.get('version')}")
-        kind = doc["kind"]
-        hyper = JacobiHyper(doc["a"], doc["b"], doc["schedule"])
-        common = dict(
-            kind=kind,
-            family=doc["family"],
-            hyper=hyper,
-            a_effective=doc["a_effective"],
-            b_effective=doc["b_effective"],
-            feature_names=list(doc["feature_names"]),
-            n_train=int(doc["n_train"]),
-        )
-        if kind == "glm":
-            return cls(beta=np.asarray(doc["beta"], dtype=float), **common)
-        if kind == "dmr":
-            return cls(
-                betas=np.asarray(doc["betas"], dtype=float),
-                class_names=list(doc["class_names"]),
-                **common,
+        try:
+            kind = doc["kind"]
+            if kind not in ("glm", "dmr"):
+                raise ConfigError(f"unknown model kind {kind!r}")
+            key = "beta" if kind == "glm" else "betas"
+            coef = np.asarray(doc[key], dtype=float)
+            feature_names = list(doc["feature_names"])
+            if coef.ndim != (1 if kind == "glm" else 2) or coef.shape[0] != len(feature_names):
+                raise ConfigError(
+                    f"key {key!r} has shape {coef.shape}, expected one row per "
+                    f"feature name ({len(feature_names)})"
+                )
+            common = dict(
+                kind=kind,
+                family=doc["family"],
+                hyper=JacobiHyper(doc["a"], doc["b"], doc["schedule"]),
+                a_effective=doc["a_effective"],
+                b_effective=doc["b_effective"],
+                feature_names=feature_names,
+                n_train=int(doc["n_train"]),
             )
-        raise ConfigError(f"unknown model kind {kind!r}")
+            if kind == "glm":
+                return cls(beta=coef, **common)
+            return cls(betas=coef, class_names=list(doc["class_names"]), **common)
+        except KeyError as exc:
+            raise ConfigError(f"missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed value: {exc}") from None
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -213,8 +232,16 @@ class StoredModel:
 
     @classmethod
     def load(cls, path) -> "StoredModel":
+        """Read a model file; a malformed file raises ConfigError naming it."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        try:
+            return cls.from_json(doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def design_from(self, data: CsvDataset) -> np.ndarray:
         """Feature columns in model order, joined by name; extras ignored."""
@@ -227,15 +254,7 @@ class StoredModel:
     def predict_mean(self, data: CsvDataset) -> np.ndarray:
         X0 = self.design_from(data)
         if self.kind == "glm":
-            validate_family(self.family)
-            glm = FittedGLM(
-                beta=self.beta,
-                family=self.family,
-                hyper=self.hyper,
-                eta_hat=np.empty(0),
-                n_train=self.n_train,
-            )
-            return predict(glm, X0)
+            return inverse_link(stable_matvec(X0, self.beta), self.family)
         model = DmrModel(betas=self.betas, hyper=self.hyper, n_train=self.n_train)
         return predict_proba(model, X0)
 

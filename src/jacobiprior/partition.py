@@ -159,17 +159,22 @@ def aggregate_messages(frames: list[bytes]) -> tuple[np.ndarray, int, int]:
     """Coordinator path: dedup frames by shard_id, then aggregate.
 
     Returns (beta, shards_used, duplicates_dropped); redelivery of the
-    same shard message is idempotent.
+    same shard message is idempotent, and a redelivered frame that is
+    not byte-equal to the first one raises SchemaMismatchError.
     """
-    seen: dict[int, PartialStats] = {}
+    seen: dict[int, tuple[bytes, PartialStats]] = {}
     dropped = 0
     for frame in frames:
         stats = decode_shard_message(frame)
         if stats.shard_id in seen:
+            if frame != seen[stats.shard_id][0]:
+                raise SchemaMismatchError(
+                    f"shard {stats.shard_id} redelivered with a different payload"
+                )
             dropped += 1
             continue
-        seen[stats.shard_id] = stats
-    beta = aggregate_and_solve(list(seen.values()))
+        seen[stats.shard_id] = (frame, stats)
+    beta = aggregate_and_solve([stats for _, stats in seen.values()])
     return beta, len(seen), dropped
 
 

@@ -12,6 +12,11 @@ three prediction-error columns:
 
 plus coefficient recovery and per-fit wall time. Metric columns are
 bit-reproducible in the seed; only timing varies between runs.
+
+Every method is one row of ``METHODS`` (its kind, family and fit
+call), and every kind runs through the same replication loop; only
+the data generator and the prediction scale (inverse link for GLMs,
+softmax probabilities for dmr) depend on the kind.
 """
 
 from __future__ import annotations
@@ -42,10 +47,27 @@ from .generators import (
 from .metrics import beta_rmse, bootstrap_median_se, proportion_rmse, surrogate_rmse
 
 KINDS = ("logit", "poisson", "dmr")
+
+
+def _fit_mle(X, y, family, hyper):
+    return fit_mle(X, y, family)  # IRLS has no prior
+
+
+def _fit_dmr(X, counts, family, hyper):
+    return fit_dmr(X, counts, hyper)
+
+
+# method -> (kind, family, fit); fit(X, y, family, hyper) returns the model.
+METHODS = {
+    "jacobi_logit": ("logit", "logit", fit_jacobi),
+    "jacobi_probit": ("logit", "probit", fit_jacobi),
+    "mle_logit": ("logit", "logit", _fit_mle),
+    "jacobi_poisson": ("poisson", "poisson", fit_jacobi),
+    "mle_poisson": ("poisson", "poisson", _fit_mle),
+    "jacobi_dmr": ("dmr", "poisson", _fit_dmr),
+}
 DEFAULT_METHODS = {
-    "logit": ("jacobi_logit", "jacobi_probit", "mle_logit"),
-    "poisson": ("jacobi_poisson", "mle_poisson"),
-    "dmr": ("jacobi_dmr",),
+    kind: tuple(m for m, (k, _, _) in METHODS.items() if k == kind) for kind in KINDS
 }
 # Offset separating bootstrap streams from replication streams.
 _BOOT_TASK_BASE = 1_000_000
@@ -98,11 +120,11 @@ class ExperimentConfig:
             self.methods = DEFAULT_METHODS[self.kind]
         else:
             self.methods = tuple(self.methods)
-            bad = [m for m in self.methods if m not in _METHOD_FAMILY]
+            bad = [m for m in self.methods if m not in METHODS]
             if bad:
                 raise ConfigError(f"$.methods: unknown methods {bad}")
         for m in self.methods:
-            if _METHOD_KIND[m] != self.kind:
+            if METHODS[m][0] != self.kind:
                 raise ConfigError(f"$.methods: {m!r} is not a {self.kind!r} method")
 
     @classmethod
@@ -211,45 +233,10 @@ class ExperimentReport:
         return "\n".join(out) + "\n"
 
 
-_METHOD_FAMILY = {
-    "jacobi_logit": "logit",
-    "jacobi_probit": "probit",
-    "mle_logit": "logit",
-    "jacobi_poisson": "poisson",
-    "mle_poisson": "poisson",
-    "jacobi_dmr": "poisson",
-}
-_METHOD_KIND = {
-    "jacobi_logit": "logit",
-    "jacobi_probit": "logit",
-    "mle_logit": "logit",
-    "jacobi_poisson": "poisson",
-    "mle_poisson": "poisson",
-    "jacobi_dmr": "dmr",
-}
-
-
-def _fit_glm_method(method: str, config: ExperimentConfig, X, y):
-    family = _METHOD_FAMILY[method]
-    if method.startswith("jacobi"):
-        hyper = config.hyper if config.hyper is not None else default_hyper(family)
-        t0 = time.perf_counter_ns()
-        model = fit_jacobi(X, y, family, hyper)
-        dt = time.perf_counter_ns() - t0
-        return model.beta, family, dt
-    t0 = time.perf_counter_ns()
-    fit = fit_mle(X, y, family)
-    dt = time.perf_counter_ns() - t0
-    return fit.beta, family, dt
-
-
 def _generate_rep(config: ExperimentConfig, rng):
     """Returns (X, y_fit, y_eval, X_out, y_out); y_fit differs from y_eval
     only under eval_only contamination."""
-    if config.kind == "logit":
-        gen = gen_logistic
-    else:
-        gen = gen_poisson
+    gen = gen_logistic if config.kind == "logit" else gen_poisson
     X, y = gen(config.n, config.beta0, config.sigma, config.rho, rng)
     X_out, y_out = gen(config.n, config.beta0, config.sigma, config.rho, rng)
     y_eval, y_out_eval = y, y_out
@@ -265,53 +252,43 @@ def _generate_rep(config: ExperimentConfig, rng):
     return X, y_fit, y_eval, X_out, y_out_eval
 
 
-def _run_glm(config: ExperimentConfig) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run every replication and method in the config; see module docstring."""
     traces = {m: {"out": [], "train": [], "holdout": [], "beta": [], "ns": []} for m in config.methods}
     failures = {m: 0 for m in config.methods}
     for rep in range(config.n_reps):
         rng = derive_rng(config.seed, rep)
-        X, y_fit, y_eval, X_out, y_out = _generate_rep(config, rng)
+        if config.kind == "dmr":
+            # Fit on the count table; score its count matrices.
+            X, y_fit, beta0 = gen_dmr(config.n, config.n_features, config.n_classes, rng)
+            X_out, counts_out, _ = gen_dmr(config.n, config.n_features, config.n_classes, rng)
+            y_eval, y_out = y_fit.counts, counts_out.counts
+        else:
+            X, y_fit, y_eval, X_out, y_out = _generate_rep(config, rng)
+            beta0 = config.beta0
         for method in config.methods:
+            _, family, fit = METHODS[method]
+            hyper = config.hyper if config.hyper is not None else default_hyper(family)
             try:
-                beta, family, dt = _fit_glm_method(method, config, X, y_fit)
+                t0 = time.perf_counter_ns()
+                model = fit(X, y_fit, family, hyper)
+                dt = time.perf_counter_ns() - t0
             except (SeparationError, RankDeficientError):
                 failures[method] += 1
                 continue
-            preds_train = inverse_link(X @ beta, family)
-            preds_out = inverse_link(X_out @ beta, family)
+            if config.kind == "dmr":
+                beta, score = model.betas, proportion_rmse
+                preds_train, preds_out = predict_proba(model, X), predict_proba(model, X_out)
+            else:
+                beta, score = model.beta, surrogate_rmse
+                preds_train = inverse_link(X @ beta, family)
+                preds_out = inverse_link(X_out @ beta, family)
             t = traces[method]
-            t["train"].append(surrogate_rmse(y_eval, preds_train))
-            t["out"].append(surrogate_rmse(y_eval, preds_out))
-            t["holdout"].append(surrogate_rmse(y_out, preds_out))
-            t["beta"].append(beta_rmse(beta, config.beta0))
-            t["ns"].append(dt)
-    return _assemble(config, traces, failures)
-
-
-def _run_dmr(config: ExperimentConfig) -> ExperimentReport:
-    traces = {m: {"out": [], "train": [], "holdout": [], "beta": [], "ns": []} for m in config.methods}
-    failures = {m: 0 for m in config.methods}
-    for rep in range(config.n_reps):
-        rng = derive_rng(config.seed, rep)
-        X, counts, beta0 = gen_dmr(config.n, config.n_features, config.n_classes, rng)
-        X_out, counts_out, _ = gen_dmr(config.n, config.n_features, config.n_classes, rng)
-        for method in config.methods:
-            try:
-                hyper = config.hyper if config.hyper is not None else default_hyper("poisson")
-                t0 = time.perf_counter_ns()
-                model = fit_dmr(X, counts, hyper)
-                dt = time.perf_counter_ns() - t0
-            except RankDeficientError:
-                failures[method] += 1
-                continue
-            probs_train = predict_proba(model, X)
-            probs_out = predict_proba(model, X_out)
-            t = traces[method]
-            t["train"].append(proportion_rmse(counts.counts, probs_train))
-            # Training proportions scored against fresh-design predictions.
-            t["out"].append(proportion_rmse(counts.counts, probs_out))
-            t["holdout"].append(proportion_rmse(counts_out.counts, probs_out))
-            t["beta"].append(beta_rmse(model.betas.ravel(), beta0.ravel()))
+            t["train"].append(score(y_eval, preds_train))
+            # Training responses scored against fresh-design predictions.
+            t["out"].append(score(y_eval, preds_out))
+            t["holdout"].append(score(y_out, preds_out))
+            t["beta"].append(beta_rmse(beta.ravel(), beta0.ravel()))
             t["ns"].append(dt)
     return _assemble(config, traces, failures)
 
@@ -362,13 +339,6 @@ def _assemble(config: ExperimentConfig, traces, failures) -> ExperimentReport:
             )
         )
     return report
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run every replication and method in the config; see module docstring."""
-    if config.kind == "dmr":
-        return _run_dmr(config)
-    return _run_glm(config)
 
 
 def run_consistency(

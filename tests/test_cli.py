@@ -151,6 +151,55 @@ class TestUsageErrors:
         assert rc == 2
         assert "row 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_row_and_column(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        write_csv(bad, ["x1", "x2", "y"], [["0.5", "1.0", "1"], ["0.25", text, "0"]])
+        rc = main(["fit", "--train", str(bad), "--target", "y",
+                   "--model-out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "row 2: column 'x2'" in capsys.readouterr().err
+
+    def test_flag_the_subcommand_does_not_read_exits_2(self, train_csv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--train", str(train_csv), "--target", "y", "--threads", "2",
+                  "--model-out", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+
+
+class TestPredictBadModelFile:
+    @pytest.fixture()
+    def model_doc(self, tmp_path, train_csv):
+        path = tmp_path / "model.json"
+        main(["fit", "--train", str(train_csv), "--target", "y", "--model-out", str(path)])
+        return json.loads(path.read_text())
+
+    def predict_with(self, tmp_path, train_csv, text):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        return main(["predict", "--model", str(path), "--data", str(train_csv),
+                     "--out", str(tmp_path / "p.csv")])
+
+    def test_missing_key(self, tmp_path, train_csv, model_doc, capsys):
+        del model_doc["kind"]
+        rc = self.predict_with(tmp_path, train_csv, json.dumps(model_doc))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "broken.json" in err and "'kind'" in err
+
+    def test_truncated_json(self, tmp_path, train_csv, model_doc, capsys):
+        rc = self.predict_with(tmp_path, train_csv, json.dumps(model_doc)[:-20])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "broken.json" in err and "invalid JSON" in err
+
+    def test_beta_rows_must_match_feature_names(self, tmp_path, train_csv, model_doc, capsys):
+        model_doc["beta"] = model_doc["beta"][:-1]
+        rc = self.predict_with(tmp_path, train_csv, json.dumps(model_doc))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "broken.json" in err and "'beta'" in err
+
 
 class TestShardsCommand:
     def test_shard_counts_agree(self, tmp_path, train_csv):

@@ -56,6 +56,26 @@ class TestLatentVector:
         with pytest.raises(InvalidResponseError, match="index 2"):
             latent_vector([0.0, 1.0, 3.0], "logit")
 
+    def test_count_matrix_equals_per_column_calls_exactly(self):
+        rng = np.random.default_rng(1)
+        Y = rng.poisson(3.0, size=(25, 4)).astype(float)
+        for hyper in (JacobiHyper(0.7, 1.3), JacobiHyper(schedule="one_over_n")):
+            out = latent_vector(Y, "poisson", hyper)
+            for k in range(4):
+                np.testing.assert_array_equal(out[:, k], latent_vector(Y[:, k], "poisson", hyper))
+
+    def test_bad_count_names_row_and_column(self):
+        Y = np.zeros((4, 3))
+        Y[2, 1] = 2.5
+        with pytest.raises(InvalidResponseError, match="row 2, column 1: 2.5"):
+            latent_vector(Y, "poisson")
+        with pytest.raises(InvalidResponseError, match="index 3: -1.0"):
+            latent_vector([0.0, 1.0, 2.0, -1.0], "poisson")
+
+    def test_binary_family_rejects_matrix(self):
+        with pytest.raises(DimensionMismatchError):
+            latent_vector(np.zeros((3, 2)), "logit")
+
     def test_probit_uses_two_values(self):
         out = latent_vector([1.0, 0.0, 1.0], "probit", JacobiHyper(1.0, 1.0))
         assert out[0] == out[2] == -out[1]

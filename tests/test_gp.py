@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import ndtr
 
 from jacobiprior.dmr import CountTable
 from jacobiprior.errors import (
@@ -187,6 +188,12 @@ class TestProbaAndMulticlass:
         model.beta[:] = 0.0
         model.alpha[:] = 0.0
         np.testing.assert_allclose(gp_predict_proba(model, X), 0.5, atol=1e-12)
+
+    def test_proba_is_normal_cdf_of_latent_mean_exactly(self):
+        X, y, model = small_fit(seed=13, n=20)
+        X0 = np.random.default_rng(14).standard_normal((9, 2))
+        mean, _ = gp_predict_latent(model, X0)
+        np.testing.assert_array_equal(gp_predict_proba(model, X0), ndtr(mean))
 
     def test_sinc_sign_recovery(self):
         from jacobiprior.rng import SeedSpec, derive_rng

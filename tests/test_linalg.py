@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from jacobiprior.errors import (
     DimensionMismatchError,
@@ -73,6 +74,34 @@ class TestSolveNormalEquations:
         for _ in range(5):
             t = rng.standard_normal(15)
             np.testing.assert_array_equal(solver.solve(t), solve_normal_equations(X, t))
+
+    def test_factor_equals_scipy_qr_and_keeps_input(self):
+        rng = np.random.default_rng(6)
+        for X in (rng.standard_normal((60, 5)), np.asfortranarray(rng.standard_normal((80, 40)))):
+            before = X.copy()
+            solver = LeastSquaresSolver(X)
+            (_, tau), R = scipy.linalg.qr(X, mode="raw")
+            np.testing.assert_array_equal(solver.R, R)
+            np.testing.assert_array_equal(solver._tau, tau)
+            np.testing.assert_array_equal(X, before)
+
+    def test_empty_design_rejected(self):
+        with pytest.raises(RankDeficientError):
+            LeastSquaresSolver(np.zeros((0, 0)))
+
+    def test_matrix_rhs_columns_equal_own_solves_exactly(self):
+        rng = np.random.default_rng(4)
+        solver = LeastSquaresSolver(rng.standard_normal((30, 4)))
+        T = rng.standard_normal((30, 6))
+        B = solver.solve(T)
+        assert B.shape == (4, 6)
+        for k in range(6):
+            np.testing.assert_array_equal(B[:, k], solver.solve(T[:, k]))
+
+    def test_matrix_rhs_row_mismatch_raises(self):
+        solver = LeastSquaresSolver(np.eye(3))
+        with pytest.raises(DimensionMismatchError):
+            solver.solve(np.zeros((4, 2)))
 
     def test_shared_solver_is_thread_safe(self):
         # LAPACK's reflector application writes to the stored factor and

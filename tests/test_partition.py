@@ -141,6 +141,18 @@ class TestCodec:
         assert (used_dup, dropped_dup) == (2, 1)
 
 
+    def test_conflicting_redelivery_rejected(self):
+        X, y = logit_data(seed=9, n=40)
+        frames = [
+            encode_shard_message(shard_stats(X[i::2], y[i::2], "logit", shard_id=i))
+            for i in range(2)
+        ]
+        # Shard 1's statistics delivered again under shard id 0.
+        conflict = encode_shard_message(shard_stats(X[1::2], y[1::2], "logit", shard_id=0))
+        with pytest.raises(SchemaMismatchError, match="shard 0"):
+            aggregate_messages(frames + [conflict])
+
+
 class TestHarness:
     def test_one_row_per_shard_equals_monolithic(self):
         X, y = logit_data(seed=9, n=30, p=3)
