@@ -22,7 +22,7 @@ from .glm import FAMILIES, JacobiHyper, default_hyper, fit_jacobi
 from .hyper import sensitivity_grid, stochastic_search
 from .mc import sample_beta, summarize
 from .modelio import StoredModel, labels_to_counts, load_csv_dataset
-from .partition import run_harness, shard_message_json, shard_stats
+from .partition import run_harness, shard_message_json
 from .rng import SeedSpec, derive_rng
 from .simlab import (
     EXP_LOGISTIC_BETA,
@@ -186,18 +186,8 @@ def cmd_shards(args) -> int:
         max_workers=args.threads,
     )
     if args.emit_partials:
-        blocks = np.array_split(np.arange(data.n), args.shards)
-        partials = [
-            shard_message_json(
-                shard_stats(
-                    data.X[rows], data.y[rows], args.family, hyper,
-                    n_total=data.n, shard_id=m,
-                )
-            )
-            for m, rows in enumerate(blocks)
-        ]
         with open(args.emit_partials, "w", encoding="utf-8") as fh:
-            json.dump(partials, fh, indent=2)
+            json.dump([shard_message_json(s) for s in result.partials], fh, indent=2)
             fh.write("\n")
     if args.out:
         _write_csv(

@@ -48,8 +48,8 @@ class CountTable:
     def from_labels(cls, labels, n_classes: int | None = None) -> "CountTable":
         """One-hot table for single-label data (each row total is 1)."""
         labels = np.asarray(labels)
-        if labels.ndim != 1:
-            raise DimensionMismatchError("labels must be 1-d")
+        if labels.ndim != 1 or labels.shape[0] == 0:
+            raise DimensionMismatchError(f"labels must be 1-d and non-empty, got {labels.shape}")
         idx = labels.astype(int)
         if np.any(idx != labels) or np.any(idx < 0):
             raise InvalidResponseError("labels must be non-negative integers")

@@ -3,10 +3,10 @@
 All estimators in this library reduce to one of two solves: the
 orthogonal projection of latent values onto the column space of the
 design (via QR, never via an explicit normal-equations inverse), and a
-symmetric positive definite solve for kernel systems. The projection
-is one call, ``LeastSquaresSolver.solve``, for a single latent vector
-(GLM fits, Monte Carlo draws) and for an n x K latent matrix
-(multinomial and multiclass GP fits) alike.
+symmetric positive definite solve for kernel systems. ``HouseholderQR``
+is the only QR code; ``LeastSquaresSolver`` adds the rank check, and
+its ``solve`` is the one projection call for a latent vector (GLM fits,
+Monte Carlo draws, stacked shard factors) or an n x K latent matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgeqrf, dormqr, dtrcon, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dtrcon, dtrtrs
 
 from .errors import (
     DimensionMismatchError,
@@ -27,54 +27,84 @@ from .errors import (
 COND_LIMIT = 1e12
 
 
-def as_matrix(X, name: str = "X") -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-d, got ndim={X.ndim}")
-    if not np.all(np.isfinite(X)):
+def _as_finite(a, ndim: int, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != ndim:
+        raise DimensionMismatchError(f"{name} must be {ndim}-d, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
         raise DimensionMismatchError(f"{name} contains non-finite entries")
-    return X
+    return a
+
+
+def as_matrix(X, name: str = "X") -> np.ndarray:
+    return _as_finite(X, 2, name)
 
 
 def as_vector(v, name: str = "v") -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be 1-d, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
-        raise DimensionMismatchError(f"{name} contains non-finite entries")
-    return v
+    return _as_finite(v, 1, name)
 
 
-class LeastSquaresSolver:
-    """QR factorization of a design matrix, reusable across right-hand sides.
+class HouseholderQR:
+    """Householder QR of any matrix with n >= 1 rows, with no rank check.
 
-    Factoring once and reusing the factor is what makes the Monte
-    Carlo sampler and the per-class multinomial fits cheap: each
-    additional right-hand side costs one reflector application and one
-    small triangular solve. Q is never formed explicitly.
-
-    One solver may serve ``solve`` calls from many threads at once; each
-    returns exactly what the same call returns when run alone.
+    ``R`` (p x p) and ``qt(t)`` (first p entries of Q't) are zero-padded
+    to p rows when n < p; R'R = X'X and R' qt(t) = X't. Q is never
+    formed, and concurrent ``qt`` calls return what each returns alone.
     """
 
     def __init__(self, X):
         X = as_matrix(X)
         n, p = X.shape
-        if n < max(p, 1):
-            raise RankDeficientError(f"need n >= p and n >= 1, got n={n}, p={p}")
-        self.X = X
-        self.n = n
-        self.p = p
+        if n < 1 or p < 1:
+            raise RankDeficientError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+        self.n, self.p = n, p
         self._lock = threading.Lock()
         # dgeqrf with the workspace scipy.linalg.qr queries gives its exact
         # factor without the wrapper's repeated checks and second copy of X,
         # which cost more than the factorization itself at n = 100.
-        qr = np.array(X, order="F")
-        lwork = max(1, int(dgeqrf(qr, lwork=-1, overwrite_a=1)[2][0]))
-        self._qr, self._tau, _, info = dgeqrf(qr, lwork=lwork, overwrite_a=1)
+        lwork = max(1, int(dgeqrf_lwork(n, p)[0]))
+        qr, self._tau, _, info = dgeqrf(np.array(X, order="F"), lwork=lwork, overwrite_a=1)
         if info != 0:
             raise RankDeficientError(f"dgeqrf failed with info={info}")
-        self.R = np.triu(self._qr[:p, :])
+        k = self._tau.shape[0]
+        self.R = np.zeros((p, p))
+        self.R[:k] = np.triu(qr[:k])
+        self._qr = qr[:, :k]  # the k = min(n, p) reflectors dormqr applies
+
+    def qt(self, t: np.ndarray) -> np.ndarray:
+        """First p entries of Q't: p values for an n-vector, p x K for n x K."""
+        t = np.asarray(t, dtype=float)
+        if t.ndim not in (1, 2) or t.shape[0] != self.n:
+            raise DimensionMismatchError(
+                f"rhs shape {t.shape} does not have design rows {self.n}"
+            )
+        cols = t.reshape(self.n, -1)
+        k = self._qr.shape[1]
+        out = np.zeros((self.p, cols.shape[1]))
+        # dormqr sets each reflector's diagonal entry in the stored factor
+        # to 1 and restores it afterwards; the lock keeps concurrent calls
+        # from reading the factor in between.
+        with self._lock:
+            for j in range(cols.shape[1]):
+                cq, _, info = dormqr("L", "T", self._qr, self._tau, cols[:, j], 64)
+                if info != 0:
+                    raise RankDeficientError(f"dormqr failed with info={info}")
+                out[:k, j] = cq[:k]
+        return out[:, 0] if t.ndim == 1 else out
+
+
+class LeastSquaresSolver(HouseholderQR):
+    """QR of a full-rank design (n >= p, condition estimate <= COND_LIMIT).
+
+    Each further right-hand side costs one reflector application and
+    one small triangular solve, which keeps the Monte Carlo sampler and
+    the multinomial fits cheap.
+    """
+
+    def __init__(self, X):
+        super().__init__(X)
+        if self.n < self.p:
+            raise RankDeficientError(f"need n >= p, got n={self.n}, p={self.p}")
         # cond(X) == cond(R) because Q has orthonormal columns; dtrcon's
         # reciprocal 1-norm estimate on the small triangular factor is
         # far cheaper than an SVD and accurate to a modest factor.
@@ -86,35 +116,20 @@ class LeastSquaresSolver:
             )
 
     def solve(self, t: np.ndarray) -> np.ndarray:
-        """Return argmin over beta of ||X beta - t||_2, column by column.
+        """argmin over beta of ||X beta - t||_2 for an n-vector or n x K matrix t.
 
-        ``t`` is an n-vector (returns p values) or an n x K matrix
-        (returns p x K). Column k of a matrix result is bit-identical to
-        ``solve(t[:, k])``: each column gets its own reflector
-        application and triangular solve, because one blocked
-        multi-column LAPACK call rounds differently.
+        Column k of a matrix result is bit-identical to ``solve(t[:, k])``:
+        each column gets its own ``qt`` and triangular solve, because one
+        blocked multi-column LAPACK call rounds differently.
         """
-        t = np.asarray(t, dtype=float)
-        if t.ndim not in (1, 2) or t.shape[0] != self.n:
-            raise DimensionMismatchError(
-                f"rhs shape {t.shape} does not have design rows {self.n}"
-            )
-        cols = t.reshape(self.n, -1)
+        c = self.qt(t)
         betas = []
-        # dormqr sets each reflector's diagonal entry in the stored factor
-        # to 1 and restores it afterwards; the lock keeps concurrent solves
-        # from reading the factor in between.
-        with self._lock:
-            for k in range(cols.shape[1]):
-                c = cols[:, k : k + 1].copy()
-                cq, _, info = dormqr("L", "T", self._qr, self._tau, c, 64, overwrite_c=1)
-                if info != 0:
-                    raise RankDeficientError(f"dormqr failed with info={info}")
-                beta, info = dtrtrs(self.R, cq[: self.p], lower=0)
-                if info != 0:
-                    raise RankDeficientError(f"triangular solve failed with info={info}")
-                betas.append(beta)
-        return betas[0][:, 0] if t.ndim == 1 else np.hstack(betas)
+        for col in c.T if c.ndim == 2 else [c]:
+            beta, info = dtrtrs(self.R, col, lower=0)
+            if info != 0:
+                raise RankDeficientError(f"triangular solve failed with info={info}")
+            betas.append(beta)
+        return betas[0] if c.ndim == 1 else np.column_stack(betas)
 
 
 def stable_matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -138,8 +153,7 @@ def solve_normal_equations(X, t) -> np.ndarray:
     ``COND_LIMIT`` (collinear design) and DimensionMismatchError on
     shape errors or non-finite input.
     """
-    t = as_vector(t, "t")
-    return LeastSquaresSolver(X).solve(t)
+    return LeastSquaresSolver(X).solve(as_vector(t, "t"))
 
 
 def cholesky_solve(A, B) -> np.ndarray:

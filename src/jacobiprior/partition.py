@@ -1,11 +1,12 @@
-"""Partitioned-data fitting via shard-local sufficient statistics.
+"""Partitioned-data fitting by a tall-skinny QR reduction (TSQR).
 
-Because the latent modes are per-observation, a shard only needs its
-own rows to compute X_m' X_m and X_m' eta_m; summing those across
-shards reproduces the monolithic normal equations exactly. The
-in-process harness runs shards concurrently, moves their statistics
-through a serialized message format, and aggregates at a single
-coordinator whose output is independent of arrival order.
+The latent modes are per-observation, so a shard needs only its own
+rows: it sends R_m of X_m = Q_m R_m and the first p entries of
+Q_m' eta_m. One more QR of the stacked pairs, with the same code and
+condition check as ``fit_jacobi``, gives the monolithic fit (bit for
+bit for one shard) without squaring the condition number as X'X would.
+The harness runs shards concurrently, serializes their factors, and
+aggregates them independently of arrival order.
 """
 
 from __future__ import annotations
@@ -17,45 +18,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    RankDeficientError,
-    SchemaMismatchError,
-)
+from .errors import DimensionMismatchError, InvalidHyperError, SchemaMismatchError
 from .glm import JacobiHyper, latent_vector
-from .linalg import as_matrix, as_vector, cholesky_solve
+from .linalg import HouseholderQR, LeastSquaresSolver, as_matrix, as_vector
 from .rng import SeedSpec, derive_rng
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _HEADER = struct.Struct("<IQQI")  # schema_version, shard_id, n_shard, p
 
 
 @dataclass
 class PartialStats:
-    """Shard-local X'X, X'eta, and row count; everything aggregation needs."""
+    """Shard-local R factor, Q'eta, and row count; everything aggregation needs."""
 
     shard_id: int
     n_shard: int
-    xtx: np.ndarray
-    xteta: np.ndarray
+    r: np.ndarray
+    qteta: np.ndarray
 
     def __post_init__(self):
-        self.xtx = np.asarray(self.xtx, dtype=float)
-        self.xteta = np.asarray(self.xteta, dtype=float)
-        p = self.xteta.shape[0]
-        if self.xtx.shape != (p, p):
+        self.r = np.asarray(self.r, dtype=float)
+        self.qteta = np.asarray(self.qteta, dtype=float)
+        p = self.qteta.shape[0] if self.qteta.ndim == 1 else 0
+        if p < 1 or self.r.shape != (p, p) or self.n_shard < 1:
             raise DimensionMismatchError(
-                f"xtx shape {self.xtx.shape} inconsistent with xteta length {p}"
+                f"need p x p r and p-vector qteta, p >= 1, n_shard >= 1; got r {self.r.shape}, "
+                f"qteta {self.qteta.shape}, n_shard {self.n_shard}"
             )
-        if self.n_shard < 1:
-            raise DimensionMismatchError("n_shard must be >= 1")
-        scale = np.max(np.abs(self.xtx)) or 1.0
-        if np.max(np.abs(self.xtx - self.xtx.T)) > 1e-12 * scale:
-            raise DimensionMismatchError("xtx is not symmetric within 1e-12")
+        if not (np.isfinite(self.r).all() and np.isfinite(self.qteta).all()):
+            raise DimensionMismatchError("r or qteta contains non-finite entries")
+        if np.tril(self.r, -1).any():
+            raise DimensionMismatchError("r is not upper triangular")
 
     @property
     def p(self) -> int:
-        return self.xteta.shape[0]
+        return self.qteta.shape[0]
 
 
 def shard_stats(
@@ -66,11 +63,11 @@ def shard_stats(
     n_total: int | None = None,
     shard_id: int = 0,
 ) -> PartialStats:
-    """Sufficient statistics for one shard.
+    """R factor and Q'eta of one shard: the latent map plus one Householder QR.
 
     ``n_total`` is the global row count broadcast by the coordinator;
-    it only matters for the one_over_n schedule, which must resolve
-    against the full dataset rather than the shard.
+    the one_over_n schedule resolves against it and raises
+    InvalidHyperError without it, since a shard cannot know it.
     """
     X_m = as_matrix(X_m, "X_m")
     y_m = as_vector(y_m, "y_m")
@@ -78,29 +75,30 @@ def shard_stats(
         raise DimensionMismatchError("shard is empty")
     if y_m.shape[0] != X_m.shape[0]:
         raise DimensionMismatchError(
-            f"y length {y_m.shape[0]} != shard rows {X_m.shape[0]}"
+            f"shard {shard_id}: y length {y_m.shape[0]} != shard rows {X_m.shape[0]}"
         )
     if hyper is not None and hyper.schedule == "one_over_n":
-        n = n_total if n_total is not None else y_m.shape[0]
-        a, b = hyper.resolve(n)
-        hyper = JacobiHyper(a, b, "fixed")
+        if n_total is None:
+            raise InvalidHyperError(
+                f"shard {shard_id}: the one_over_n schedule needs n_total, the global row count"
+            )
+        hyper = JacobiHyper(*hyper.resolve(n_total), "fixed")
+    qr = HouseholderQR(X_m)
     eta = latent_vector(y_m, family, hyper)
-    xtx = X_m.T @ X_m
-    xtx = 0.5 * (xtx + xtx.T)
-    return PartialStats(shard_id=shard_id, n_shard=X_m.shape[0], xtx=xtx, xteta=X_m.T @ eta)
+    return PartialStats(shard_id=shard_id, n_shard=X_m.shape[0], r=qr.R, qteta=qr.qt(eta))
 
 
 def encode_shard_message(stats: PartialStats) -> bytes:
     """Length-prefixed binary frame with bit-exact binary64 payloads."""
     body = _HEADER.pack(SCHEMA_VERSION, stats.shard_id, stats.n_shard, stats.p)
-    body += stats.xtx.astype("<f8").tobytes(order="C")
-    body += stats.xteta.astype("<f8").tobytes()
+    body += stats.r.astype("<f8").tobytes(order="C")
+    body += stats.qteta.astype("<f8").tobytes()
     return struct.pack("<I", len(body)) + body
 
 
 def decode_shard_message(frame: bytes) -> PartialStats:
-    if len(frame) < 4:
-        raise SchemaMismatchError("frame shorter than its length prefix")
+    if len(frame) < 4 + _HEADER.size:
+        raise SchemaMismatchError(f"frame of {len(frame)} bytes is shorter than its header")
     (length,) = struct.unpack_from("<I", frame, 0)
     if len(frame) != 4 + length:
         raise SchemaMismatchError(f"frame length {len(frame)} != prefix {4 + length}")
@@ -111,9 +109,12 @@ def decode_shard_message(frame: bytes) -> PartialStats:
     if length != expected:
         raise SchemaMismatchError(f"payload length {length} != expected {expected}")
     off = 4 + _HEADER.size
-    xtx = np.frombuffer(frame, dtype="<f8", count=p * p, offset=off).reshape(p, p)
-    xteta = np.frombuffer(frame, dtype="<f8", count=p, offset=off + 8 * p * p)
-    return PartialStats(shard_id=shard_id, n_shard=int(n_shard), xtx=xtx.copy(), xteta=xteta.copy())
+    r = np.frombuffer(frame, dtype="<f8", count=p * p, offset=off).reshape(p, p)
+    qteta = np.frombuffer(frame, dtype="<f8", count=p, offset=off + 8 * p * p)
+    try:
+        return PartialStats(shard_id, int(n_shard), r.copy(), qteta.copy())
+    except DimensionMismatchError as exc:
+        raise SchemaMismatchError(f"shard {shard_id}: {exc}") from exc
 
 
 def shard_message_json(stats: PartialStats) -> dict:
@@ -123,16 +124,16 @@ def shard_message_json(stats: PartialStats) -> dict:
         "shard_id": stats.shard_id,
         "n_shard": stats.n_shard,
         "p": stats.p,
-        "xtx": stats.xtx.tolist(),
-        "xteta": stats.xteta.tolist(),
+        "r": stats.r.tolist(),
+        "qteta": stats.qteta.tolist(),
     }
 
 
 def aggregate_and_solve(stats: list[PartialStats]) -> np.ndarray:
-    """Pooled solve (sum X'X) beta = (sum X'eta).
+    """Least-squares fit of the stacked shard factors, argmin sum ||R_m beta - c_m||.
 
-    Summation runs in ascending shard_id order so floating-point
-    results are bit-reproducible no matter how shards arrive.
+    Factors stack in ascending shard_id order, so the result is
+    bit-reproducible whatever the arrival order.
     """
     if not stats:
         raise DimensionMismatchError("need at least one shard")
@@ -144,15 +145,9 @@ def aggregate_and_solve(stats: list[PartialStats]) -> np.ndarray:
     if len(set(ids)) != len(ids):
         raise SchemaMismatchError(f"duplicate shard ids in aggregate: {sorted(ids)}")
     ordered = sorted(stats, key=lambda s: s.shard_id)
-    xtx = np.zeros((p, p))
-    xteta = np.zeros(p)
-    for s in ordered:
-        xtx += s.xtx
-        xteta += s.xteta
-    cond = np.linalg.cond(xtx)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise RankDeficientError(f"pooled X'X condition estimate {cond:.3e} exceeds 1e12")
-    return cholesky_solve(xtx, xteta)
+    r = np.vstack([s.r for s in ordered])
+    c = np.concatenate([s.qteta for s in ordered])
+    return LeastSquaresSolver(r).solve(c)
 
 
 def aggregate_messages(frames: list[bytes]) -> tuple[np.ndarray, int, int]:
@@ -180,10 +175,13 @@ def aggregate_messages(frames: list[bytes]) -> tuple[np.ndarray, int, int]:
 
 @dataclass
 class HarnessResult:
+    """Pooled fit plus the shard statistics it aggregated, in shard_id order."""
+
     beta: np.ndarray
     n_shards: int
     duplicates_dropped: int
     shard_seconds: list = field(default_factory=list)
+    partials: list = field(default_factory=list)
 
 
 def run_harness(
@@ -199,32 +197,27 @@ def run_harness(
 
     Messages are delivered to the coordinator in a seed-shuffled order
     to exercise arrival-order independence; the pooled solve equals
-    the monolithic fit regardless.
+    the monolithic fit regardless. Shards are row-slice views of X, so
+    the only copy of a shard is the one its QR factors in place.
     """
     X = as_matrix(X)
     y = as_vector(y, "y")
     n = X.shape[0]
     if not 1 <= n_shards <= n:
         raise DimensionMismatchError(f"need 1 <= n_shards <= {n}, got {n_shards}")
-    row_blocks = np.array_split(np.arange(n), n_shards)
+    X_blocks = np.array_split(X, n_shards)
+    y_blocks = np.array_split(y, n_shards)
 
     def work(m: int):
-        rows = row_blocks[m]
         t0 = time.perf_counter()
-        stats = shard_stats(
-            X[rows], y[rows], family, hyper, n_total=n, shard_id=m
-        )
-        frame = encode_shard_message(stats)
-        return frame, time.perf_counter() - t0
+        stats = shard_stats(X_blocks[m], y_blocks[m], family, hyper, n_total=n, shard_id=m)
+        return stats, encode_shard_message(stats), time.perf_counter() - t0
 
     with ThreadPoolExecutor(max_workers=min(max_workers, n_shards)) as pool:
         results = list(pool.map(work, range(n_shards)))
-    frames = [frame for frame, _ in results]
-    timings = [dt for _, dt in results]
+    partials, frames, timings = (list(col) for col in zip(*results))
     if seed is not None:
         order = derive_rng(seed, 0).permutation(n_shards)
         frames = [frames[i] for i in order]
     beta, used, dropped = aggregate_messages(frames)
-    return HarnessResult(
-        beta=beta, n_shards=used, duplicates_dropped=dropped, shard_seconds=timings
-    )
+    return HarnessResult(beta, used, dropped, timings, partials)

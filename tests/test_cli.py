@@ -7,6 +7,7 @@ import pytest
 from jacobiprior.cli import main
 from jacobiprior.glm import JacobiHyper, fit_jacobi, predict
 from jacobiprior.modelio import StoredModel, load_csv_dataset
+from jacobiprior.partition import PartialStats, aggregate_and_solve
 
 
 def write_csv(path, header, rows):
@@ -221,8 +222,21 @@ class TestShardsCommand:
         doc = json.loads(dump.read_text())
         assert len(doc) == 3
         assert {d["shard_id"] for d in doc} == {0, 1, 2}
-        assert all(d["schema_version"] == 1 for d in doc)
+        assert all(d["schema_version"] == 2 for d in doc)
         assert sum(d["n_shard"] for d in doc) == 120
+
+    def test_emitted_partials_reproduce_out_exactly(self, tmp_path, train_csv):
+        dump, out = tmp_path / "partials.json", tmp_path / "beta.csv"
+        rc = main(["shards", "--data", str(train_csv), "--target", "y", "--shards", "5",
+                   "--seed", "3", "--emit-partials", str(dump), "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(dump.read_text())
+        assert [d["shard_id"] for d in doc] == [0, 1, 2, 3, 4]
+        stats = [PartialStats(d["shard_id"], d["n_shard"], np.array(d["r"]), np.array(d["qteta"]))
+                 for d in doc]
+        with open(out, newline="") as fh:
+            written = [float(r["coefficient"]) for r in csv.DictReader(fh)]
+        assert np.array_equal(aggregate_and_solve(stats), written)
 
 
 class TestUncertaintyCommand:

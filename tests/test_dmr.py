@@ -36,6 +36,10 @@ class TestCountTable:
         table = CountTable(np.array([[0.0, 0.0], [1.0, 2.0]]))
         np.testing.assert_array_equal(table.totals, [0.0, 3.0])
 
+    def test_from_labels_rejects_empty(self):
+        with pytest.raises(DimensionMismatchError, match="non-empty"):
+            CountTable.from_labels([])
+
     def test_from_labels_one_hot(self):
         table = CountTable.from_labels([0, 2, 1, 2])
         assert table.n_classes == 3

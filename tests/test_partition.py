@@ -1,14 +1,18 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobiprior.errors import (
     DimensionMismatchError,
+    InvalidHyperError,
     RankDeficientError,
     SchemaMismatchError,
 )
-from jacobiprior.glm import JacobiHyper, fit_jacobi
+from jacobiprior.glm import JacobiHyper, fit_jacobi, latent_vector
 from jacobiprior.partition import (
     PartialStats,
     aggregate_and_solve,
@@ -29,31 +33,72 @@ def logit_data(seed=0, n=300, p=5):
     return gen_logistic(n, beta0, 2.0, 0.4, rng)
 
 
+def scaled_design():
+    """400 x 4 logit design with columns scaled by 1e4 and 1e-4: cond(X) ~ 1e8."""
+    X, y = logit_data(seed=13, n=400, p=4)
+    X[:, 1] *= 1e4
+    X[:, 2] *= 1e-4
+    return X, y
+
+
+def assert_factor_reproduces(stats, X, eta):
+    """R'R = X'X and R'c = X'eta: the invariants the pooled QR relies on."""
+    assert np.array_equal(stats.r, np.triu(stats.r))
+    np.testing.assert_allclose(stats.r.T @ stats.r, X.T @ X, rtol=1e-12)
+    xteta = X.T @ eta
+    np.testing.assert_allclose(stats.r.T @ stats.qteta, xteta, rtol=1e-12)
+
+
 class TestShardStats:
     def test_single_row_outer_product(self):
         stats = shard_stats(np.array([[1.0, 2.0]]), np.array([3.0]), "poisson",
                             JacobiHyper(1.0, 1.0))
-        np.testing.assert_array_equal(stats.xtx, [[1.0, 2.0], [2.0, 4.0]])
+        # One row has no reflector to apply: R is the row itself, zero-padded.
+        np.testing.assert_array_equal(stats.r, [[1.0, 2.0], [0.0, 0.0]])
         eta = np.log(4.0 / 2.0)
-        np.testing.assert_allclose(stats.xteta, [eta, 2.0 * eta], atol=1e-12)
+        np.testing.assert_array_equal(stats.qteta, [eta, 0.0])
+        np.testing.assert_allclose(stats.r.T @ stats.r, [[1.0, 2.0], [2.0, 4.0]], rtol=1e-12)
+        np.testing.assert_allclose(stats.r.T @ stats.qteta, [eta, 2.0 * eta], rtol=1e-12)
 
     def test_empty_shard_rejected(self):
         with pytest.raises(DimensionMismatchError):
             shard_stats(np.empty((0, 2)), np.empty(0), "logit")
 
+    def test_response_length_mismatch_rejected(self):
+        X, y = logit_data(seed=16, n=10)
+        with pytest.raises(DimensionMismatchError, match="shard 4: y length 9"):
+            shard_stats(X, y[:9], "logit", shard_id=4)
+
     def test_self_concatenation_doubles(self):
         X, y = logit_data(seed=1, n=20)
         one = shard_stats(X, y, "logit")
-        two = shard_stats(np.vstack([X, X]), np.concatenate([y, y]), "logit")
-        np.testing.assert_allclose(two.xtx, 2.0 * one.xtx, rtol=1e-12)
-        np.testing.assert_allclose(two.xteta, 2.0 * one.xteta, rtol=1e-12)
+        X2, y2 = np.vstack([X, X]), np.concatenate([y, y])
+        two = shard_stats(X2, y2, "logit")
+        assert_factor_reproduces(one, X, latent_vector(y, "logit"))
+        assert_factor_reproduces(two, X2, latent_vector(y2, "logit"))
+        np.testing.assert_allclose(two.r.T @ two.r, 2.0 * (one.r.T @ one.r), rtol=1e-12)
+        np.testing.assert_allclose(two.r.T @ two.qteta, 2.0 * (one.r.T @ one.qteta), rtol=1e-12)
+
+    def test_fewer_rows_than_columns_zero_padded(self):
+        X, y = logit_data(seed=14, n=3, p=5)
+        stats = shard_stats(X, y, "logit")
+        assert stats.r.shape == (5, 5) and stats.qteta.shape == (5,)
+        np.testing.assert_array_equal(stats.r[3:], 0.0)
+        np.testing.assert_array_equal(stats.qteta[3:], 0.0)
+        assert_factor_reproduces(stats, X, latent_vector(y, "logit"))
 
     def test_one_over_n_uses_global_n(self):
-        X, y = logit_data(seed=2, n=10)
+        X, y = logit_data(seed=2, n=400)
         hyper = JacobiHyper(1.0, 1.0, "one_over_n")
-        local = shard_stats(X, y, "logit", hyper)
-        broadcast = shard_stats(X, y, "logit", hyper, n_total=1000)
-        assert not np.allclose(local.xteta, broadcast.xteta)
+        # A shard cannot know the global n, so it must be told.
+        with pytest.raises(InvalidHyperError, match="n_total"):
+            shard_stats(X[:100], y[:100], "logit", hyper, shard_id=0)
+        stats = [
+            shard_stats(X[i : i + 100], y[i : i + 100], "logit", hyper, n_total=400, shard_id=i)
+            for i in range(0, 400, 100)
+        ]
+        mono = fit_jacobi(X, y, "logit", hyper).beta
+        np.testing.assert_allclose(aggregate_and_solve(stats), mono, rtol=1e-10)
 
 
 class TestAggregate:
@@ -63,6 +108,16 @@ class TestAggregate:
         beta = aggregate_and_solve([stats])
         mono = fit_jacobi(X, y, "logit").beta
         np.testing.assert_allclose(beta, mono, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["logit", "probit", "poisson"])
+    def test_single_shard_is_bit_identical_to_fit_jacobi(self, family):
+        # QR of an upper-triangular R applies no reflector, so the pooled
+        # solve repeats the monolithic one exactly.
+        X, y = logit_data(seed=15, n=70, p=4)
+        if family == "poisson":
+            y = derive_rng(SeedSpec(882, 0), 0).poisson(2.0, 70).astype(float)
+        beta = aggregate_and_solve([shard_stats(X, y, family)])
+        assert np.array_equal(beta, fit_jacobi(X, y, family).beta)
 
     def test_three_way_split_equals_monolithic(self):
         X, y = logit_data(seed=4)
@@ -94,11 +149,36 @@ class TestAggregate:
             aggregate_and_solve([a, a])
 
     def test_singular_pool_rejected(self):
-        ones = np.ones((2, 2))
-        a = PartialStats(0, 2, ones, np.ones(2))
-        b = PartialStats(1, 2, ones, np.ones(2))
+        # Both shards saw only rows proportional to (1, 1): R has a zero pivot.
+        r = np.array([[1.0, 1.0], [0.0, 0.0]])
+        a = PartialStats(0, 2, r, np.array([1.0, 0.0]))
+        b = PartialStats(1, 2, r, np.array([2.0, 0.0]))
         with pytest.raises(RankDeficientError):
             aggregate_and_solve([a, b])
+
+    def test_non_triangular_factor_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="upper triangular"):
+            PartialStats(0, 2, np.ones((2, 2)), np.ones(2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        p=st.integers(1, 5),
+        cuts=st.lists(st.integers(1, 59), max_size=12, unique=True),
+    )
+    def test_random_splits_equal_monolithic(self, seed, p, cuts):
+        # Cut points anywhere, so shards often have fewer rows than p.
+        X, y = logit_data(seed=seed, n=60, p=p)
+        edges = [0, *sorted(cuts), 60]
+        stats = [
+            shard_stats(X[lo:hi], y[lo:hi], "logit", shard_id=m)
+            for m, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
+        ]
+        beta = aggregate_and_solve(stats)
+        mono = fit_jacobi(X, y, "logit").beta
+        np.testing.assert_allclose(beta, mono, rtol=1e-10, atol=1e-12)
+        shuffled = [stats[i] for i in derive_rng(SeedSpec(seed, 1), 0).permutation(len(stats))]
+        assert np.array_equal(aggregate_and_solve(shuffled), beta)
 
 
 class TestCodec:
@@ -108,8 +188,9 @@ class TestCodec:
         decoded = decode_shard_message(encode_shard_message(stats))
         assert decoded.shard_id == 7
         assert decoded.n_shard == 40
-        np.testing.assert_array_equal(decoded.xtx, stats.xtx)
-        np.testing.assert_array_equal(decoded.xteta, stats.xteta)
+        np.testing.assert_array_equal(decoded.r, stats.r)
+        np.testing.assert_array_equal(decoded.qteta, stats.qteta)
+        assert_factor_reproduces(decoded, X, latent_vector(y, "logit"))
 
     def test_truncated_frame_rejected(self):
         frame = encode_shard_message(PartialStats(0, 1, np.eye(2), np.ones(2)))
@@ -122,11 +203,30 @@ class TestCodec:
         with pytest.raises(SchemaMismatchError):
             decode_shard_message(bytes(frame))
 
+    def test_version_1_frame_rejected(self):
+        frame = bytearray(encode_shard_message(PartialStats(0, 1, np.eye(2), np.ones(2))))
+        frame[4] = 1
+        with pytest.raises(SchemaMismatchError, match="schema version 1, expected 2"):
+            decode_shard_message(bytes(frame))
+
+    def test_frame_shorter_than_header_rejected(self):
+        for body in (b"", b"\x02\x00\x00\x00"):
+            with pytest.raises(SchemaMismatchError, match="shorter than its header"):
+                decode_shard_message(struct.pack("<I", len(body)) + body)
+
+    def test_zero_columns_frame_rejected(self):
+        body = struct.pack("<IQQI", 2, 5, 1, 0)
+        with pytest.raises(SchemaMismatchError, match="shard 5"):
+            decode_shard_message(struct.pack("<I", len(body)) + body)
+
     def test_json_debug_round_trips_through_text(self):
-        stats = shard_stats(*logit_data(seed=7, n=10), "logit", shard_id=3)
+        X, y = logit_data(seed=7, n=10)
+        stats = shard_stats(X, y, "logit", shard_id=3)
         doc = json.loads(json.dumps(shard_message_json(stats)))
-        np.testing.assert_array_equal(np.asarray(doc["xtx"]), stats.xtx)
-        np.testing.assert_array_equal(np.asarray(doc["xteta"]), stats.xteta)
+        assert doc["schema_version"] == 2
+        np.testing.assert_array_equal(np.asarray(doc["r"]), stats.r)
+        np.testing.assert_array_equal(np.asarray(doc["qteta"]), stats.qteta)
+        assert_factor_reproduces(stats, X, latent_vector(y, "logit"))
 
     def test_duplicate_delivery_is_idempotent(self):
         X, y = logit_data(seed=8, n=50)
@@ -161,6 +261,14 @@ class TestHarness:
         np.testing.assert_allclose(result.beta, mono, rtol=1e-10, atol=1e-12)
         assert result.n_shards == 30
         assert len(result.shard_seconds) == 30
+
+    def test_scaled_design_fits_for_every_shard_count(self):
+        X, y = scaled_design()
+        mono = fit_jacobi(X, y, "logit").beta
+        for m in (1, 2, 3, 7, 400):
+            result = run_harness(X, y, m, "logit", seed=SeedSpec(5, m))
+            np.testing.assert_allclose(result.beta, mono, rtol=1e-10)
+            assert [s.shard_id for s in result.partials] == list(range(m))
 
     def test_partition_counts_validated(self):
         X, y = logit_data(seed=10, n=10, p=2)
