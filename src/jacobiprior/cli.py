@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .dmr import fit_dmr
-from .errors import ConfigError, JacobiPriorError
+from .errors import ConfigError, InvalidHyperError, JacobiPriorError
 from .glm import FAMILIES, JacobiHyper, default_hyper, fit_jacobi
 from .hyper import sensitivity_grid, stochastic_search
 from .mc import sample_beta, summarize
@@ -384,7 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InvalidHyperError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except JacobiPriorError as exc:

@@ -54,8 +54,8 @@ class JacobiHyper:
     def __post_init__(self):
         if self.schedule not in ("fixed", "one_over_n"):
             raise InvalidHyperError(f"unknown schedule {self.schedule!r}")
-        if not (self.a > 0 and self.b > 0):
-            raise InvalidHyperError(f"need a > 0 and b > 0, got a={self.a}, b={self.b}")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise InvalidHyperError(f"need finite a > 0 and b > 0, got a={self.a}, b={self.b}")
 
     def resolve(self, n: int) -> tuple[float, float]:
         """Effective (a, b) for a training set of size n."""
@@ -181,6 +181,12 @@ def probit_mode(
     raise NoConvergenceError(f"probit mode did not reach |grad| <= {tol} in {max_iter} iterations")
 
 
+def binary_modes(family: str, a: float, b: float) -> tuple[float, float]:
+    """Latent modes (m0, m1) of a binary family at y = 0 and y = 1."""
+    mode = logit_mode if family == "logit" else probit_mode
+    return mode(0, a, b), mode(1, a, b)
+
+
 def check_response(y: np.ndarray, family: str):
     """Raise InvalidResponseError naming the first entry of y invalid for family.
 
@@ -220,12 +226,7 @@ def latent_vector(y, family: str, hyper: JacobiHyper | None = None) -> np.ndarra
     a, b = hyper.resolve(y.shape[0])
     if family == "poisson":
         return np.log((y + a) / (1.0 + b))
-    if family == "logit":
-        mode0 = logit_mode(0, a, b)
-        mode1 = logit_mode(1, a, b)
-    else:
-        mode0 = probit_mode(0, a, b)
-        mode1 = probit_mode(1, a, b)
+    mode0, mode1 = binary_modes(family, a, b)
     return np.where(y == 1.0, mode1, mode0)
 
 

@@ -1,13 +1,25 @@
-"""Hyperparameter study tools: shape-pair sensitivity grids and stochastic search."""
+"""Hyperparameter study tools: shape-pair sensitivity grids and stochastic search.
+
+The projection is linear in eta and the modes depend on (a, b) only
+through scalars. With u = X_eval solve(1), logit and probit give
+X_eval beta(a, b) = m0 u + (m1 - m0) X_eval solve(y) for the modes m0, m1
+at y = 0, 1, and poisson X_eval solve(log(y + a)) - log(1 + b) u. So a
+grid or a search costs one QR plus two solves (binary) or one solve per
+distinct a plus one (poisson); each pair is then scalar mode work and an
+O(n_eval) combination.
+"""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidHyperError
-from .glm import JacobiHyper, fit_jacobi, predict
+from .errors import DimensionMismatchError, InvalidHyperError
+from .glm import JacobiHyper, binary_modes, check_response, inverse_link
+from .linalg import LeastSquaresSolver, as_matrix, stable_matvec
 from .rng import SeedSpec, derive_rng
 from .simlab.metrics import accuracy, surrogate_rmse, utility_total
 
@@ -35,7 +47,7 @@ class GridReport:
         lines = ["a,b,score"]
         for i, a in enumerate(self.a_values):
             for j, b in enumerate(self.b_values):
-                lines.append(f"{a!r},{b!r},{self.scores[i, j]!r}")
+                lines.append(f"{float(a)!r},{float(b)!r},{float(self.scores[i, j])!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -44,13 +56,36 @@ def _objective_score(objective, y_val, preds, disbursement):
         return surrogate_rmse(y_val, preds)
     if objective == "accuracy":
         return -accuracy(y_val, preds)
-    if objective == "utility":
-        if disbursement is None:
-            raise InvalidHyperError("utility objective needs a disbursement vector")
-        approve = (preds >= 0.5).astype(float)
-        # Approving predicted non-defaulters: defaults are the positive class.
-        return -utility_total(y_val, 1.0 - approve, disbursement)
-    raise InvalidHyperError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
+    approve = (preds >= 0.5).astype(float)
+    # Approving predicted non-defaulters: defaults are the positive class.
+    return -utility_total(y_val, 1.0 - approve, disbursement)
+
+
+def _surface(X_train, y_train, X_eval, family: str):
+    """(a, b) -> predictions on X_eval from one QR of X_train; inputs are checked once, first."""
+    solver = LeastSquaresSolver(X_train)
+    y = np.asarray(y_train, dtype=float)
+    if y.shape != (solver.n,):
+        raise DimensionMismatchError(f"y_train has shape {y.shape}, X_train has {solver.n} rows")
+    check_response(y, family)
+    X_eval = as_matrix(X_eval, "X_eval")
+    if X_eval.shape[1] != solver.p:
+        raise DimensionMismatchError(f"X_eval has {X_eval.shape[1]} columns, X_train has {solver.p}")
+    basis = [np.ones(solver.n)] + ([] if family == "poisson" else [y])
+    u, *v = (stable_matvec(X_eval, beta) for beta in solver.solve(np.column_stack(basis)).T)
+
+    @functools.lru_cache(maxsize=1)  # a grid visits each a in one run of cells
+    def count_part(a):
+        return stable_matvec(X_eval, solver.solve(np.log(y + a)))
+
+    def predict_at(a, b):
+        hyper = JacobiHyper(a, b)
+        if family != "poisson":
+            m0, m1 = binary_modes(family, hyper.a, hyper.b)
+            return inverse_link(m0 * u + (m1 - m0) * v[0], family)
+        return inverse_link(count_part(hyper.a) - math.log(1.0 + hyper.b) * u, family)
+
+    return predict_at
 
 
 def sensitivity_grid(
@@ -71,11 +106,11 @@ def sensitivity_grid(
     a_values = np.sort(np.asarray(a_values, dtype=float))
     b_values = np.sort(np.asarray(b_values, dtype=float))
     scores = np.full((a_values.shape[0], b_values.shape[0]), np.nan)
+    predict_at = _surface(X_train, y_train, X_test, family)
     for i, a in enumerate(a_values):
         for j, b in enumerate(b_values):
             try:
-                model = fit_jacobi(X_train, y_train, family, JacobiHyper(a, b))
-                scores[i, j] = surrogate_rmse(y_test, predict(model, X_test))
+                scores[i, j] = surrogate_rmse(y_test, predict_at(a, b))
             except InvalidHyperError:
                 continue
     return GridReport(a_values=a_values, b_values=b_values, scores=scores)
@@ -110,27 +145,25 @@ def stochastic_search(
     reshuffling it, and the incumbent score is non-increasing along
     the trace.
     """
-    if budget < 1:
-        raise InvalidHyperError("budget must be >= 1")
+    if not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise InvalidHyperError(f"budget must be an integer >= 1, got {budget!r}")
+    if not 0 < lo <= hi < math.inf:
+        raise InvalidHyperError(f"need finite 0 < lo <= hi, got lo={lo!r}, hi={hi!r}")
     if objective not in OBJECTIVES:
         raise InvalidHyperError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
+    if objective == "utility" and disbursement is None:
+        raise InvalidHyperError("utility objective needs a disbursement vector")
+    predict_at = _surface(X_train, y_train, X_val, family)
     rng = derive_rng(seed, 0)
     candidates = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(budget, 2)))
     trace = []
-    skipped = 0
-    best = None
     for a, b in candidates:
         try:
-            model = fit_jacobi(X_train, y_train, family, JacobiHyper(a, b))
-            score = _objective_score(objective, y_val, predict(model, X_val), disbursement)
+            score = _objective_score(objective, y_val, predict_at(a, b), disbursement)
         except InvalidHyperError:
-            skipped += 1
             continue
         trace.append((float(a), float(b), float(score)))
-        if best is None or score < best[2]:
-            best = (float(a), float(b), float(score))
-    if best is None:
+    if not trace:
         raise InvalidHyperError("every search candidate failed")
-    return SearchResult(
-        best_a=best[0], best_b=best[1], best_score=best[2], trace=trace, skipped=skipped
-    )
+    best = min(trace, key=lambda t: t[2])  # the first of equal scores, as the trace runs
+    return SearchResult(*best, trace=trace, skipped=int(budget) - len(trace))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidHyperError, SchemaMismatchError
 from .glm import JacobiHyper, latent_vector
-from .linalg import HouseholderQR, LeastSquaresSolver, as_matrix, as_vector
+from .linalg import HouseholderQR, LeastSquaresSolver, as_vector
 from .rng import SeedSpec, derive_rng
 
 SCHEMA_VERSION = 2
@@ -69,10 +69,10 @@ def shard_stats(
     the one_over_n schedule resolves against it and raises
     InvalidHyperError without it, since a shard cannot know it.
     """
-    X_m = as_matrix(X_m, "X_m")
+    X_m = np.asarray(X_m, dtype=float)  # HouseholderQR checks its values, once per row
     y_m = as_vector(y_m, "y_m")
-    if X_m.shape[0] == 0:
-        raise DimensionMismatchError("shard is empty")
+    if X_m.ndim != 2 or X_m.shape[0] == 0:
+        raise DimensionMismatchError(f"shard {shard_id}: need a non-empty matrix, got {X_m.shape}")
     if y_m.shape[0] != X_m.shape[0]:
         raise DimensionMismatchError(
             f"shard {shard_id}: y length {y_m.shape[0]} != shard rows {X_m.shape[0]}"
@@ -200,8 +200,10 @@ def run_harness(
     the monolithic fit regardless. Shards are row-slice views of X, so
     the only copy of a shard is the one its QR factors in place.
     """
-    X = as_matrix(X)
+    X = np.asarray(X, dtype=float)  # each shard's QR checks the values of its own rows
     y = as_vector(y, "y")
+    if X.ndim != 2:
+        raise DimensionMismatchError(f"X must be 2-d, got ndim={X.ndim}")
     n = X.shape[0]
     if not 1 <= n_shards <= n:
         raise DimensionMismatchError(f"need 1 <= n_shards <= {n}, got {n_shards}")

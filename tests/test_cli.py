@@ -342,3 +342,14 @@ class TestGenerate:
             rows = list(csv.reader(fh))
         assert len(rows[0]) == cols
         assert len(rows) == 31
+
+
+class TestNonFiniteShapeFlag:
+    def test_infinite_a_exits_2(self, train_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        rc = main(["fit", "--train", str(train_csv), "--target", "y",
+                   "--a", "inf", "--b", "0.5", "--model-out", str(model_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "a=inf" in err
+        assert not model_path.exists()

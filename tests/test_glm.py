@@ -38,6 +38,20 @@ class TestJacobiHyper:
         assert default_hyper("poisson") == JacobiHyper(1.0, 1.0)
 
 
+class TestNonFiniteShapes:
+    @pytest.mark.parametrize("family", ["logit", "probit", "poisson"])
+    @pytest.mark.parametrize("a, b, shown", [
+        (math.inf, 0.5, "a=inf"), (0.5, math.inf, "b=inf"), (math.nan, 0.5, "a=nan"),
+    ])
+    def test_rejected_before_fitting(self, family, a, b, shown):
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        if family == "poisson":
+            y = np.array([0.0, 2.0, 1.0, 5.0, 3.0, 0.0])
+        with pytest.raises(InvalidHyperError, match=shown):
+            fit_jacobi(X, y, family, JacobiHyper(a, b))
+
+
 class TestLatentVector:
     def test_logit_elementwise(self):
         out = latent_vector([1.0, 0.0], "logit", JacobiHyper(0.5, 0.5))

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import jacobiprior.hyper as hyper_module
+from jacobiprior.errors import DimensionMismatchError, InvalidHyperError
 from jacobiprior.glm import JacobiHyper, fit_jacobi, predict
 from jacobiprior.hyper import sensitivity_grid, stochastic_search
+from jacobiprior.linalg import LeastSquaresSolver
 from jacobiprior.rng import SeedSpec, derive_rng
-from jacobiprior.simlab import gen_logistic, surrogate_rmse
+from jacobiprior.simlab import gen_logistic, gen_poisson, surrogate_rmse, utility_total
 
 
 def split_data(seed=0, n=120):
@@ -40,6 +45,17 @@ class TestSensitivityGrid:
         text = report.to_csv_text()
         assert text.splitlines()[0] == "a,b,score"
         assert len(text.strip().splitlines()) == 1 + 6
+
+
+class TestGridCsv:
+    def test_values_round_trip_as_plain_floats(self):
+        Xtr, ytr, Xte, yte = split_data(seed=2)
+        report = sensitivity_grid(Xtr, ytr, Xte, yte, "logit", [0.2, np.inf], [0.3, 0.6])
+        rows = [line.split(",") for line in report.to_csv_text().splitlines()[1:]]
+        got = np.array([[float(v) for v in row] for row in rows])
+        want = [[a, b, report.scores[i, j]] for i, a in enumerate(report.a_values)
+                for j, b in enumerate(report.b_values)]
+        np.testing.assert_array_equal(got, np.array(want))
 
 
 class TestStochasticSearch:
@@ -92,3 +108,181 @@ class TestStochasticSearch:
             objective="utility", disbursement=v,
         )
         assert np.isfinite(util.best_score)
+
+
+def family_data(family, seed=0, n=80):
+    rng = derive_rng(SeedSpec(707, 0), seed)
+    if family == "poisson":
+        X, y = gen_poisson(n, np.array([0.8, -0.4, 0.3]), 1.0, 0.3, rng)
+    else:
+        X, y = gen_logistic(n, np.array([2.0, -1.0, 0.5]), 1.0, 0.3, rng)
+    h = n // 2
+    return X[:h], y[:h], X[h:], y[h:]
+
+
+def per_pair_predictions(Xtr, ytr, Xev, family, a, b):
+    """Reference: a full fit_jacobi + predict for one shape pair."""
+    return predict(fit_jacobi(Xtr, ytr, family, JacobiHyper(a, b)), Xev)
+
+
+def reference_grid(Xtr, ytr, Xte, yte, family, a_values, b_values):
+    out = np.full((len(a_values), len(b_values)), np.nan)
+    for i, a in enumerate(a_values):
+        for j, b in enumerate(b_values):
+            try:
+                JacobiHyper(a, b)
+            except InvalidHyperError:
+                continue
+            out[i, j] = surrogate_rmse(yte, per_pair_predictions(Xtr, ytr, Xte, family, a, b))
+    return out
+
+
+# Valid shapes plus values JacobiHyper rejects; probit shapes stay above the
+# range where its fixed Newton bracket fails to converge.
+invalid_shapes = st.sampled_from([0.0, -0.5, -np.inf, np.inf])
+shape_values = st.lists(
+    st.one_of(st.floats(min_value=0.05, max_value=8.0), invalid_shapes),
+    min_size=1, max_size=4,
+)
+
+
+class TestClosedFormSurface:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family=st.sampled_from(["logit", "probit", "poisson"]),
+        seed=st.integers(0, 3),
+        a_values=shape_values,
+        b_values=shape_values,
+    )
+    def test_grid_equals_per_cell_fits(self, family, seed, a_values, b_values):
+        Xtr, ytr, Xte, yte = family_data(family, seed)
+        report = sensitivity_grid(Xtr, ytr, Xte, yte, family, a_values, b_values)
+        ref = reference_grid(Xtr, ytr, Xte, yte, family, report.a_values, report.b_values)
+        assert np.array_equal(np.isnan(report.scores), np.isnan(ref))
+        valid = ~np.isnan(ref)
+        assert np.all(np.abs(report.scores[valid] - ref[valid]) <= 1e-12)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 0.0])
+    def test_rejected_grid_value_gives_nan_row_and_column(self, value):
+        Xtr, ytr, Xte, yte = family_data("logit")
+        report = sensitivity_grid(Xtr, ytr, Xte, yte, "logit", [0.5, value], [0.5, value])
+        bad_i = list(report.a_values).index(value)
+        assert np.all(np.isnan(report.scores[bad_i, :]))
+        assert np.all(np.isnan(report.scores[:, bad_i]))
+        assert not np.isnan(report.scores[1 - bad_i, 1 - bad_i])
+
+    @pytest.mark.parametrize("family", ["logit", "probit", "poisson"])
+    @pytest.mark.parametrize("objective", ["rmse", "utility"])
+    def test_search_trace_equals_per_candidate_fits(self, family, objective):
+        Xtr, ytr, Xv, yv = family_data(family, seed=5)
+        disb = np.linspace(50.0, 150.0, yv.shape[0])
+        seed = SeedSpec(8, 3)
+        result = stochastic_search(Xtr, ytr, Xv, yv, family, budget=12, seed=seed,
+                                   objective=objective, disbursement=disb, lo=0.05)
+        rng = derive_rng(seed, 0)
+        candidates = np.exp(rng.uniform(np.log(0.05), np.log(2.0), size=(12, 2)))
+        assert [(a, b) for a, b, _ in result.trace] == [(float(a), float(b)) for a, b in candidates]
+        for (a, b), (_, _, score) in zip(candidates, result.trace):
+            preds = per_pair_predictions(Xtr, ytr, Xv, family, a, b)
+            if objective == "rmse":
+                ref = surrogate_rmse(yv, preds)
+            else:
+                ref = -utility_total(yv, 1.0 - (preds >= 0.5), disb)
+            assert abs(score - ref) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["probit", "poisson"])
+    def test_prefix_property_of_budgets(self, family):
+        Xtr, ytr, Xv, yv = family_data(family, seed=6)
+        small = stochastic_search(Xtr, ytr, Xv, yv, family, budget=8, seed=SeedSpec(4, 1), lo=0.05)
+        large = stochastic_search(Xtr, ytr, Xv, yv, family, budget=20, seed=SeedSpec(4, 1), lo=0.05)
+        assert large.trace[:8] == small.trace
+        assert large.best_score <= small.best_score
+
+    def test_one_solver_per_call_and_no_per_cell_fit(self, monkeypatch):
+        built = []
+
+        class CountingSolver(LeastSquaresSolver):
+            def __init__(self, X):
+                built.append(1)
+                super().__init__(X)
+
+        monkeypatch.setattr(hyper_module, "LeastSquaresSolver", CountingSolver)
+        assert not hasattr(hyper_module, "fit_jacobi")
+        assert not hasattr(hyper_module, "predict")
+        for family in ("logit", "probit", "poisson"):
+            Xtr, ytr, Xte, yte = family_data(family)
+            sensitivity_grid(Xtr, ytr, Xte, yte, family, [0.3, 0.6, 1.2], [0.4, 0.9])
+            stochastic_search(Xtr, ytr, Xte, yte, family, budget=6, lo=0.05)
+        assert len(built) == 6
+
+
+class TestSolveCounts:
+    @pytest.mark.parametrize("family, solves", [("logit", 1), ("probit", 1), ("poisson", 1 + 3)])
+    def test_grid_solves(self, family, solves, monkeypatch):
+        calls = []
+
+        class CountingSolver(LeastSquaresSolver):
+            def solve(self, t):
+                calls.append(np.shape(t))
+                return super().solve(t)
+
+        monkeypatch.setattr(hyper_module, "LeastSquaresSolver", CountingSolver)
+        Xtr, ytr, Xte, yte = family_data(family)
+        report = sensitivity_grid(Xtr, ytr, Xte, yte, family, [1.2, 0.3, 0.6], [0.4, 0.9, 2.0])
+        assert not np.isnan(report.scores).any()
+        assert len(calls) == solves
+
+
+def bad_inputs():
+    Xtr, ytr, Xte, yte = family_data("logit")
+    wrong_cols = np.column_stack([Xte, Xte[:, 0]])
+    non_finite = Xte.copy()
+    non_finite[3, 1] = np.nan
+    return {
+        "y_train_length": (Xtr, ytr[:-1], Xte, yte),
+        "X_test_columns": (Xtr, ytr, wrong_cols, yte),
+        "X_test_non_finite": (Xtr, ytr, non_finite, yte),
+    }
+
+
+class TestInputsCheckedBeforeAnyCell:
+    @pytest.fixture()
+    def pairs_built(self, monkeypatch):
+        built = []
+
+        def counting_hyper(*args):
+            built.append(args)
+            return JacobiHyper(*args)
+
+        monkeypatch.setattr(hyper_module, "JacobiHyper", counting_hyper)
+        return built
+
+    @pytest.mark.parametrize("case", sorted(bad_inputs()))
+    def test_grid(self, case, pairs_built):
+        with pytest.raises(DimensionMismatchError):
+            sensitivity_grid(*bad_inputs()[case], "logit", [0.5, 1.0], [0.5])
+        assert pairs_built == []
+
+    @pytest.mark.parametrize("case", sorted(bad_inputs()))
+    def test_search(self, case, pairs_built):
+        with pytest.raises(DimensionMismatchError):
+            stochastic_search(*bad_inputs()[case], "logit", budget=3)
+        assert pairs_built == []
+
+
+class TestSearchArguments:
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(lo=0.0), "lo"),
+            (dict(lo=1.5, hi=0.5), "lo"),
+            (dict(hi=np.inf), "hi"),
+            (dict(budget=2.5), "budget"),
+            (dict(budget=0), "budget"),
+        ],
+    )
+    def test_bad_range_or_budget_is_typed(self, kwargs, name):
+        Xtr, ytr, Xv, yv = split_data(seed=9)
+        kwargs = {"budget": 4, **kwargs}
+        with pytest.raises(InvalidHyperError, match=name):
+            stochastic_search(Xtr, ytr, Xv, yv, "logit", **kwargs)
