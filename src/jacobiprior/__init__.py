@@ -14,7 +14,7 @@ from .glm import (
     predict,
     probit_mode,
 )
-from .dmr import CountTable, DmrModel, fit_dmr, predict_class, predict_proba
+from .dmr import CountTable, fit_dmr, predict_class, predict_proba
 from .gp import (
     GPModel,
     GPMulticlass,
@@ -52,7 +52,6 @@ __all__ = [
     "predict",
     "probit_mode",
     "CountTable",
-    "DmrModel",
     "fit_dmr",
     "predict_class",
     "predict_proba",

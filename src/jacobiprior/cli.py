@@ -16,12 +16,12 @@ import sys
 
 import numpy as np
 
-from .dmr import fit_dmr
+from .dmr import CountTable
 from .errors import ConfigError, InvalidHyperError, JacobiPriorError
 from .glm import FAMILIES, JacobiHyper, default_hyper, fit_jacobi
 from .hyper import sensitivity_grid, stochastic_search
 from .mc import sample_beta, summarize
-from .modelio import StoredModel, labels_to_counts, load_csv_dataset
+from .modelio import StoredModel, load_csv_dataset
 from .partition import run_harness, shard_message_json
 from .rng import SeedSpec, derive_rng
 from .simlab import (
@@ -60,17 +60,16 @@ def cmd_fit(args) -> int:
         if args.classes is None:
             raise ConfigError("--family multinomial requires --classes")
         data = load_csv_dataset(args.train, classes=args.classes)
-        counts, class_names = labels_to_counts(data.labels)
-        hyper = _hyper_from_args(args, "poisson")
-        model = fit_dmr(data.X, counts, hyper)
-        stored = StoredModel.from_dmr(model, data.feature_names, class_names)
+        # Classes sorted lexically; the fit is the poisson fit of the n x K count table.
+        class_names, idx = np.unique(np.array(data.labels, dtype=object), return_inverse=True)
+        y, fit_family = CountTable.from_labels(idx, len(class_names)).counts, "poisson"
     else:
         if args.target is None:
             raise ConfigError("--target is required for single-response families")
         data = load_csv_dataset(args.train, target=args.target)
-        hyper = _hyper_from_args(args, family)
-        model = fit_jacobi(data.X, data.y, family, hyper)
-        stored = StoredModel.from_glm(model, data.feature_names)
+        y, fit_family, class_names = data.y, family, []
+    model = fit_jacobi(data.X, y, fit_family, _hyper_from_args(args, fit_family))
+    stored = StoredModel.from_glm(model, data.feature_names, class_names)
     stored.save(args.model_out)
     a, b = stored.a_effective, stored.b_effective
     print(f"fitted {family} model on n={stored.n_train} (a={a:g}, b={b:g}) -> {args.model_out}")
@@ -80,16 +79,14 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     stored = StoredModel.load(args.model)
     data = load_csv_dataset(args.data, features=stored.feature_names)
+    preds = stored.predict_mean(data)
     if stored.kind == "glm":
-        preds = stored.predict_mean(data)
         _write_csv(args.out, ["prediction"], [[repr(float(p))] for p in preds])
     else:
-        probs = stored.predict_mean(data)
-        classes = stored.predict_class_names(data)
         header = [f"prob_{c}" for c in stored.class_names] + ["class"]
         rows = [
-            [repr(float(p)) for p in probs[i]] + [classes[i]]
-            for i in range(probs.shape[0])
+            [repr(float(p)) for p in row] + [stored.class_names[k]]
+            for row, k in zip(preds, np.argmax(preds, axis=1))
         ]
         _write_csv(args.out, header, rows)
     print(f"wrote {data.n} predictions -> {args.out}")

@@ -1,10 +1,11 @@
 """Distributed multinomial regression on category counts.
 
 The multinomial likelihood factorizes into K independent Poisson
-regressions sharing the design, so the whole fit is one count-mode
-latent map of the n x K table followed by one projection of that
-latent matrix against one QR factorization. Prediction is a row-wise
-softmax over the per-class linear predictors.
+regressions sharing the design, so a multinomial fit is ``fit_jacobi``
+with the ``poisson`` family on the n x K count table: one count-mode
+latent map of the table and one projection of that latent matrix
+against one QR factorization, giving a ``FittedGLM`` with a p x K
+``beta``. Prediction is a row-wise softmax over ``predict_linear``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidResponseError
-from .glm import JacobiHyper, check_response, default_hyper, latent_vector
-from .linalg import LeastSquaresSolver, as_matrix, stable_matvec
+from .glm import FittedGLM, JacobiHyper, check_response, fit_jacobi, predict_linear
 
 
 @dataclass
@@ -61,39 +61,14 @@ class CountTable:
         return cls(table)
 
 
-@dataclass
-class DmrModel:
-    """Per-class coefficient matrix; column k is the class-k Poisson fit."""
-
-    betas: np.ndarray  # p x K
-    hyper: JacobiHyper
-    n_train: int
-    eta_hat: np.ndarray | None = None  # n x K training latents; None when loaded from disk
-
-
-def fit_dmr(X, Y: CountTable, hyper: JacobiHyper | None = None) -> DmrModel:
+def fit_dmr(X, Y: CountTable, hyper: JacobiHyper | None = None) -> FittedGLM:
     """Fit K independent count regressions against a shared factorization.
 
-    Column k of the result is exactly the single-family count fit on
-    (X, Y[:, k]); the shared QR only saves work, it cannot change the
+    Column k of the p x K ``beta`` is exactly the single-family count fit
+    on (X, Y[:, k]); the shared QR only saves work, it cannot change the
     answer.
     """
-    solver = LeastSquaresSolver(X)
-    if hyper is None:
-        hyper = default_hyper("poisson")
-    eta_hat = latent_vector(Y.counts, "poisson", hyper)
-    return DmrModel(betas=solver.solve(eta_hat), hyper=hyper, n_train=solver.n, eta_hat=eta_hat)
-
-
-def latent_matrix(model: DmrModel, X0) -> np.ndarray:
-    X0 = as_matrix(X0, "X0")
-    if X0.shape[1] != model.betas.shape[0]:
-        raise DimensionMismatchError(
-            f"X0 has {X0.shape[1]} columns, model expects {model.betas.shape[0]}"
-        )
-    return np.column_stack(
-        [stable_matvec(X0, model.betas[:, k]) for k in range(model.betas.shape[1])]
-    )
+    return fit_jacobi(X, Y.counts, "poisson", hyper)
 
 
 def softmax_rows(eta: np.ndarray) -> np.ndarray:
@@ -102,11 +77,13 @@ def softmax_rows(eta: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def predict_proba(model: DmrModel, X0) -> np.ndarray:
-    """Row-wise softmax of the latent matrix; rows sum to 1."""
-    return softmax_rows(latent_matrix(model, X0))
+def predict_proba(model: FittedGLM, X0) -> np.ndarray:
+    """Row-wise softmax of the n x K linear predictor; rows sum to 1."""
+    if model.beta.ndim != 2:
+        raise DimensionMismatchError(f"predict_proba needs a p x K beta, got {model.beta.shape}")
+    return softmax_rows(predict_linear(model, X0))
 
 
-def predict_class(model: DmrModel, X0) -> np.ndarray:
+def predict_class(model: FittedGLM, X0) -> np.ndarray:
     """Most probable class per row; ties break toward the lowest index."""
     return np.argmax(predict_proba(model, X0), axis=1)

@@ -76,13 +76,21 @@ def default_hyper(family: str) -> JacobiHyper:
 
 @dataclass
 class FittedGLM:
-    """Projection fit: beta is the least-squares image of the latent modes."""
+    """Projection fit: beta is the least-squares image of the latent modes.
+
+    ``beta`` is p x K and ``eta_hat`` n x K for an n x K count matrix.
+    """
 
     beta: np.ndarray
     family: str
     hyper: JacobiHyper
     eta_hat: np.ndarray
     n_train: int
+
+    @property
+    def betas(self) -> np.ndarray:
+        """Read-only ``beta``, kept only for ``perfbench/bench.py``; goes at its next change."""
+        return self.beta
 
 
 def _check_binary_scalar(y) -> int:
@@ -241,6 +249,7 @@ def fit_jacobi(X, y, family: str, hyper: JacobiHyper | None = None) -> FittedGLM
 
 
 def predict_linear(model: FittedGLM, X0) -> np.ndarray:
+    """X0 @ beta: an n-vector, or n x K for a p x K fit."""
     X0 = as_matrix(X0, "X0")
     if X0.shape[1] != model.beta.shape[0]:
         raise DimensionMismatchError(

@@ -174,10 +174,10 @@ def gp_fit_multiclass(
     X = as_matrix(X)
     fit = fit_dmr(X, Y, hyper)
     chol = _factor_gram(X, params)
-    alphas = scipy.linalg.cho_solve(chol, fit.eta_hat - X @ fit.betas, check_finite=False)
+    alphas = scipy.linalg.cho_solve(chol, fit.eta_hat - X @ fit.beta, check_finite=False)
     return GPMulticlass(
         models=[
             GPModel(X_train=X, beta=beta, eta_hat=eta, params=params, chol=chol, alpha=alpha)
-            for beta, eta, alpha in zip(fit.betas.T.copy(), fit.eta_hat.T.copy(), alphas.T.copy())
+            for beta, eta, alpha in zip(fit.beta.T.copy(), fit.eta_hat.T.copy(), alphas.T.copy())
         ]
     )

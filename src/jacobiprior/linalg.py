@@ -31,8 +31,13 @@ def _as_finite(a, ndim: int, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-d, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise DimensionMismatchError(f"{name} contains non-finite entries")
+    if not np.isfinite(a).all():
+        # Rescan only on failure, to name the first offending cell.
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+        where = f"row {idx[0]}, column {idx[1]}" if ndim == 2 else f"index {idx[0]}"
+        raise DimensionMismatchError(
+            f"{name} contains a non-finite entry at {where}: {float(a[idx])!r}"
+        )
     return a
 
 
@@ -135,14 +140,17 @@ class LeastSquaresSolver(HouseholderQR):
 def stable_matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """X @ beta with a fixed left-to-right column accumulation.
 
-    BLAS gemv results can differ by a few ULPs between equal-valued
+    ``beta`` is a p-vector (n-vector result) or a p x K matrix (n x K
+    result, column k bit-identical to ``stable_matvec(X, beta[:, k])``).
+    BLAS gemv/gemm results can differ by a few ULPs between equal-valued
     buffers at different alignments; prediction surfaces promise
     bit-identical output for equal inputs (model files round-trip,
-    column order in CSVs is irrelevant), so they avoid gemv.
+    column order in CSVs is irrelevant), so they avoid BLAS.
     """
-    out = X[:, 0] * beta[0]
+    mul = np.multiply if beta.ndim == 1 else np.multiply.outer
+    out = mul(X[:, 0], beta[0])
     for j in range(1, X.shape[1]):
-        out += X[:, j] * beta[j]
+        out += mul(X[:, j], beta[j])
     return out
 
 

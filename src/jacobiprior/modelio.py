@@ -3,7 +3,9 @@
 The CSV dialect is deliberately strict: comma-separated, UTF-8, '.'
 decimal point, header row required, no missing values. Model files are
 JSON; coefficient values survive a save/load round trip bit-exactly
-because Python renders floats with shortest-exact repr.
+because Python renders floats with shortest-exact repr. A stored
+``FittedGLM`` keeps its p-vector ``beta`` under the key ``beta`` (kind
+``glm``), or its multinomial p x K ``beta`` under ``betas`` (kind ``dmr``).
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dmr import CountTable, DmrModel, predict_class, predict_proba
+from .dmr import softmax_rows
 from .errors import ConfigError, MissingFeatureError
-from .glm import FittedGLM, JacobiHyper, inverse_link
+from .glm import FAMILIES, FittedGLM, JacobiHyper, inverse_link
 from .linalg import as_matrix, stable_matvec
 
 MODEL_FORMAT = "jacobiprior-model"
 MODEL_VERSION = 1
+KIND_OF_FAMILY = {**dict.fromkeys(FAMILIES, "glm"), "multinomial": "dmr"}
 
 
 @dataclass
@@ -115,55 +118,35 @@ def load_csv_dataset(
     return data
 
 
-def labels_to_counts(labels: list) -> tuple[CountTable, list]:
-    """One-hot counts for string class labels; classes sorted lexically."""
-    class_names = sorted(set(labels))
-    index = {c: k for k, c in enumerate(class_names)}
-    table = CountTable.from_labels([index[c] for c in labels], n_classes=len(class_names))
-    return table, class_names
-
-
 @dataclass
 class StoredModel:
     """On-disk form of a fitted model plus the metadata predict needs."""
 
-    kind: str  # "glm" or "dmr"
-    family: str
+    family: str  # a GLM family, or "multinomial" for a p x K count fit
     hyper: JacobiHyper
     a_effective: float
     b_effective: float
     feature_names: list
     n_train: int
-    beta: np.ndarray | None = None  # glm
-    betas: np.ndarray | None = None  # dmr, p x K
+    beta: np.ndarray  # p-vector, or p x K (one column per class name)
     class_names: list = field(default_factory=list)
 
+    @property
+    def kind(self) -> str:
+        return KIND_OF_FAMILY[self.family]
+
     @classmethod
-    def from_glm(cls, model: FittedGLM, feature_names) -> "StoredModel":
+    def from_glm(cls, model: FittedGLM, feature_names, class_names=()) -> "StoredModel":
+        """A p x K fit is stored as a multinomial model over ``class_names``."""
         a, b = model.hyper.resolve(model.n_train)
         return cls(
-            kind="glm",
-            family=model.family,
+            family="multinomial" if model.beta.ndim == 2 else model.family,
             hyper=model.hyper,
             a_effective=a,
             b_effective=b,
             feature_names=list(feature_names),
             n_train=model.n_train,
             beta=model.beta,
-        )
-
-    @classmethod
-    def from_dmr(cls, model: DmrModel, feature_names, class_names) -> "StoredModel":
-        a, b = model.hyper.resolve(model.n_train)
-        return cls(
-            kind="dmr",
-            family="multinomial",
-            hyper=model.hyper,
-            a_effective=a,
-            b_effective=b,
-            feature_names=list(feature_names),
-            n_train=model.n_train,
-            betas=model.betas,
             class_names=list(class_names),
         )
 
@@ -181,10 +164,8 @@ class StoredModel:
             "feature_names": self.feature_names,
             "n_train": self.n_train,
         }
-        if self.kind == "glm":
-            doc["beta"] = self.beta.tolist()
-        else:
-            doc["betas"] = self.betas.tolist()
+        doc["beta" if self.kind == "glm" else "betas"] = self.beta.tolist()
+        if self.kind == "dmr":
             doc["class_names"] = self.class_names
         return doc
 
@@ -197,29 +178,29 @@ class StoredModel:
         if doc.get("version") != MODEL_VERSION:
             raise ConfigError(f"unsupported model version {doc.get('version')}")
         try:
-            kind = doc["kind"]
-            if kind not in ("glm", "dmr"):
-                raise ConfigError(f"unknown model kind {kind!r}")
+            kind, family = doc["kind"], doc["family"]
+            if KIND_OF_FAMILY.get(family) != kind:
+                raise ConfigError(f"model kind {kind!r} does not match family {family!r}")
             key = "beta" if kind == "glm" else "betas"
             coef = np.asarray(doc[key], dtype=float)
             feature_names = list(doc["feature_names"])
-            if coef.ndim != (1 if kind == "glm" else 2) or coef.shape[0] != len(feature_names):
+            class_names = list(doc["class_names"]) if kind == "dmr" else []
+            shape = (len(feature_names), len(class_names)) if kind == "dmr" else (len(feature_names),)
+            if coef.shape != shape:
                 raise ConfigError(
-                    f"key {key!r} has shape {coef.shape}, expected one row per "
-                    f"feature name ({len(feature_names)})"
+                    f"key {key!r} has shape {coef.shape}, expected {shape}: one row per "
+                    "feature name and, for a multinomial model, one column per class name"
                 )
-            common = dict(
-                kind=kind,
-                family=doc["family"],
+            return cls(
+                family=family,
                 hyper=JacobiHyper(doc["a"], doc["b"], doc["schedule"]),
                 a_effective=doc["a_effective"],
                 b_effective=doc["b_effective"],
                 feature_names=feature_names,
                 n_train=int(doc["n_train"]),
+                beta=coef,
+                class_names=class_names,
             )
-            if kind == "glm":
-                return cls(beta=coef, **common)
-            return cls(betas=coef, class_names=list(doc["class_names"]), **common)
         except KeyError as exc:
             raise ConfigError(f"missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
@@ -252,13 +233,6 @@ class StoredModel:
         return as_matrix(data.X[:, idx])
 
     def predict_mean(self, data: CsvDataset) -> np.ndarray:
-        X0 = self.design_from(data)
-        if self.kind == "glm":
-            return inverse_link(stable_matvec(X0, self.beta), self.family)
-        model = DmrModel(betas=self.betas, hyper=self.hyper, n_train=self.n_train)
-        return predict_proba(model, X0)
-
-    def predict_class_names(self, data: CsvDataset) -> list:
-        model = DmrModel(betas=self.betas, hyper=self.hyper, n_train=self.n_train)
-        idx = predict_class(model, self.design_from(data))
-        return [self.class_names[k] for k in idx]
+        """Mean-scale predictions; class probabilities (n x K) for multinomial."""
+        eta = stable_matvec(self.design_from(data), self.beta)
+        return softmax_rows(eta) if self.kind == "dmr" else inverse_link(eta, self.family)

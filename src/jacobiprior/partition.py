@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidHyperError, SchemaMismatchError
+from .errors import DimensionMismatchError, InvalidHyperError, JacobiPriorError, SchemaMismatchError
 from .glm import JacobiHyper, latent_vector
 from .linalg import HouseholderQR, LeastSquaresSolver, as_vector
 from .rng import SeedSpec, derive_rng
@@ -83,8 +83,11 @@ def shard_stats(
                 f"shard {shard_id}: the one_over_n schedule needs n_total, the global row count"
             )
         hyper = JacobiHyper(*hyper.resolve(n_total), "fixed")
-    qr = HouseholderQR(X_m)
-    eta = latent_vector(y_m, family, hyper)
+    try:
+        qr = HouseholderQR(X_m)
+        eta = latent_vector(y_m, family, hyper)
+    except JacobiPriorError as exc:  # rows and indices in the message are shard-local
+        raise type(exc)(f"shard {shard_id}: {exc}") from None
     return PartialStats(shard_id=shard_id, n_shard=X_m.shape[0], r=qr.R, qteta=qr.qt(eta))
 
 

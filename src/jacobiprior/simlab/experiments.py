@@ -32,7 +32,7 @@ from ..errors import (
     SeparationError,
 )
 from ..glm import JacobiHyper, default_hyper, fit_jacobi, inverse_link
-from ..dmr import fit_dmr, predict_proba
+from ..dmr import predict_proba
 from ..mle import fit_mle
 from ..rng import SeedSpec, derive_rng
 from .generators import (
@@ -53,10 +53,6 @@ def _fit_mle(X, y, family, hyper):
     return fit_mle(X, y, family)  # IRLS has no prior
 
 
-def _fit_dmr(X, counts, family, hyper):
-    return fit_dmr(X, counts, hyper)
-
-
 # method -> (kind, family, fit); fit(X, y, family, hyper) returns the model.
 METHODS = {
     "jacobi_logit": ("logit", "logit", fit_jacobi),
@@ -64,7 +60,7 @@ METHODS = {
     "mle_logit": ("logit", "logit", _fit_mle),
     "jacobi_poisson": ("poisson", "poisson", fit_jacobi),
     "mle_poisson": ("poisson", "poisson", _fit_mle),
-    "jacobi_dmr": ("dmr", "poisson", _fit_dmr),
+    "jacobi_dmr": ("dmr", "poisson", fit_jacobi),  # the n x K count table
 }
 DEFAULT_METHODS = {
     kind: tuple(m for m, (k, _, _) in METHODS.items() if k == kind) for kind in KINDS
@@ -259,10 +255,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for rep in range(config.n_reps):
         rng = derive_rng(config.seed, rep)
         if config.kind == "dmr":
-            # Fit on the count table; score its count matrices.
-            X, y_fit, beta0 = gen_dmr(config.n, config.n_features, config.n_classes, rng)
+            # Fit on the count matrix; score the count matrices.
+            X, counts, beta0 = gen_dmr(config.n, config.n_features, config.n_classes, rng)
             X_out, counts_out, _ = gen_dmr(config.n, config.n_features, config.n_classes, rng)
-            y_eval, y_out = y_fit.counts, counts_out.counts
+            y_fit, y_eval, y_out = counts.counts, counts.counts, counts_out.counts
         else:
             X, y_fit, y_eval, X_out, y_out = _generate_rep(config, rng)
             beta0 = config.beta0
@@ -277,18 +273,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 failures[method] += 1
                 continue
             if config.kind == "dmr":
-                beta, score = model.betas, proportion_rmse
+                score = proportion_rmse
                 preds_train, preds_out = predict_proba(model, X), predict_proba(model, X_out)
             else:
-                beta, score = model.beta, surrogate_rmse
-                preds_train = inverse_link(X @ beta, family)
-                preds_out = inverse_link(X_out @ beta, family)
+                score = surrogate_rmse
+                preds_train = inverse_link(X @ model.beta, family)
+                preds_out = inverse_link(X_out @ model.beta, family)
             t = traces[method]
             t["train"].append(score(y_eval, preds_train))
             # Training responses scored against fresh-design predictions.
             t["out"].append(score(y_eval, preds_out))
             t["holdout"].append(score(y_out, preds_out))
-            t["beta"].append(beta_rmse(beta.ravel(), beta0.ravel()))
+            t["beta"].append(beta_rmse(model.beta.ravel(), beta0.ravel()))
             t["ns"].append(dt)
     return _assemble(config, traces, failures)
 

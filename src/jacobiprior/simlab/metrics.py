@@ -22,7 +22,7 @@ def surrogate_rmse(y, p_hat) -> float:
     correct label predicted at 0.7 still contributes 0.3 of error.
     """
     y, p_hat = _paired(y, p_hat)
-    return float(np.sqrt(np.mean((y - p_hat) ** 2)))
+    return float(np.sqrt(((y - p_hat) ** 2).mean()))
 
 
 def beta_rmse(beta_hat, beta0, kind: str = "per_coefficient") -> float:

@@ -106,7 +106,7 @@ class TestFitPredict:
                    "--out", str(tmp_path / "nope.csv")])
         assert rc == 1
 
-    def test_multiclass_fit_predict(self, tmp_path):
+    def test_multiclass_fit_predict(self, tmp_path, capsys):
         data = tmp_path / "mc.csv"
         rng = np.random.default_rng(0)
         rows = []
@@ -130,6 +130,26 @@ class TestFitPredict:
              for r in preds]
         )
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+        # A literal version-1 multinomial document, keys in the written order:
+        # the writer reproduces it byte for byte and it predicts the same CSV.
+        betas = json.loads(model_path.read_text())["betas"]
+        old_doc = {
+            "format": "jacobiprior-model", "version": 1, "kind": "dmr",
+            "family": "multinomial", "a": 1.0, "b": 1.0, "schedule": "fixed",
+            "a_effective": 1.0, "b_effective": 1.0, "feature_names": ["x1", "x2"],
+            "n_train": 60, "betas": betas, "class_names": ["blue", "green", "red"],
+        }
+        assert model_path.read_text() == json.dumps(old_doc, indent=2) + "\n"
+        old_path, old_out = tmp_path / "old.json", tmp_path / "old.csv"
+        old_path.write_text(json.dumps(old_doc))
+        rc = main(["predict", "--model", str(old_path), "--data", str(data), "--out", str(old_out)])
+        assert rc == 0 and old_out.read_text() == out.read_text()
+        old_doc["class_names"] = ["blue", "green"]
+        old_path.write_text(json.dumps(old_doc))
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(old_path), "--data", str(data), "--out", str(old_out)])
+        assert rc == 2 and "key 'betas' has shape (2, 3), expected (2, 2)" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -193,6 +213,14 @@ class TestPredictBadModelFile:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and "broken.json" in err and "invalid JSON" in err
+
+    @pytest.mark.parametrize("family", ["multinomial", "tobit"])
+    def test_kind_must_match_family(self, tmp_path, train_csv, model_doc, capsys, family):
+        model_doc["family"] = family
+        rc = self.predict_with(tmp_path, train_csv, json.dumps(model_doc))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "broken.json" in err and f"kind 'glm' does not match family '{family}'" in err
 
     def test_beta_rows_must_match_feature_names(self, tmp_path, train_csv, model_doc, capsys):
         model_doc["beta"] = model_doc["beta"][:-1]

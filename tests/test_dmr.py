@@ -6,12 +6,11 @@ import pytest
 from jacobiprior.dmr import (
     CountTable,
     fit_dmr,
-    latent_matrix,
     predict_class,
     predict_proba,
 )
 from jacobiprior.errors import DimensionMismatchError, InvalidResponseError
-from jacobiprior.glm import JacobiHyper, fit_jacobi
+from jacobiprior.glm import JacobiHyper, fit_jacobi, predict_linear
 
 
 def random_instance(seed=0, n=40, p=3, k=4):
@@ -54,7 +53,7 @@ class TestFitDmr:
         model = fit_dmr(X, table, hyper)
         for k in range(table.n_classes):
             single = fit_jacobi(X, table.counts[:, k], "poisson", hyper)
-            np.testing.assert_array_equal(model.betas[:, k], single.beta)
+            np.testing.assert_array_equal(model.beta[:, k], single.beta)
 
     def test_zero_count_class_on_centered_features(self):
         rng = np.random.default_rng(2)
@@ -63,13 +62,13 @@ class TestFitDmr:
         counts = np.column_stack([rng.poisson(2.0, 30), np.zeros(30)])
         model = fit_dmr(X, CountTable(counts), JacobiHyper(1.0, 1.0))
         # constant latent log(1/2) projects onto the intercept alone
-        assert model.betas[0, 1] == pytest.approx(math.log(0.5), abs=1e-10)
-        assert model.betas[1, 1] == pytest.approx(0.0, abs=1e-10)
+        assert model.beta[0, 1] == pytest.approx(math.log(0.5), abs=1e-10)
+        assert model.beta[1, 1] == pytest.approx(0.0, abs=1e-10)
 
     def test_single_row_identity_design(self):
         model = fit_dmr(np.eye(1), CountTable(np.array([[0.0, 5.0]])), JacobiHyper(1.0, 1.0))
         np.testing.assert_allclose(
-            model.betas[0], [math.log(0.5), math.log(3.0)], atol=1e-12
+            model.beta[0], [math.log(0.5), math.log(3.0)], atol=1e-12
         )
 
     def test_row_count_mismatch(self):
@@ -82,9 +81,14 @@ class TestPrediction:
     def test_zero_betas_uniform(self):
         X, table = random_instance(seed=3, k=3)
         model = fit_dmr(X, table)
-        model.betas = np.zeros_like(model.betas)
+        model.beta = np.zeros_like(model.beta)
         probs = predict_proba(model, X)
         np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-12)
+
+    def test_vector_fit_rejected(self):
+        X, table = random_instance(seed=9)
+        with pytest.raises(DimensionMismatchError, match="p x K beta"):
+            predict_proba(fit_jacobi(X, table.counts[:, 0], "poisson"), X)
 
     def test_rows_sum_to_one(self):
         X, table = random_instance(seed=4)
@@ -95,7 +99,7 @@ class TestPrediction:
     def test_binary_softmax_equals_logit_of_difference(self):
         X, table = random_instance(seed=5, k=2)
         model = fit_dmr(X, table)
-        eta = latent_matrix(model, X)
+        eta = predict_linear(model, X)
         probs = predict_proba(model, X)
         np.testing.assert_allclose(
             probs[:, 0], 1.0 / (1.0 + np.exp(-(eta[:, 0] - eta[:, 1]))), atol=1e-12
@@ -105,8 +109,8 @@ class TestPrediction:
         X, table = random_instance(seed=6)
         model = fit_dmr(X, table)
         shifted = fit_dmr(X, table)
-        shifted.betas = model.betas.copy()
-        shifted.betas[0, :] += 7.5  # constant latent shift via the intercept row
+        shifted.beta = model.beta.copy()
+        shifted.beta[0, :] += 7.5  # constant latent shift via the intercept row
         np.testing.assert_allclose(
             predict_proba(model, X), predict_proba(shifted, X), atol=1e-12
         )
@@ -114,7 +118,7 @@ class TestPrediction:
     def test_argmax_and_tie_breaking(self):
         X, table = random_instance(seed=7, k=3)
         model = fit_dmr(X, table)
-        model.betas = np.zeros_like(model.betas)
+        model.beta = np.zeros_like(model.beta)
         np.testing.assert_array_equal(predict_class(model, X[:5]), np.zeros(5, dtype=int))
         probs = np.array([[0.1, 0.7, 0.2]])
         assert int(np.argmax(probs, axis=1)[0]) == 1
@@ -124,5 +128,5 @@ class TestPrediction:
         model = fit_dmr(X, table)
         classes = predict_class(model, X)
         scaled = fit_dmr(X, table)
-        scaled.betas = model.betas * 3.0  # strictly increasing latent map
+        scaled.beta = model.beta * 3.0  # strictly increasing latent map
         np.testing.assert_array_equal(classes, predict_class(scaled, X))

@@ -14,6 +14,7 @@ from jacobiprior.glm import (
     fit_jacobi,
     latent_vector,
     predict,
+    predict_linear,
 )
 
 
@@ -73,10 +74,18 @@ class TestLatentVector:
     def test_count_matrix_equals_per_column_calls_exactly(self):
         rng = np.random.default_rng(1)
         Y = rng.poisson(3.0, size=(25, 4)).astype(float)
+        X = np.column_stack([np.ones(25), rng.standard_normal((25, 2))])
+        X0 = rng.standard_normal((7, 3))
         for hyper in (JacobiHyper(0.7, 1.3), JacobiHyper(schedule="one_over_n")):
             out = latent_vector(Y, "poisson", hyper)
+            fit = fit_jacobi(X, Y, "poisson", hyper)
+            eta0 = predict_linear(fit, X0)
+            assert fit.beta.shape == (3, 4) and eta0.shape == (7, 4)
             for k in range(4):
                 np.testing.assert_array_equal(out[:, k], latent_vector(Y[:, k], "poisson", hyper))
+                single = fit_jacobi(X, Y[:, k], "poisson", hyper)
+                np.testing.assert_array_equal(fit.beta[:, k], single.beta)
+                np.testing.assert_array_equal(eta0[:, k], predict_linear(single, X0))
 
     def test_bad_count_names_row_and_column(self):
         Y = np.zeros((4, 3))

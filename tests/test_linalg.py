@@ -64,8 +64,13 @@ class TestSolveNormalEquations:
     def test_non_finite_rejected(self):
         X = np.eye(3)
         X[0, 0] = np.nan
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="X contains a non-finite entry at row 0, column 0: nan"):
             solve_normal_equations(X, np.zeros(3))
+        X[0, 0], X[2, 1], X[1, 2] = 1.0, -np.inf, np.inf
+        with pytest.raises(DimensionMismatchError, match="at row 1, column 2: inf"):
+            LeastSquaresSolver(X)
+        with pytest.raises(DimensionMismatchError, match="t contains a non-finite entry at index 1: nan"):
+            solve_normal_equations(np.eye(3), [0.0, np.nan, np.inf])
 
     def test_solver_reuse_matches_single_shot(self):
         rng = np.random.default_rng(3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jacobiprior.errors import (
     DimensionMismatchError,
     InvalidHyperError,
+    InvalidResponseError,
     RankDeficientError,
     SchemaMismatchError,
 )
@@ -269,6 +270,15 @@ class TestHarness:
             result = run_harness(X, y, m, "logit", seed=SeedSpec(5, m))
             np.testing.assert_allclose(result.beta, mono, rtol=1e-10)
             assert [s.shard_id for s in result.partials] == list(range(m))
+
+    def test_non_finite_cell_names_shard_row_and_column(self):
+        X, y = logit_data(seed=14, n=40, p=3)
+        X[25, 2] = np.nan  # row 5 of shard 2 when 40 rows split into 4 shards of 10
+        with pytest.raises(DimensionMismatchError, match="shard 2: X contains a non-finite entry at row 5, column 2: nan"):
+            run_harness(X, y, n_shards=4, family="logit")
+        X[25, 2], y[31] = 0.0, 2.0
+        with pytest.raises(InvalidResponseError, match="shard 3: binary response must be 0 or 1; offending index 1: 2.0"):
+            run_harness(X, y, n_shards=4, family="logit")
 
     def test_partition_counts_validated(self):
         X, y = logit_data(seed=10, n=10, p=2)
