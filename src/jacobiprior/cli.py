@@ -9,7 +9,6 @@ error (including a malformed model file or CSV).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -21,7 +20,7 @@ from .errors import ConfigError, InvalidHyperError, JacobiPriorError
 from .glm import FAMILIES, JacobiHyper, default_hyper, fit_jacobi
 from .hyper import sensitivity_grid, stochastic_search
 from .mc import sample_beta, summarize
-from .modelio import StoredModel, load_csv_dataset
+from .modelio import StoredModel, load_csv_dataset, write_csv
 from .partition import run_harness, shard_message_json
 from .rng import SeedSpec, derive_rng
 from .simlab import (
@@ -47,11 +46,17 @@ def _hyper_from_args(args, family: str) -> JacobiHyper:
     return JacobiHyper(args.a, args.b, schedule)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def count(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
+def floats(text: str) -> list:
+    """argparse type for a comma-separated list of numbers."""
+    return [float(v) for v in text.split(",")]
 
 
 def cmd_fit(args) -> int:
@@ -81,14 +86,11 @@ def cmd_predict(args) -> int:
     data = load_csv_dataset(args.data, features=stored.feature_names)
     preds = stored.predict_mean(data)
     if stored.kind == "glm":
-        _write_csv(args.out, ["prediction"], [[repr(float(p))] for p in preds])
+        write_csv(args.out, ["prediction"], zip(preds.tolist()))
     else:
         header = [f"prob_{c}" for c in stored.class_names] + ["class"]
-        rows = [
-            [repr(float(p)) for p in row] + [stored.class_names[k]]
-            for row, k in zip(preds, np.argmax(preds, axis=1))
-        ]
-        _write_csv(args.out, header, rows)
+        names = [stored.class_names[k] for k in np.argmax(preds, axis=1)]
+        write_csv(args.out, header, (row + [c] for row, c in zip(preds.tolist(), names)))
     print(f"wrote {data.n} predictions -> {args.out}")
     return 0
 
@@ -102,36 +104,20 @@ def cmd_experiment(args) -> int:
     config = ExperimentConfig.from_dict(doc)
     report = run_experiment(config)
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, f"{config.name}.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv_text())
-    table_path = os.path.join(args.out, f"{config.name}.txt")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_table_text())
-    if args.format == "table":
-        print(report.to_table_text(), end="")
-    else:
-        print(report.to_csv_text(), end="")
+    texts = {"csv": report.to_csv_text(), "table": report.to_table_text()}
+    for fmt, ext in (("csv", "csv"), ("table", "txt")):
+        with open(os.path.join(args.out, f"{config.name}.{ext}"), "w", encoding="utf-8") as fh:
+            fh.write(texts[fmt])
+    print(texts[args.format], end="")
     failed = sum(r.n_failed for r in report.rows)
     return 1 if failed == config.n_reps * len(config.methods) else 0
-
-
-def _grid_values(args):
-    if args.a_values:
-        a = [float(v) for v in args.a_values.split(",")]
-    else:
-        a = np.linspace(args.grid_min, args.grid_max, args.grid_steps).tolist()
-    if args.b_values:
-        b = [float(v) for v in args.b_values.split(",")]
-    else:
-        b = np.linspace(args.grid_min, args.grid_max, args.grid_steps).tolist()
-    return a, b
 
 
 def cmd_sensitivity(args) -> int:
     train = load_csv_dataset(args.train, target=args.target)
     test = load_csv_dataset(args.test, target=args.target)
-    a_values, b_values = _grid_values(args)
+    default = np.linspace(args.grid_min, args.grid_max, args.grid_steps).tolist()
+    a_values, b_values = args.a_values or default, args.b_values or default
     report = sensitivity_grid(
         train.X, train.y, test.X, test.y, args.family, a_values, b_values
     )
@@ -158,11 +144,7 @@ def cmd_search(args) -> int:
         objective=args.objective,
         disbursement=val.disbursement,
     )
-    _write_csv(
-        args.out,
-        ["a", "b", "score"],
-        [[repr(a), repr(b), repr(s)] for a, b, s in result.trace],
-    )
+    write_csv(args.out, ["a", "b", "score"], result.trace)
     print(
         f"best a={result.best_a:g} b={result.best_b:g} score={result.best_score:.6f} "
         f"({len(result.trace)} evaluated, {result.skipped} skipped) -> {args.out}"
@@ -187,11 +169,7 @@ def cmd_shards(args) -> int:
             json.dump([shard_message_json(s) for s in result.partials], fh, indent=2)
             fh.write("\n")
     if args.out:
-        _write_csv(
-            args.out,
-            ["feature", "coefficient"],
-            [[name, repr(float(v))] for name, v in zip(data.feature_names, result.beta)],
-        )
+        write_csv(args.out, ["feature", "coefficient"], zip(data.feature_names, result.beta))
     print(f"pooled fit over {result.n_shards} shards (dropped {result.duplicates_dropped} duplicates)")
     for m, dt in enumerate(result.shard_seconds):
         print(f"  shard {m}: {dt * 1e3:.3f} ms")
@@ -212,17 +190,10 @@ def cmd_uncertainty(args) -> int:
         workers=args.threads,
     )
     summary = summarize(draws, level=args.level)
-    rows = [
-        [
-            name,
-            repr(float(summary.mean[j])),
-            repr(float(summary.sd[j])),
-            repr(float(summary.lower[j])),
-            repr(float(summary.upper[j])),
-        ]
-        for j, name in enumerate(data.feature_names)
-    ]
-    _write_csv(args.out, ["feature", "mean", "sd", "lower", "upper"], rows)
+    columns = (summary.mean, summary.sd, summary.lower, summary.upper)
+    write_csv(
+        args.out, ["feature", "mean", "sd", "lower", "upper"], zip(data.feature_names, *columns)
+    )
     print(f"{args.draws} draws, {args.level:.0%} intervals -> {args.out}")
     return 0
 
@@ -231,36 +202,20 @@ def cmd_generate(args) -> int:
     rng = derive_rng(SeedSpec(args.seed, args.stream), 0)
     if args.kind == "logistic":
         X, y = gen_logistic(args.n, EXP_LOGISTIC_BETA, 3.0, 0.5, rng)
-        header = [f"x{j + 1}" for j in range(X.shape[1])] + ["y"]
-        rows = [[repr(float(v)) for v in X[i]] + [str(int(y[i]))] for i in range(args.n)]
     elif args.kind == "poisson":
         X, y = gen_poisson(args.n, EXP_POISSON_BETA, 1.0, 0.5, rng)
-        header = [f"x{j + 1}" for j in range(X.shape[1])] + ["y"]
-        rows = [[repr(float(v)) for v in X[i]] + [str(int(y[i]))] for i in range(args.n)]
     elif args.kind == "dmr":
         X, counts, _ = gen_dmr(args.n, args.n_features, args.n_classes, rng)
         # Drop the generator's intercept column; the CSV carries raw features.
-        feats = X[:, 1:]
-        header = [f"x{j + 1}" for j in range(feats.shape[1])] + [
-            f"count_{k}" for k in range(counts.n_classes)
-        ]
-        rows = [
-            [repr(float(v)) for v in feats[i]]
-            + [str(int(c)) for c in counts.counts[i]]
-            for i in range(args.n)
-        ]
+        X, y = X[:, 1:], counts.counts
     elif args.kind == "sinc":
         X, y = gen_sinc(args.n, rng, noise_sd=args.noise_sd)
-        header = ["x", "y"]
-        rows = [[repr(float(X[i, 0])), str(int(y[i]))] for i in range(args.n)]
     else:
         X, y = gen_circular(args.n, rng)
-        header = ["x1", "x2", "y"]
-        rows = [
-            [repr(float(X[i, 0])), repr(float(X[i, 1])), str(int(y[i]))]
-            for i in range(args.n)
-        ]
-    _write_csv(args.out, header, rows)
+    y = y.reshape(args.n, -1).astype(np.int64)
+    x_names = ["x"] if args.kind == "sinc" else [f"x{j + 1}" for j in range(X.shape[1])]
+    y_names = [f"count_{k}" for k in range(y.shape[1])] if args.kind == "dmr" else ["y"]
+    write_csv(args.out, x_names + y_names, (x + c for x, c in zip(X.tolist(), y.tolist())))
     print(f"wrote {args.n} rows -> {args.out}")
     return 0
 
@@ -271,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed_flags.add_argument("--stream", type=int, default=0, help="seed stream id")
 
     threads_flag = argparse.ArgumentParser(add_help=False)
-    threads_flag.add_argument("--threads", type=int, default=1, help="worker threads")
+    threads_flag.add_argument("--threads", type=count, default=1, help="worker threads")
 
     hyper_flags = argparse.ArgumentParser(add_help=False)
     hyper_flags.add_argument("--a", type=float, default=None, help="prior shape a")
@@ -317,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES, default="logit")
     p.add_argument("--grid-min", type=float, default=0.05)
     p.add_argument("--grid-max", type=float, default=2.0)
-    p.add_argument("--grid-steps", type=int, default=12)
-    p.add_argument("--a-values", default=None, help="comma-separated a grid")
-    p.add_argument("--b-values", default=None, help="comma-separated b grid")
+    p.add_argument("--grid-steps", type=count, default=12)
+    p.add_argument("--a-values", type=floats, default=None, help="comma-separated a grid")
+    p.add_argument("--b-values", type=floats, default=None, help="comma-separated b grid")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sensitivity)
 
@@ -342,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--family", choices=FAMILIES, default="logit")
-    p.add_argument("--shards", type=int, required=True)
+    p.add_argument("--shards", type=count, required=True)
     p.add_argument("--emit-partials", default=None, help="JSON debug dump path")
     p.add_argument("--out", default=None, help="coefficient CSV path")
     p.set_defaults(func=cmd_shards)
@@ -355,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--family", choices=FAMILIES, default="logit")
-    p.add_argument("--draws", type=int, default=1000)
+    p.add_argument("--draws", type=count, default=1000)
     p.add_argument("--level", type=float, default=0.9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_uncertainty)
@@ -366,10 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("logistic", "poisson", "dmr", "sinc", "circular"),
         required=True,
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=count, required=True)
     p.add_argument("--noise-sd", type=float, default=0.1)
-    p.add_argument("--n-features", type=int, default=3)
-    p.add_argument("--n-classes", type=int, default=4)
+    p.add_argument("--n-features", type=count, default=3)
+    p.add_argument("--n-classes", type=count, default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidHyperError
 from .glm import JacobiHyper, binary_modes, check_response, inverse_link
 from .linalg import LeastSquaresSolver, as_matrix, stable_matvec
+from .modelio import csv_text
 from .rng import SeedSpec, derive_rng
 from .simlab.metrics import accuracy, surrogate_rmse, utility_total
 
@@ -44,11 +45,8 @@ class GridReport:
         return float(self.a_values[i]), float(self.b_values[j]), float(self.scores[i, j])
 
     def to_csv_text(self) -> str:
-        lines = ["a,b,score"]
-        for i, a in enumerate(self.a_values):
-            for j, b in enumerate(self.b_values):
-                lines.append(f"{float(a)!r},{float(b)!r},{float(self.scores[i, j])!r}")
-        return "\n".join(lines) + "\n"
+        a, b = np.meshgrid(self.a_values, self.b_values, indexing="ij")
+        return csv_text(["a", "b", "score"], zip(a.flat, b.flat, self.scores.flat))
 
 
 def _objective_score(objective, y_val, preds, disbursement):

@@ -71,10 +71,16 @@ class HouseholderQR:
         qr, self._tau, _, info = dgeqrf(np.array(X, order="F"), lwork=lwork, overwrite_a=1)
         if info != 0:
             raise RankDeficientError(f"dgeqrf failed with info={info}")
-        k = self._tau.shape[0]
-        self.R = np.zeros((p, p))
-        self.R[:k] = np.triu(qr[:k])
-        self._qr = qr[:, :k]  # the k = min(n, p) reflectors dormqr applies
+        self._factor = qr  # R in and above the diagonal, reflectors below it
+        self._qr = qr[:, : self._tau.shape[0]]  # the k = min(n, p) reflectors dormqr applies
+
+    @property
+    def R(self) -> np.ndarray:
+        k = self._qr.shape[1]
+        R = np.zeros((self.p, self.p))
+        with self._lock:  # a concurrent qt may have a diagonal entry set to 1
+            R[:k] = np.triu(self._factor[:k])
+        return R
 
     def qt(self, t: np.ndarray) -> np.ndarray:
         """First p entries of Q't: p values for an n-vector, p x K for n x K."""
@@ -110,10 +116,13 @@ class LeastSquaresSolver(HouseholderQR):
         super().__init__(X)
         if self.n < self.p:
             raise RankDeficientError(f"need n >= p, got n={self.n}, p={self.p}")
+        # dtrcon and dtrtrs read only the upper triangle of these rows. They
+        # are a private copy: dormqr rewrites the factor's diagonal under the lock.
+        self._r = self._qr[: self.p].copy(order="F")
         # cond(X) == cond(R) because Q has orthonormal columns; dtrcon's
         # reciprocal 1-norm estimate on the small triangular factor is
         # far cheaper than an SVD and accurate to a modest factor.
-        rcond, info = dtrcon(self.R, norm="1")
+        rcond, info = dtrcon(self._r, norm="1")
         self.cond = float(1.0 / rcond) if rcond > 0 else float("inf")
         if info != 0 or not np.isfinite(self.cond) or self.cond > COND_LIMIT:
             raise RankDeficientError(
@@ -130,7 +139,7 @@ class LeastSquaresSolver(HouseholderQR):
         c = self.qt(t)
         betas = []
         for col in c.T if c.ndim == 2 else [c]:
-            beta, info = dtrtrs(self.R, col, lower=0)
+            beta, info = dtrtrs(self._r, col, lower=0)
             if info != 0:
                 raise RankDeficientError(f"triangular solve failed with info={info}")
             betas.append(beta)

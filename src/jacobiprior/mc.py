@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DimensionMismatchError, InsufficientDrawsError
+from .errors import ConfigError, DimensionMismatchError, InsufficientDrawsError
 from .glm import JacobiHyper, check_response, default_hyper, validate_family
 from .linalg import LeastSquaresSolver, as_matrix, as_vector
 from .rng import SeedSpec, derive_rng
@@ -85,6 +85,8 @@ def sample_beta(
         raise DimensionMismatchError(f"y length {y.shape[0]} != design rows {X.shape[0]}")
     if n_draws < 1:
         raise InsufficientDrawsError("n_draws must be >= 1")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     check_response(y, family)
     if hyper is None:
         hyper = default_hyper(family)
@@ -97,7 +99,7 @@ def sample_beta(
             rng = derive_rng(seed, r)
             out[r] = solver.solve(_draw_eta(rng, y, family, a, b))
 
-    if workers <= 1:
+    if workers == 1:
         run_range(0, n_draws)
     else:
         bounds = np.linspace(0, n_draws, workers + 1).astype(int)

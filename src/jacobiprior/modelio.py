@@ -1,7 +1,9 @@
-"""CSV dataset ingestion and JSON model persistence for the CLI.
+"""CSV reading and writing, and JSON model persistence, for the CLI.
 
-The CSV dialect is deliberately strict: comma-separated, UTF-8, '.'
-decimal point, header row required, no missing values. Model files are
+This is the one module that knows the CSV dialect. Input is strict:
+comma-separated, UTF-8, '.' decimal point, a header row of distinct
+names, no missing values. Output is written by ``csv_text`` and
+``write_csv`` alone: csv-module quoting, LF line ends. Model files are
 JSON; coefficient values survive a save/load round trip bit-exactly
 because Python renders floats with shortest-exact repr. A stored
 ``FittedGLM`` keeps its p-vector ``beta`` under the key ``beta`` (kind
@@ -11,7 +13,9 @@ because Python renders floats with shortest-exact repr. A stored
 from __future__ import annotations
 
 import csv
+import io
 import json
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,11 +43,41 @@ class CsvDataset:
         return self.X.shape[0]
 
 
-def _parse_float(text: str, row: int, col: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"row {row}: column {col!r} has non-numeric value {text!r}") from None
+def _cell(v) -> str:
+    """The one cell rule: a string as it is, an integer by str, else a float by repr."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(v)
+    return repr(float(v))
+
+
+def csv_text(header, rows) -> str:
+    """The CSV text of a header and rows of cells (each written by ``_cell``)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``csv_text(header, rows)`` to ``path``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(csv_text(header, rows))
+
+
+def _row_error(i, header, rec, used, numeric) -> ConfigError:
+    """The error for the first bad cell of data row i: empty, then non-numeric."""
+    cells = dict(zip(header, (c.strip() for c in rec)))
+    empty = [k for k, val in cells.items() if val == "" and k in used]
+    if empty:
+        return ConfigError(f"row {i}: missing value in column {empty[0]!r}")
+    for col in numeric:
+        try:
+            float(cells[col])
+        except ValueError:
+            return ConfigError(f"row {i}: column {col!r} has non-numeric value {cells[col]!r}")
 
 
 def load_csv_dataset(
@@ -59,8 +93,10 @@ def load_csv_dataset(
     (possibly non-numeric) class label column, ``disbursement`` a
     numeric loan-amount column; the remaining columns are features
     unless ``features`` restricts them explicitly (columns outside the
-    subset are ignored entirely). Missing and non-finite values (``nan``,
-    ``inf``) are rejected with the offending row index and column.
+    subset are ignored entirely). Header names must be distinct.
+    Missing and non-finite values (``nan``, ``inf``) are rejected with
+    the offending row index and column. ``X``, ``y`` and ``disbursement``
+    are column blocks of one float matrix, filled one row at a time.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -69,6 +105,9 @@ def load_csv_dataset(
         except StopIteration:
             raise ConfigError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
+        repeated = [h for j, h in enumerate(header) if h in header[:j]]
+        if repeated:
+            raise ConfigError(f"{path}: column {repeated[0]!r} appears more than once in header")
         special = {c for c in (target, classes, disbursement) if c is not None}
         for col in special:
             if col not in header:
@@ -83,39 +122,38 @@ def load_csv_dataset(
         if not feature_names:
             raise ConfigError(f"{path}: need at least one feature column")
         used = set(feature_names) | special
-        rows, y, labels, v = [], [], [], []
+        numeric = feature_names + [c for c in (target, disbursement) if c is not None]
+        cols = [header.index(c) for c in numeric]
+        label = header.index(classes) if classes is not None else None
+        values, labels = array("d"), []
         for i, rec in enumerate(reader, start=1):
             if len(rec) != len(header):
                 raise ConfigError(f"row {i}: expected {len(header)} fields, got {len(rec)}")
-            record = dict(zip(header, (c.strip() for c in rec)))
-            empty = [k for k, val in record.items() if val == "" and k in used]
-            if empty:
-                raise ConfigError(f"row {i}: missing value in column {empty[0]!r}")
-            rows.append([_parse_float(record[c], i, c) for c in feature_names])
-            if target is not None:
-                y.append(_parse_float(record[target], i, target))
-            if classes is not None:
-                labels.append(record[classes])
-            if disbursement is not None:
-                v.append(_parse_float(record[disbursement], i, disbursement))
-    if not rows:
+            try:
+                values.extend([float(rec[j]) for j in cols])
+            except ValueError:
+                raise _row_error(i, header, rec, used, numeric) from None
+            if label is not None:
+                labels.append(rec[label].strip())
+                if not labels[-1]:
+                    raise _row_error(i, header, rec, used, numeric)
+    if not values:
         raise ConfigError(f"{path}: no data rows")
-    data = CsvDataset(
-        feature_names=feature_names,
-        X=np.asarray(rows, dtype=float),
-        y=np.asarray(y, dtype=float) if target is not None else None,
-        labels=labels if classes is not None else None,
-        disbursement=np.asarray(v, dtype=float) if disbursement is not None else None,
-    )
-    names = feature_names + [c for c in (target, disbursement) if c is not None]
-    parsed = np.column_stack([data.X] + [c for c in (data.y, data.disbursement) if c is not None])
-    if not np.isfinite(parsed).all():
+    matrix = np.frombuffer(values, dtype=float).reshape(-1, len(numeric))
+    if not np.isfinite(matrix).all():
         # Rescan only on failure, to name the first offending cell.
-        row, j = np.argwhere(~np.isfinite(parsed))[0]
+        row, j = np.argwhere(~np.isfinite(matrix))[0]
         raise ConfigError(
-            f"row {row + 1}: column {names[j]!r} has non-finite value {float(parsed[row, j])!r}"
+            f"row {row + 1}: column {numeric[j]!r} has non-finite value {float(matrix[row, j])!r}"
         )
-    return data
+    p = len(feature_names)
+    return CsvDataset(
+        feature_names=feature_names,
+        X=matrix[:, :p],
+        y=matrix[:, p] if target is not None else None,
+        labels=labels if classes is not None else None,
+        disbursement=matrix[:, -1] if disbursement is not None else None,
+    )
 
 
 @dataclass

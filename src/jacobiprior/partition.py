@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidHyperError, JacobiPriorError, SchemaMismatchError
+from .errors import ConfigError, DimensionMismatchError, InvalidHyperError, JacobiPriorError, SchemaMismatchError
 from .glm import JacobiHyper, latent_vector
 from .linalg import HouseholderQR, LeastSquaresSolver, as_vector
 from .rng import SeedSpec, derive_rng
@@ -210,6 +210,8 @@ def run_harness(
     n = X.shape[0]
     if not 1 <= n_shards <= n:
         raise DimensionMismatchError(f"need 1 <= n_shards <= {n}, got {n_shards}")
+    if max_workers < 1:
+        raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
     X_blocks = np.array_split(X, n_shards)
     y_blocks = np.array_split(y, n_shards)
 

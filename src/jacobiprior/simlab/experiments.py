@@ -22,7 +22,7 @@ softmax probabilities for dmr) depend on the kind.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from ..errors import (
 from ..glm import JacobiHyper, default_hyper, fit_jacobi, inverse_link
 from ..dmr import predict_proba
 from ..mle import fit_mle
+from ..modelio import csv_text
 from ..rng import SeedSpec, derive_rng
 from .generators import (
     EXP_LOGISTIC_BETA,
@@ -198,14 +199,7 @@ class ExperimentReport:
         raise KeyError(method)
 
     def to_csv_text(self) -> str:
-        lines = [",".join(REPORT_COLUMNS)]
-        for r in self.rows:
-            cells = []
-            for c in REPORT_COLUMNS:
-                v = getattr(r, c)
-                cells.append(repr(v) if isinstance(v, float) else str(v))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_text(REPORT_COLUMNS, (astuple(r) for r in self.rows))
 
     def to_table_text(self) -> str:
         header = ["method", "rmse_y_out", "SE", "rmse_beta", "SE", "time_us", "multiple"]

@@ -3,11 +3,30 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from jacobiprior import modelio
 from jacobiprior.cli import main
-from jacobiprior.glm import JacobiHyper, fit_jacobi, predict
+from jacobiprior.glm import JacobiHyper, default_hyper, fit_jacobi, predict
+from jacobiprior.hyper import sensitivity_grid, stochastic_search
+from jacobiprior.mc import sample_beta, summarize
 from jacobiprior.modelio import StoredModel, load_csv_dataset
-from jacobiprior.partition import PartialStats, aggregate_and_solve
+from jacobiprior.partition import PartialStats, aggregate_and_solve, run_harness
+from jacobiprior.rng import SeedSpec, derive_rng
+from jacobiprior.simlab import (
+    EXP_LOGISTIC_BETA,
+    EXP_POISSON_BETA,
+    ExperimentConfig,
+    gen_circular,
+    gen_dmr,
+    gen_logistic,
+    gen_poisson,
+    gen_sinc,
+    run_experiment,
+)
+from jacobiprior.simlab.experiments import REPORT_COLUMNS, TIMING_COLUMNS
 
 
 def write_csv(path, header, rows):
@@ -171,8 +190,63 @@ class TestUsageErrors:
                    "--model-out", str(tmp_path / "m.json")])
         assert rc == 2
         assert "row 2" in capsys.readouterr().err
+        # Each malformed file names its first bad cell: an empty cell before a
+        # non-numeric one in the same row. A padded cell is not missing.
+        label = ["--family", "multinomial", "--classes", "c"]
+        cases = [
+            ("", [], "empty file, header row required"),
+            ("x1,x2,y\n", [], "no data rows"),
+            ("x1,x2\n1,2\n", [], "column 'y' not found in header ['x1', 'x2']"),
+            ("x1,x2,y\n1,2,1\n1,2\n", [], "row 2: expected 3 fields, got 2"),
+            ("x1,x2,y\n1,2,1\n1,,0\n", [], "row 2: missing value in column 'x2'"),
+            ("x1,x2,y\n1,2,1\n1,  ,0\n", [], "row 2: missing value in column 'x2'"),
+            ("x1,x2,y\n1,2,1\nabc,2,\n", [], "row 2: missing value in column 'y'"),
+            ("x1,x2,y\n1,2,1\n1,abc,0\n", [], "row 2: column 'x2' has non-numeric value 'abc'"),
+            ("x1,x2,c\n1,2,a\n1,2, \n", label, "row 2: missing value in column 'c'"),
+            ("x1 , x2,y\n 1 , 2.5 ,1\n3,4 , 0\n5,6,1\n", [], None),
+        ]
+        for text, flags, message in cases:
+            bad.write_text(text)
+            argv = ["fit", "--train", str(bad), "--model-out", str(tmp_path / "m.json")]
+            rc = main(argv + (flags or ["--target", "y"]))
+            err = capsys.readouterr().err
+            if message is None:
+                assert rc == 0, err
+            else:
+                assert rc == 2 and message in err, (text, err)
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("header", [["x1", "x1", "y"], ["x1", "y", "y"]], ids=",".join)
+    def test_repeated_header_name_exits_2(self, tmp_path, capsys, header):
+        bad = tmp_path / "dup.csv"
+        write_csv(bad, header, [["1", "2", "1"], ["3", "4", "0"], ["5", "7", "1"]])
+        rc = main(["fit", "--train", str(bad), "--target", "y",
+                   "--model-out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert f"column {header[1]!r} appears more than once in header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--kind", "logistic", "--n", "0"],
+        ["generate", "--kind", "logistic", "--n", "-5"],
+        ["generate", "--kind", "dmr", "--n", "10", "--n-features", "0"],
+        ["generate", "--kind", "dmr", "--n", "10", "--n-classes", "0"],
+        ["shards", "--data", "d.csv", "--target", "y", "--shards", "2", "--threads", "0"],
+        ["shards", "--data", "d.csv", "--target", "y", "--shards", "0"],
+        ["uncertainty", "--data", "d.csv", "--target", "y", "--threads", "-3"],
+        ["uncertainty", "--data", "d.csv", "--target", "y", "--draws", "0"],
+        ["sensitivity", "--train", "t.csv", "--test", "t.csv", "--target", "y",
+         "--grid-steps", "0"],
+        ["sensitivity", "--train", "t.csv", "--test", "t.csv", "--target", "y",
+         "--a-values", "0.5,x"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}")
+    def test_bad_number_exits_2_naming_its_flag(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        flag = next(a for a in reversed(argv) if a.startswith("--"))
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_value_reports_row_and_column(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.csv"
         write_csv(bad, ["x1", "x2", "y"], [["0.5", "1.0", "1"], ["0.25", text, "0"]])
@@ -381,3 +455,124 @@ class TestNonFiniteShapeFlag:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "a=inf" in err
         assert not model_path.exists()
+
+
+def dmr_columns(n, rng):
+    X, counts, _ = gen_dmr(n, 3, 4, rng)
+    return X[:, 1:], counts.counts  # the CSV drops the intercept column
+
+
+# (X, y) as `jacobiprior generate --kind <kind>` draws them with its default flags.
+GENERATORS = {
+    "logistic": lambda n, rng: gen_logistic(n, EXP_LOGISTIC_BETA, 3.0, 0.5, rng),
+    "poisson": lambda n, rng: gen_poisson(n, EXP_POISSON_BETA, 1.0, 0.5, rng),
+    "dmr": dmr_columns,
+    "sinc": lambda n, rng: gen_sinc(n, rng, noise_sd=0.1),
+    "circular": lambda n, rng: gen_circular(n, rng),
+}
+
+
+class TestCsvOutput:
+    """Every CSV the CLI writes ends lines in LF, and its cells are the library's values."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, train_csv):
+        val, labelled, glm, mc = (tmp_path / f for f in ("val.csv", "mc.csv", "glm.json", "mc.json"))
+        main(["generate", "--kind", "logistic", "--n", "80", "--seed", "6", "--out", str(val)])
+        rng = np.random.default_rng(0)
+        write_csv(labelled, ["x1", "x2", "c"], [
+            [repr(float(a)), repr(float(b)), "in,side" if a > 0.5 else ("green" if b > 0.5 else "blue")]
+            for a, b in rng.random((60, 2))
+        ])
+        main(["fit", "--train", str(train_csv), "--target", "y", "--model-out", str(glm)])
+        main(["fit", "--train", str(labelled), "--family", "multinomial", "--classes", "c",
+              "--model-out", str(mc)])
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"name": "e", "kind": "logit", "n": 40, "n_reps": 2}))
+        return {"train": train_csv, "val": val, "labelled": labelled, "glm": glm, "mc": mc,
+                "config": config}
+
+    def expected(self, command, f):
+        """(argv without --out, rows the library gives for the same inputs)."""
+        train = load_csv_dataset(f["train"], target="y")
+        val = load_csv_dataset(f["val"], target="y")
+        hyper, seed = default_hyper("logit"), SeedSpec(0, 0)
+        xy = ["--target", "y"]
+        if command in ("predict", "predict-multinomial"):
+            model, data = (f["glm"], f["train"]) if command == "predict" else (f["mc"], f["labelled"])
+            stored = StoredModel.load(model)
+            preds = stored.predict_mean(load_csv_dataset(data, features=stored.feature_names))
+            rows = [[p] for p in preds] if preds.ndim == 1 else [
+                list(p) + [stored.class_names[int(np.argmax(p))]] for p in preds
+            ]
+            return ["predict", "--model", str(model), "--data", str(data)], rows
+        if command == "sensitivity":
+            grid = sensitivity_grid(train.X, train.y, val.X, val.y, "logit", [0.1, 0.5], [0.2, 0.7])
+            rows = [[a, b, grid.scores[i, j]] for i, a in enumerate(grid.a_values)
+                    for j, b in enumerate(grid.b_values)]
+            return ["sensitivity", "--train", str(f["train"]), "--test", str(f["val"]), *xy,
+                    "--a-values", "0.1,0.5", "--b-values", "0.2,0.7"], rows
+        if command == "search":
+            result = stochastic_search(train.X, train.y, val.X, val.y, "logit", budget=6, seed=seed)
+            return ["search", "--train", str(f["train"]), "--val", str(f["val"]), *xy,
+                    "--budget", "6"], [list(t) for t in result.trace]
+        if command == "shards":
+            beta = run_harness(train.X, train.y, 3, "logit", hyper, seed=seed).beta
+            return ["shards", "--data", str(f["train"]), *xy, "--shards", "3"], [
+                list(r) for r in zip(train.feature_names, beta)
+            ]
+        if command == "uncertainty":
+            draws = sample_beta(train.X, train.y, "logit", hyper, n_draws=32, seed=seed)
+            s = summarize(draws)
+            return ["uncertainty", "--data", str(f["train"]), *xy, "--draws", "32"], [
+                list(r) for r in zip(train.feature_names, s.mean, s.sd, s.lower, s.upper)
+            ]
+        if command == "experiment":
+            report = run_experiment(ExperimentConfig.from_dict(json.loads(f["config"].read_text())))
+            rows = [[None if c in TIMING_COLUMNS else getattr(r, c) for c in REPORT_COLUMNS]
+                    for r in report.rows]
+            return ["experiment", "--config", str(f["config"])], rows
+        kind = command.split("-")[1]
+        X, y = GENERATORS[kind](30, derive_rng(SeedSpec(0, 0), 0))
+        y = np.asarray(y).reshape(30, -1)
+        rows = [list(x) + [int(c) for c in cs] for x, cs in zip(X, y)]
+        return ["generate", "--kind", kind, "--n", "30"], rows
+
+    @pytest.mark.parametrize("command", [
+        "predict", "predict-multinomial", "sensitivity", "search", "shards", "uncertainty",
+        "experiment", *(f"generate-{kind}" for kind in GENERATORS),
+    ])
+    def test_lf_line_ends_and_cells_equal_library_values(self, tmp_path, inputs, command):
+        argv, expected = self.expected(command, inputs)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        path = out / "e.csv" if command == "experiment" else out
+        assert b"\r" not in path.read_bytes()
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(expected)
+        for got, want in zip(rows, expected):
+            assert len(got) == len(want)
+            for cell, value in zip(got, want):
+                if isinstance(value, (str, int)):
+                    assert cell == str(value)
+                elif value is not None:  # a timing column
+                    assert np.float64(cell).tobytes() == np.float64(value).tobytes(), (cell, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+    ),
+))
+def test_write_then_load_round_trips_exactly(tmp_path_factory, M):
+    path = tmp_path_factory.mktemp("rt") / "m.csv"
+    names = [f"c{j}" for j in range(M.shape[1])]
+    modelio.write_csv(path, names, M.tolist())
+    data = load_csv_dataset(path)
+    assert data.feature_names == names
+    assert np.array_equal(data.X, M) and np.array_equal(np.signbit(data.X), np.signbit(M))

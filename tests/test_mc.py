@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from jacobiprior.errors import InsufficientDrawsError
+from jacobiprior.errors import ConfigError, InsufficientDrawsError
 from jacobiprior.glm import JacobiHyper
 from jacobiprior.linalg import solve_normal_equations
 from jacobiprior.mc import _draw_eta, sample_beta, summarize
@@ -52,6 +52,8 @@ def test_poisson_worker_input_validation():
     assert draws.draws.shape == (5, 3)
     with pytest.raises(InsufficientDrawsError):
         sample_beta(X, y, "poisson", n_draws=0)
+    with pytest.raises(ConfigError, match="workers must be >= 1, got -3"):
+        sample_beta(X, y, "poisson", n_draws=5, workers=-3)
 
 
 def test_beta_posterior_mean_for_success_label():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobiprior.errors import (
+    ConfigError,
     DimensionMismatchError,
     InvalidHyperError,
     InvalidResponseError,
@@ -286,6 +287,8 @@ class TestHarness:
             run_harness(X, y, n_shards=11, family="logit")
         with pytest.raises(DimensionMismatchError):
             run_harness(X, y, n_shards=0, family="logit")
+        with pytest.raises(ConfigError, match="max_workers must be >= 1, got 0"):
+            run_harness(X, y, n_shards=2, family="logit", max_workers=0)
 
     def test_shuffled_delivery_matches_ordered(self):
         X, y = logit_data(seed=11, n=80, p=4)
