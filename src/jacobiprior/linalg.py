@@ -4,9 +4,9 @@ All estimators in this library reduce to one of two solves: the
 orthogonal projection of latent values onto the column space of the
 design (via QR, never via an explicit normal-equations inverse), and a
 symmetric positive definite solve for kernel systems. ``HouseholderQR``
-is the only QR code; ``LeastSquaresSolver`` adds the rank check, and
-its ``solve`` is the one projection call for a latent vector (GLM fits,
-Monte Carlo draws, stacked shard factors) or an n x K latent matrix.
+is the only QR code (blocked by rows for tall designs); ``LeastSquaresSolver``
+adds the rank check, and its ``solve`` is the one projection call for a
+latent vector (GLM fits, MC draws, stacked shard factors) or an n x K matrix.
 """
 
 from __future__ import annotations
@@ -25,14 +25,16 @@ from .errors import (
 
 # Condition estimate above this means the design is treated as collinear.
 COND_LIMIT = 1e12
+BLOCK_ROWS = 16384  # rows per block of a tall design's QR: 1 MB at p = 8, held in L2
 
 
 def _as_finite(a, ndim: int, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-d, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        # Rescan only on failure, to name the first offending cell.
+    # v'v < inf fails iff an entry is non-finite or v'v overflows; ravel views a contiguous a
+    fast = a.size and a.flags.forc and scipy.linalg.blas.ddot(v := a.ravel(order="K"), v) < np.inf
+    if not fast and not np.isfinite(a).all():
         idx = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
         where = f"row {idx[0]}, column {idx[1]}" if ndim == 2 else f"index {idx[0]}"
         raise DimensionMismatchError(
@@ -49,12 +51,37 @@ def as_vector(v, name: str = "v") -> np.ndarray:
     return _as_finite(v, 1, name)
 
 
+def _geqrf(A):
+    """(factor, tau, lock) of F-ordered A, overwritten: R on and above the diagonal."""
+    # dgeqrf with the workspace scipy.linalg.qr queries gives its exact
+    # factor without the wrapper's repeated checks and second copy of X,
+    # which cost more than the factorization itself at n = 100.
+    lwork = max(1, int(dgeqrf_lwork(*A.shape)[0]))
+    qr, tau, _, info = dgeqrf(A, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise RankDeficientError(f"dgeqrf failed with info={info}")
+    return qr, tau, threading.Lock()
+
+
+def _apply_qt(qr, tau, lock, c: np.ndarray) -> np.ndarray:
+    # dormqr sets each reflector's diagonal entry in the stored factor
+    # to 1 and restores it afterwards; the lock keeps concurrent calls
+    # from reading the factor in between.
+    with lock:
+        cq, _, info = dormqr("L", "T", qr, tau, c, 64)
+    if info != 0:
+        raise RankDeficientError(f"dormqr failed with info={info}")
+    return cq
+
+
 class HouseholderQR:
     """Householder QR of any matrix with n >= 1 rows, with no rank check.
 
     ``R`` (p x p) and ``qt(t)`` (first p entries of Q't) are zero-padded
     to p rows when n < p; R'R = X'X and R' qt(t) = X't. Q is never
     formed, and concurrent ``qt`` calls return what each returns alone.
+    With n >= 2 m rows, m = max(BLOCK_ROWS, 8 p), n // m row blocks are factored,
+    then their stacked R factors (TSQR); fewer rows take one dgeqrf, bit for bit.
     """
 
     def __init__(self, X):
@@ -63,16 +90,16 @@ class HouseholderQR:
         if n < 1 or p < 1:
             raise RankDeficientError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
         self.n, self.p = n, p
-        self._lock = threading.Lock()
-        # dgeqrf with the workspace scipy.linalg.qr queries gives its exact
-        # factor without the wrapper's repeated checks and second copy of X,
-        # which cost more than the factorization itself at n = 100.
-        lwork = max(1, int(dgeqrf_lwork(n, p)[0]))
-        qr, self._tau, _, info = dgeqrf(np.array(X, order="F"), lwork=lwork, overwrite_a=1)
-        if info != 0:
-            raise RankDeficientError(f"dgeqrf failed with info={info}")
-        self._factor = qr  # R in and above the diagonal, reflectors below it
-        self._qr = qr[:, : self._tau.shape[0]]  # the k = min(n, p) reflectors dormqr applies
+        n_blocks = n // max(BLOCK_ROWS, 8 * p)
+        self._blocks = []
+        if n_blocks >= 2:  # one F-ordered copy for all blocks; a copy per block churns the heap
+            blocks = np.array_split(X, n_blocks)
+            flat = np.concatenate([b.T for b in blocks], axis=None)
+            ends = np.cumsum([b.size for b in blocks])[:-1]
+            self._blocks = [_geqrf(f.reshape(p, -1).T) for f in np.split(flat, ends)]
+            X = np.vstack([np.triu(f[:p]) for f, _, _ in self._blocks])  # p reflectors each
+        self._factor, self._tau, self._lock = _geqrf(np.array(X, order="F"))
+        self._qr = self._factor[:, : self._tau.shape[0]]  # the k = min(n, p) reflectors dormqr applies
 
     @property
     def R(self) -> np.ndarray:
@@ -89,18 +116,15 @@ class HouseholderQR:
             raise DimensionMismatchError(
                 f"rhs shape {t.shape} does not have design rows {self.n}"
             )
-        cols = t.reshape(self.n, -1)
+        cols = _as_finite(t, t.ndim, "t").reshape(self.n, -1)  # names a global row, not a block's
         k = self._qr.shape[1]
         out = np.zeros((self.p, cols.shape[1]))
-        # dormqr sets each reflector's diagonal entry in the stored factor
-        # to 1 and restores it afterwards; the lock keeps concurrent calls
-        # from reading the factor in between.
-        with self._lock:
-            for j in range(cols.shape[1]):
-                cq, _, info = dormqr("L", "T", self._qr, self._tau, cols[:, j], 64)
-                if info != 0:
-                    raise RankDeficientError(f"dormqr failed with info={info}")
-                out[:k, j] = cq[:k]
+        for j in range(cols.shape[1]):
+            c = cols[:, j]
+            if self._blocks:  # stack each block's first p entries as its R rows are stacked
+                parts = zip(self._blocks, np.array_split(c, len(self._blocks)))
+                c = np.concatenate([_apply_qt(*b, cb)[: self.p] for b, cb in parts])
+            out[:k, j] = _apply_qt(self._qr, self._tau, self._lock, c)[:k]
         return out[:, 0] if t.ndim == 1 else out
 
 

@@ -5,6 +5,7 @@ rows: it sends R_m of X_m = Q_m R_m and the first p entries of
 Q_m' eta_m. One more QR of the stacked pairs, with the same code and
 condition check as ``fit_jacobi``, gives the monolithic fit (bit for
 bit for one shard) without squaring the condition number as X'X would.
+``HouseholderQR`` runs the same reduction over row blocks of a tall X.
 The harness runs shards concurrently, serializes their factors, and
 aggregates them independently of arrival order.
 """

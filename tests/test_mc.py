@@ -4,7 +4,7 @@ from scipy.special import ndtr
 
 from jacobiprior.errors import ConfigError, InsufficientDrawsError
 from jacobiprior.glm import JacobiHyper
-from jacobiprior.linalg import solve_normal_equations
+from jacobiprior.linalg import BLOCK_ROWS, solve_normal_equations
 from jacobiprior.mc import _draw_eta, sample_beta, summarize
 from jacobiprior.rng import SeedSpec, derive_rng
 
@@ -38,11 +38,12 @@ def test_deterministic_in_seed_and_stream():
 
 
 def test_worker_count_independence():
-    X, y = small_problem(seed=2)
     seed = SeedSpec(7, 3)
-    serial = sample_beta(X, y, "poisson", n_draws=64, seed=seed, workers=1)
-    wide = sample_beta(X, y, "poisson", n_draws=64, seed=seed, workers=8)
-    np.testing.assert_array_equal(serial.draws, wide.draws)
+    for n in (30, 2 * BLOCK_ROWS):  # the second design is factored in row blocks
+        X, y = small_problem(seed=2, n=n)
+        serial = sample_beta(X, y, "poisson", n_draws=64, seed=seed, workers=1)
+        wide = sample_beta(X, y, "poisson", n_draws=64, seed=seed, workers=8)
+        np.testing.assert_array_equal(serial.draws, wide.draws)
 
 
 def test_poisson_worker_input_validation():

@@ -15,6 +15,7 @@ from jacobiprior.errors import (
     SchemaMismatchError,
 )
 from jacobiprior.glm import JacobiHyper, fit_jacobi, latent_vector
+from jacobiprior.linalg import BLOCK_ROWS
 from jacobiprior.partition import (
     PartialStats,
     aggregate_and_solve,
@@ -35,9 +36,9 @@ def logit_data(seed=0, n=300, p=5):
     return gen_logistic(n, beta0, 2.0, 0.4, rng)
 
 
-def scaled_design():
-    """400 x 4 logit design with columns scaled by 1e4 and 1e-4: cond(X) ~ 1e8."""
-    X, y = logit_data(seed=13, n=400, p=4)
+def scaled_design(n=400):
+    """n x 4 logit design with columns scaled by 1e4 and 1e-4: cond(X) ~ 1e8."""
+    X, y = logit_data(seed=13, n=n, p=4)
     X[:, 1] *= 1e4
     X[:, 2] *= 1e-4
     return X, y
@@ -115,11 +116,13 @@ class TestAggregate:
     def test_single_shard_is_bit_identical_to_fit_jacobi(self, family):
         # QR of an upper-triangular R applies no reflector, so the pooled
         # solve repeats the monolithic one exactly.
-        X, y = logit_data(seed=15, n=70, p=4)
-        if family == "poisson":
-            y = derive_rng(SeedSpec(882, 0), 0).poisson(2.0, 70).astype(float)
-        beta = aggregate_and_solve([shard_stats(X, y, family)])
-        assert np.array_equal(beta, fit_jacobi(X, y, family).beta)
+        # Above 2 BLOCK_ROWS rows both sides run the same blocked factor.
+        for n in (70, 2 * BLOCK_ROWS + 5):
+            X, y = logit_data(seed=15, n=n, p=4)
+            if family == "poisson":
+                y = derive_rng(SeedSpec(882, 0), 0).poisson(2.0, n).astype(float)
+            beta = aggregate_and_solve([shard_stats(X, y, family)])
+            assert np.array_equal(beta, fit_jacobi(X, y, family).beta)
 
     def test_three_way_split_equals_monolithic(self):
         X, y = logit_data(seed=4)
@@ -265,12 +268,13 @@ class TestHarness:
         assert len(result.shard_seconds) == 30
 
     def test_scaled_design_fits_for_every_shard_count(self):
-        X, y = scaled_design()
-        mono = fit_jacobi(X, y, "logit").beta
-        for m in (1, 2, 3, 7, 400):
-            result = run_harness(X, y, m, "logit", seed=SeedSpec(5, m))
-            np.testing.assert_allclose(result.beta, mono, rtol=1e-10)
-            assert [s.shard_id for s in result.partials] == list(range(m))
+        for n in (400, 2 * BLOCK_ROWS + 5):  # the second is factored in row blocks
+            X, y = scaled_design(n)
+            mono = fit_jacobi(X, y, "logit").beta
+            for m in (1, 2, 3, 7, 400):
+                result = run_harness(X, y, m, "logit", seed=SeedSpec(5, m))
+                np.testing.assert_allclose(result.beta, mono, rtol=1e-10)
+                assert [s.shard_id for s in result.partials] == list(range(m))
 
     def test_non_finite_cell_names_shard_row_and_column(self):
         X, y = logit_data(seed=14, n=40, p=3)
