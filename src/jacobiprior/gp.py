@@ -64,10 +64,13 @@ def kernel_matrix(A, B, params: KernelParams) -> np.ndarray:
     B = as_matrix(B, "B")
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
-    d = cdist(A, B)
+    d = cdist(A, B)  # the one n x m buffer; every step below is in place
     if params.kind == "squared_exponential":
-        d = d * d
-    return params.tau * np.exp(-params.rho * d)
+        d *= d
+    d *= -params.rho
+    np.exp(d, out=d)
+    d *= params.tau
+    return d
 
 
 @dataclass

@@ -10,6 +10,7 @@ parallel execution order can never change results.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self):
+        for name, value in (("root_seed", self.root_seed), ("stream_id", self.stream_id)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.stream_id < 0:
             raise ValueError("stream_id must be non-negative")
 
@@ -34,6 +38,6 @@ def derive_rng(seed: SeedSpec, task_index: int = 0) -> np.random.Generator:
     if task_index < 0:
         raise ValueError("task_index must be non-negative")
     ss = np.random.SeedSequence(
-        seed.root_seed & _U64, spawn_key=(seed.stream_id, task_index)
+        int(seed.root_seed) & _U64, spawn_key=(seed.stream_id, task_index)
     )
     return np.random.Generator(np.random.Philox(ss))

@@ -1,8 +1,10 @@
 """Replicated benchmark experiments producing method-comparison tables.
 
-Each replication draws a training set and a fresh evaluation design
-from its own derived stream, fits every enabled method, and records
-three prediction-error columns:
+One path runs every kind: JSON -> ``ExperimentConfig.from_dict`` (every
+field checked against one table, ``_checks``) -> one replication loop ->
+``ExperimentReport``. Each replication draws a training set and a fresh
+evaluation design from its own derived stream, fits every method, and
+records three prediction-error columns:
 
 * ``rmse_y_train``  - training responses vs predictions on the training design
 * ``rmse_y_out``    - training responses vs predictions on a freshly drawn
@@ -13,24 +15,24 @@ three prediction-error columns:
 plus coefficient recovery and per-fit wall time. Metric columns are
 bit-reproducible in the seed; only timing varies between runs.
 
-Every method is one row of ``METHODS`` (its kind, family and fit
-call), and every kind runs through the same replication loop; only
-the data generator and the prediction scale (inverse link for GLMs,
-softmax probabilities for dmr) depend on the kind.
+Every method is one row of ``METHODS`` (its kind, family and fit call).
+The kind picks only the generator (``dmr`` draws its coefficients per
+replication), the contamination it admits (flips for ``logit``, count
+replacement for ``poisson``, none for ``dmr``) and the scoring:
+``surrogate_rmse`` of the inverse link for GLMs, ``proportion_rmse`` of
+the softmax probabilities for ``dmr``.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from ..errors import (
-    ConfigError,
-    RankDeficientError,
-    SeparationError,
-)
+from ..errors import ConfigError, JacobiPriorError, RankDeficientError, SeparationError
 from ..glm import JacobiHyper, default_hyper, fit_jacobi, inverse_link
 from ..dmr import predict_proba
 from ..mle import fit_mle
@@ -63,9 +65,7 @@ METHODS = {
     "mle_poisson": ("poisson", "poisson", _fit_mle),
     "jacobi_dmr": ("dmr", "poisson", fit_jacobi),  # the n x K count table
 }
-DEFAULT_METHODS = {
-    kind: tuple(m for m, (k, _, _) in METHODS.items() if k == kind) for kind in KINDS
-}
+DEFAULT_METHODS = {kind: tuple(m for m in METHODS if METHODS[m][0] == kind) for kind in KINDS}
 # Offset separating bootstrap streams from replication streams.
 _BOOT_TASK_BASE = 1_000_000
 
@@ -95,73 +95,82 @@ class ExperimentConfig:
     seed: SeedSpec = SeedSpec(20240501, 0)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"$.kind: {self.kind!r} not in {KINDS}")
-        if self.n < 2:
-            raise ConfigError("$.n: need n >= 2")
-        if self.n_reps < 1:
-            raise ConfigError("$.n_reps: need n_reps >= 1")
-        if self.contamination_mode not in ("refit", "eval_only"):
-            raise ConfigError(
-                f"$.contamination_mode: {self.contamination_mode!r} not in ('refit', 'eval_only')"
-            )
-        if self.beta0 is None and self.kind == "logit":
-            self.beta0 = EXP_LOGISTIC_BETA.copy()
-        if self.beta0 is None and self.kind == "poisson":
-            self.beta0 = EXP_POISSON_BETA.copy()
-        if self.beta0 is not None:
-            self.beta0 = np.asarray(self.beta0, dtype=float)
+        if self.beta0 is None and self.kind in ("logit", "poisson"):
+            self.beta0 = EXP_LOGISTIC_BETA if self.kind == "logit" else EXP_POISSON_BETA
         if self.sigma is None:
             self.sigma = 3.0 if self.kind == "logit" else 1.0
-        if self.methods is None:
+        if self.methods is None and self.kind in KINDS:
             self.methods = DEFAULT_METHODS[self.kind]
-        else:
-            self.methods = tuple(self.methods)
-            bad = [m for m in self.methods if m not in METHODS]
-            if bad:
-                raise ConfigError(f"$.methods: unknown methods {bad}")
-        for m in self.methods:
-            if METHODS[m][0] != self.kind:
-                raise ConfigError(f"$.methods: {m!r} is not a {self.kind!r} method")
+        for key, (test, need) in _checks(self.kind).items():
+            value = getattr(self, key)
+            if not test(value):
+                raise ConfigError(f"$.{key}: need {need}, got {value!r}")
+        if self.beta0 is not None:
+            self.beta0 = np.array(self.beta0, dtype=float)
+        self.methods = tuple(self.methods)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Build from a JSON document, reporting violations with JSON paths."""
         if not isinstance(doc, dict):
             raise ConfigError("$: config must be a JSON object")
-        known = {f.name for f in fields(cls)}
         kwargs = {}
         for key, value in doc.items():
-            if key == "seed":
-                if not isinstance(value, dict):
-                    raise ConfigError("$.seed: must be an object with root_seed/stream_id")
-                extra = set(value) - {"root_seed", "stream_id"}
-                if extra:
-                    raise ConfigError(f"$.seed: unknown keys {sorted(extra)}")
-                kwargs["seed"] = SeedSpec(
-                    int(value.get("root_seed", 0)), int(value.get("stream_id", 0))
-                )
-            elif key == "hyper":
-                if not isinstance(value, dict):
-                    raise ConfigError("$.hyper: must be an object")
-                try:
-                    kwargs["hyper"] = JacobiHyper(
-                        float(value.get("a", 0.5)),
-                        float(value.get("b", 0.5)),
-                        value.get("schedule", "fixed"),
-                    )
-                except Exception as exc:
-                    raise ConfigError(f"$.hyper: {exc}") from exc
-            elif key in known:
-                kwargs[key] = value
-            else:
+            if key not in cls.__dataclass_fields__:
                 raise ConfigError(f"$.{key}: unknown configuration key")
-        try:
-            return cls(**kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"$: {exc}") from exc
+            if key in ("seed", "hyper"):
+                try:
+                    value = (SeedSpec if key == "seed" else JacobiHyper)(**value)
+                except (TypeError, ValueError, JacobiPriorError) as exc:
+                    raise ConfigError(f"$.{key}: {exc}") from exc
+            kwargs[key] = value
+        return cls(**kwargs)
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _integer(lo):
+    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= lo,
+            f"an integer >= {lo}")
+
+
+def _fraction(kind, own):
+    return (lambda v: _real(v) and 0 <= v <= 1 and (v == 0 or kind == own),
+            f"a number in [0, 1], and 0 unless kind is {own!r}")
+
+
+def _vector(v) -> bool:
+    return (isinstance(v, (list, tuple, np.ndarray)) and len(v) > 0
+            and all(_real(x) and math.isfinite(x) for x in v))
+
+
+def _checks(kind):
+    """field -> (test, requirement) for every field a JSON config can set."""
+    own = DEFAULT_METHODS[kind] if kind in KINDS else ()
+    return {
+        "name": (lambda v: isinstance(v, str), "a string"),
+        "kind": (lambda v: v in KINDS, f"one of {KINDS}"),
+        "n": _integer(2),
+        "n_reps": _integer(1),
+        "n_features": _integer(1),
+        "n_classes": _integer(2),
+        "beta0": (lambda v: v is None or _vector(v), "a non-empty 1-d list of finite numbers"),
+        "sigma": (lambda v: _real(v) and 0 < v < math.inf, "a finite number > 0"),
+        "rho": (lambda v: _real(v) and -1 < v < 1, "a number in (-1, 1)"),
+        "flip_fraction": _fraction(kind, "logit"),
+        "replace_fraction": _fraction(kind, "poisson"),
+        "replace_rate": (lambda v: _real(v) and 0 <= v < math.inf, "a finite number >= 0"),
+        "contamination_mode": (lambda v: v in ("refit", "eval_only"), "'refit' or 'eval_only'"),
+        "methods": (
+            lambda v: isinstance(v, (list, tuple)) and v and all(m in own for m in v)
+            and len(set(v)) == len(v),
+            f"a non-empty list of distinct {kind!r} methods from {own}",
+        ),
+        "hyper": (lambda v: v is None or isinstance(v, JacobiHyper), "a JacobiHyper"),
+        "seed": (lambda v: isinstance(v, SeedSpec), "a SeedSpec"),
+    }
 
 
 @dataclass
@@ -203,29 +212,24 @@ class ExperimentReport:
 
     def to_table_text(self) -> str:
         header = ["method", "rmse_y_out", "SE", "rmse_beta", "SE", "time_us", "multiple"]
-        rows = [header]
-        for r in self.rows:
-            rows.append(
-                [
-                    r.method,
-                    f"{r.rmse_y_out:.4f}",
-                    f"{r.rmse_y_out_se:.4f}",
-                    f"{r.rmse_beta:.4f}" if np.isfinite(r.rmse_beta) else "NA",
-                    f"{r.rmse_beta_se:.4f}" if np.isfinite(r.rmse_beta_se) else "NA",
-                    f"{r.time_us:.1f}",
-                    f"{r.time_multiple:.2f}",
-                ]
-            )
-        widths = [max(len(row[j]) for row in rows) for j in range(len(header))]
-        out = []
-        for row in rows:
-            out.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        return "\n".join(out) + "\n"
+        rows = [header] + [
+            [r.method, f"{r.rmse_y_out:.4f}", f"{r.rmse_y_out_se:.4f}"]
+            + [f"{v:.4f}" if np.isfinite(v) else "NA" for v in (r.rmse_beta, r.rmse_beta_se)]
+            + [f"{r.time_us:.1f}", f"{r.time_multiple:.2f}"]
+            for r in self.rows
+        ]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return "".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n" for row in rows)
 
 
 def _generate_rep(config: ExperimentConfig, rng):
-    """Returns (X, y_fit, y_eval, X_out, y_out); y_fit differs from y_eval
-    only under eval_only contamination."""
+    """Returns (X, y_fit, y_eval, X_out, y_out, beta0); y_fit differs from
+    y_eval only under eval_only contamination."""
+    if config.kind == "dmr":
+        # Fit on the count matrix; score the count matrices.
+        X, counts, beta0 = gen_dmr(config.n, config.n_features, config.n_classes, rng)
+        X_out, counts_out, _ = gen_dmr(config.n, config.n_features, config.n_classes, rng)
+        return X, counts.counts, counts.counts, X_out, counts_out.counts, beta0
     gen = gen_logistic if config.kind == "logit" else gen_poisson
     X, y = gen(config.n, config.beta0, config.sigma, config.rho, rng)
     X_out, y_out = gen(config.n, config.beta0, config.sigma, config.rho, rng)
@@ -234,99 +238,62 @@ def _generate_rep(config: ExperimentConfig, rng):
         y_eval = contaminate_flip(y, config.flip_fraction, rng)
         y_out_eval = contaminate_flip(y_out, config.flip_fraction, rng)
     if config.replace_fraction > 0:
-        y_eval = contaminate_poisson(y_eval, config.replace_fraction, rng, config.replace_rate)
-        y_out_eval = contaminate_poisson(
-            y_out_eval, config.replace_fraction, rng, config.replace_rate
-        )
+        y_eval = contaminate_poisson(y, config.replace_fraction, rng, config.replace_rate)
+        y_out_eval = contaminate_poisson(y_out, config.replace_fraction, rng, config.replace_rate)
     y_fit = y if config.contamination_mode == "eval_only" else y_eval
-    return X, y_fit, y_eval, X_out, y_out_eval
+    return X, y_fit, y_eval, X_out, y_out_eval, config.beta0
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every replication and method in the config; see module docstring."""
-    traces = {m: {"out": [], "train": [], "holdout": [], "beta": [], "ns": []} for m in config.methods}
-    failures = {m: 0 for m in config.methods}
+    dmr = config.kind == "dmr"
+    score = proportion_rmse if dmr else surrogate_rmse
+    # method -> one (out, train, holdout, beta, ns) record per successful fit
+    records = {m: [] for m in config.methods}
     for rep in range(config.n_reps):
-        rng = derive_rng(config.seed, rep)
-        if config.kind == "dmr":
-            # Fit on the count matrix; score the count matrices.
-            X, counts, beta0 = gen_dmr(config.n, config.n_features, config.n_classes, rng)
-            X_out, counts_out, _ = gen_dmr(config.n, config.n_features, config.n_classes, rng)
-            y_fit, y_eval, y_out = counts.counts, counts.counts, counts_out.counts
-        else:
-            X, y_fit, y_eval, X_out, y_out = _generate_rep(config, rng)
-            beta0 = config.beta0
-        for method in config.methods:
+        X, y_fit, y_eval, X_out, y_out, beta0 = _generate_rep(config, derive_rng(config.seed, rep))
+        for method, fits in records.items():
             _, family, fit = METHODS[method]
-            hyper = config.hyper if config.hyper is not None else default_hyper(family)
+            hyper = config.hyper or default_hyper(family)
             try:
                 t0 = time.perf_counter_ns()
                 model = fit(X, y_fit, family, hyper)
                 dt = time.perf_counter_ns() - t0
             except (SeparationError, RankDeficientError):
-                failures[method] += 1
                 continue
-            if config.kind == "dmr":
-                score = proportion_rmse
-                preds_train, preds_out = predict_proba(model, X), predict_proba(model, X_out)
-            else:
-                score = surrogate_rmse
-                preds_train = inverse_link(X @ model.beta, family)
-                preds_out = inverse_link(X_out @ model.beta, family)
-            t = traces[method]
-            t["train"].append(score(y_eval, preds_train))
-            # Training responses scored against fresh-design predictions.
-            t["out"].append(score(y_eval, preds_out))
-            t["holdout"].append(score(y_out, preds_out))
-            t["beta"].append(beta_rmse(model.beta.ravel(), beta0.ravel()))
-            t["ns"].append(dt)
-    return _assemble(config, traces, failures)
-
-
-def _assemble(config: ExperimentConfig, traces, failures) -> ExperimentReport:
-    report = ExperimentReport(name=config.name, kind=config.kind)
-    reference = next(
-        (m for m in config.methods if m.startswith("jacobi")), config.methods[0]
-    )
-    ref_time = None
-    medians_time = {}
-    for method in config.methods:
-        ns = traces[method]["ns"]
-        medians_time[method] = float(np.median(ns)) / 1e3 if ns else float("nan")
-    ref_time = medians_time[reference]
-    for i, method in enumerate(config.methods):
-        t = traces[method]
-        boot_rng = derive_rng(config.seed, _BOOT_TASK_BASE + i)
-
-        def med_se(values):
-            if not values:
-                return float("nan"), float("nan")
-            arr = np.asarray(values)
-            if arr.size < 2:
-                return float(arr[0]), float("nan")
-            return float(np.median(arr)), bootstrap_median_se(arr, boot_rng)
-
-        out_m, out_se = med_se(t["out"])
-        train_m, train_se = med_se(t["train"])
-        hold_m, hold_se = med_se(t["holdout"])
-        beta_m, beta_se = med_se(t["beta"])
-        time_us = medians_time[method]
-        report.rows.append(
-            ReportRow(
-                method=method,
-                n_used=len(t["out"]),
-                n_failed=failures[method],
-                rmse_y_out=out_m,
-                rmse_y_out_se=out_se,
-                rmse_y_train=train_m,
-                rmse_y_train_se=train_se,
-                rmse_y_holdout=hold_m,
-                rmse_y_holdout_se=hold_se,
-                rmse_beta=beta_m,
-                rmse_beta_se=beta_se,
-                time_us=time_us,
-                time_multiple=time_us / ref_time if ref_time else float("nan"),
+            train, out = (
+                predict_proba(model, Z) if dmr else inverse_link(Z @ model.beta, family)
+                for Z in (X, X_out)
             )
+            # rmse_y_out scores the training responses against fresh-design predictions.
+            beta = beta_rmse(model.beta.ravel(), beta0.ravel())
+            fits.append((score(y_eval, out), score(y_eval, train), score(y_out, out), beta, dt))
+    return _assemble(config, records)
+
+
+def _median_se(values, boot_rng) -> tuple[float, float]:
+    if len(values) < 2:
+        return (float(values[0]) if values else float("nan")), float("nan")
+    arr = np.asarray(values)
+    return float(np.median(arr)), bootstrap_median_se(arr, boot_rng)
+
+
+def _assemble(config: ExperimentConfig, records) -> ExperimentReport:
+    times = {
+        m: float(np.median([r[-1] for r in fits])) / 1e3 if fits else float("nan")
+        for m, fits in records.items()
+    }
+    ref_time = times[next((m for m in config.methods if m.startswith("jacobi")), config.methods[0])]
+    report = ExperimentReport(name=config.name, kind=config.kind)
+    for i, (method, fits) in enumerate(records.items()):
+        # Each method owns a bootstrap stream, drawn in out, train, holdout, beta order.
+        boot_rng = derive_rng(config.seed, _BOOT_TASK_BASE + i)
+        columns = list(zip(*fits))[:4] or [()] * 4
+        cells = [c for values in columns for c in _median_se(values, boot_rng)]
+        time_us = times[method]
+        multiple = time_us / ref_time if ref_time else float("nan")
+        report.rows.append(
+            ReportRow(method, len(fits), config.n_reps - len(fits), *cells, time_us, multiple)
         )
     return report
 

@@ -119,7 +119,7 @@ def poisson_pairing_medians(config):
     cov = ar1_covariance(config.beta0.shape[0], config.sigma, config.rho)
     closed, floor = [], []
     for rep in range(config.n_reps):
-        X, y_fit, y_eval, _, _ = _generate_rep(config, derive_rng(config.seed, rep))
+        X, y_fit, y_eval, *_ = _generate_rep(config, derive_rng(config.seed, rep))
         beta = np.linalg.lstsq(X, np.log((y_fit + a) / (1.0 + b)), rcond=None)[0]
         s2 = float(beta @ cov @ beta)
         m, v = math.exp(s2 / 2.0), math.expm1(s2) * math.exp(s2)
@@ -174,7 +174,7 @@ def test_c02_coefficient_metric(exp1_report):
     config = exp1_config()
     certified, excluded, errors = [], [], []
     for rep in range(config.n_reps):
-        X, y, _, _, _ = _generate_rep(config, derive_rng(config.seed, rep))
+        X, y, *_ = _generate_rep(config, derive_rng(config.seed, rep))
         separated = separation_margin(X, y) > 1e-6
         certified.append(separated)
         try:

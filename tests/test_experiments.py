@@ -1,16 +1,29 @@
+import json
+import re
+from pathlib import Path
+
 import pytest
 
+from jacobiprior.cli import main
+from jacobiprior.dmr import fit_dmr, predict_proba
 from jacobiprior.errors import ConfigError
-from jacobiprior.glm import JacobiHyper, fit_jacobi, predict
+from jacobiprior.glm import JacobiHyper, fit_jacobi, inverse_link, predict_linear
+from jacobiprior.mle import fit_mle
 from jacobiprior.rng import SeedSpec, derive_rng
 from jacobiprior.simlab import (
     ExperimentConfig,
+    beta_rmse,
+    gen_dmr,
     gen_logistic,
+    gen_poisson,
+    proportion_rmse,
     run_consistency,
     run_experiment,
     surrogate_rmse,
 )
 from jacobiprior.simlab.experiments import REPORT_COLUMNS, TIMING_COLUMNS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def metric_cells(report):
@@ -24,23 +37,34 @@ def metric_cells(report):
     return cells
 
 
-def test_single_rep_single_method_equals_direct_call():
-    seed = SeedSpec(31415, 0)
-    config = ExperimentConfig(
-        name="tiny", kind="logit", n=60, n_reps=1, methods=("jacobi_logit",), seed=seed
-    )
-    report = run_experiment(config)
-    row = report.rows[0]
+@pytest.mark.parametrize(
+    "method", ["jacobi_logit", "mle_logit", "jacobi_poisson", "mle_poisson", "jacobi_dmr"]
+)
+def test_single_rep_single_method_equals_direct_call(method):
+    kind = method.split("_")[1]
+    # At n = 60 this stream separates the logit sample, so mle_logit would have no fit.
+    N, seed = 100, SeedSpec(31415, 0)
+    config = ExperimentConfig(name="tiny", kind=kind, n=N, n_reps=1, methods=(method,), seed=seed)
+    row = run_experiment(config).rows[0]
 
     rng = derive_rng(seed, 0)
-    X, y = gen_logistic(60, config.beta0, config.sigma, config.rho, rng)
-    X_out, y_out = gen_logistic(60, config.beta0, config.sigma, config.rho, rng)
-    model = fit_jacobi(X, y, "logit", JacobiHyper(0.5, 0.5))
-    assert row.rmse_y_train == pytest.approx(surrogate_rmse(y, predict(model, X)), abs=1e-12)
-    assert row.rmse_y_out == pytest.approx(surrogate_rmse(y, predict(model, X_out)), abs=1e-12)
-    assert row.rmse_y_holdout == pytest.approx(
-        surrogate_rmse(y_out, predict(model, X_out)), abs=1e-12
-    )
+    if kind == "dmr":
+        X, table, beta0 = gen_dmr(N, config.n_features, config.n_classes, rng)
+        X_out, table_out, _ = gen_dmr(N, config.n_features, config.n_classes, rng)
+        model = fit_dmr(X, table)
+        y, y_out, score = table.counts, table_out.counts, proportion_rmse
+        pred_train, pred_out = predict_proba(model, X), predict_proba(model, X_out)
+    else:
+        gen = gen_logistic if kind == "logit" else gen_poisson
+        X, y = gen(N, config.beta0, config.sigma, config.rho, rng)
+        X_out, y_out = gen(N, config.beta0, config.sigma, config.rho, rng)
+        fit = fit_jacobi if method.startswith("jacobi") else fit_mle
+        model, beta0, score = fit(X, y, kind), config.beta0, surrogate_rmse
+        pred_train, pred_out = (inverse_link(predict_linear(model, Z), kind) for Z in (X, X_out))
+    assert row.rmse_y_train == pytest.approx(score(y, pred_train), abs=1e-12)
+    assert row.rmse_y_out == pytest.approx(score(y, pred_out), abs=1e-12)
+    assert row.rmse_y_holdout == pytest.approx(score(y_out, pred_out), abs=1e-12)
+    assert row.rmse_beta == beta_rmse(model.beta.ravel(), beta0.ravel())
     assert row.n_used == 1 and row.n_failed == 0
 
 
@@ -121,6 +145,53 @@ class TestConfigValidation:
     def test_bad_contamination_mode(self):
         with pytest.raises(ConfigError, match=r"\$\.contamination_mode"):
             ExperimentConfig.from_dict({"kind": "logit", "contamination_mode": "maybe"})
+
+
+# Each of these crashed with a raw exception or gave a silently wrong table.
+BAD_CONFIGS = [
+    ({"n_reps": 2.5}, "n_reps"),
+    ({"n": 50.5}, "n"),
+    ({"sigma": -1}, "sigma"),
+    ({"rho": 1.5}, "rho"),
+    ({"flip_fraction": 2}, "flip_fraction"),
+    ({"kind": "poisson", "replace_fraction": 0.1, "replace_rate": -3}, "replace_rate"),
+    ({"methods": []}, "methods"),
+    ({"beta0": []}, "beta0"),
+    ({"beta0": [[1, 2], [3, 4]]}, "beta0"),
+    ({"beta0": ["1.0", 2]}, "beta0"),
+    ({"seed": {"root_seed": "x"}}, "seed"),
+    ({"seed": {"stream_id": -1}}, "seed"),
+    ({"methods": ["jacobi_logit", "jacobi_logit"]}, "methods"),
+    ({"kind": "poisson", "flip_fraction": 0.2, "contamination_mode": "eval_only"}, "flip_fraction"),
+    ({"kind": "logit", "replace_fraction": 0.1}, "replace_fraction"),
+    ({"kind": "dmr", "flip_fraction": 0.1}, "flip_fraction"),
+    ({"kind": "dmr", "replace_fraction": 0.1}, "replace_fraction"),
+    ({"n_reps": True}, "n_reps"),
+    ({"hyper": {"a": 1, "c": 5}}, "hyper"),
+    ({"seed": {"root_seed": 1.7}}, "seed"),
+    ({"hyper": {"a": "0.5"}}, "hyper"),
+]
+
+
+@pytest.mark.parametrize("doc, key", BAD_CONFIGS, ids=[json.dumps(d) for d, _ in BAD_CONFIGS])
+def test_bad_config_names_its_key(doc, key, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=rf"^\$\.{key}: "):
+        ExperimentConfig.from_dict({"n": 30, "n_reps": 3, **doc})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 30, "n_reps": 3, **doc}))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: $.{key}: ") and err.count("\n") == 1, err
+
+
+def test_readme_example_config_runs():
+    """The README's example config builds and runs (with n_reps cut to 2)."""
+    section = README.read_text(encoding="utf-8").split("### Experiment harness", 1)[1]
+    doc = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    config = ExperimentConfig.from_dict({**doc, "n_reps": 2})
+    report = run_experiment(config)
+    assert [r.method for r in report.rows] == list(config.methods)
+    assert all(r.n_used + r.n_failed == 2 for r in report.rows)
 
 
 def test_consistency_sweep_shapes():

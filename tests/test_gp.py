@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.spatial.distance
 from scipy.special import ndtr
 
 from jacobiprior.dmr import CountTable
@@ -54,6 +55,18 @@ class TestKernelMatrix:
         K = kernel_matrix(A, A, KernelParams(tau=1.7, rho=0.8))
         np.testing.assert_allclose(K, K.T, atol=1e-14)
         np.testing.assert_allclose(np.diag(K), 1.7, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["exponential", "squared_exponential"])
+    @pytest.mark.parametrize("m", [40, 17])
+    def test_in_place_steps_equal_the_plain_expression(self, kind, m):
+        rng = np.random.default_rng(2)
+        A, B = rng.standard_normal((40, 3)), rng.standard_normal((m, 3))
+        params = KernelParams(tau=1.7, rho=0.37, kind=kind)
+        d = scipy.spatial.distance.cdist(A, B)
+        if kind == "squared_exponential":
+            d = d * d
+        expected = params.tau * np.exp(-params.rho * d)
+        assert np.array_equal(kernel_matrix(A, B, params), expected)
 
     def test_column_mismatch(self):
         with pytest.raises(DimensionMismatchError):

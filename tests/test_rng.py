@@ -41,6 +41,17 @@ def test_negative_indices_rejected():
         SeedSpec(1, -2)
 
 
+@pytest.mark.parametrize("root_seed, stream_id", [("x", 0), (1.7, 0), (True, 0), (1, 2.0), (1, False)])
+def test_non_integer_seed_fields_rejected(root_seed, stream_id):
+    with pytest.raises(TypeError, match="must be an integer"):
+        SeedSpec(root_seed, stream_id)
+
+
+def test_numpy_integer_seed_fields_accepted():
+    a = derive_rng(SeedSpec(np.int64(7), np.uint8(3)), 0).random(10)
+    np.testing.assert_array_equal(a, derive_rng(SeedSpec(7, 3), 0).random(10))
+
+
 def test_negative_root_seed_allowed_and_deterministic():
     a = derive_rng(SeedSpec(-5, 0), 0).random(10)
     b = derive_rng(SeedSpec(-5, 0), 0).random(10)
