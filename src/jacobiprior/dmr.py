@@ -25,11 +25,9 @@ class CountTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=float)
-        if c.ndim != 2 or c.shape[1] < 2:
-            raise DimensionMismatchError(f"counts must be n x K with K >= 2, got {c.shape}")
-        check_response(c, "poisson")
-        self.counts = c
+        self.counts = check_response(self.counts, "poisson", ndims=(2,))
+        if self.n_classes < 2:
+            raise DimensionMismatchError(f"counts must be n x K with K >= 2, got {self.counts.shape}")
 
     @property
     def n(self) -> int:

@@ -5,6 +5,13 @@ class so that CLI and harness code can map errors to exit codes and
 per-replication failure counts without string matching.
 """
 
+import numbers
+
+
+def is_count(value, lo: int = 1) -> bool:
+    """True for an integer >= lo that is not a bool: the test of every count argument."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= lo
+
 
 class JacobiPriorError(Exception):
     """Base class for all library errors."""

@@ -195,14 +195,21 @@ def binary_modes(family: str, a: float, b: float) -> tuple[float, float]:
     return mode(0, a, b), mode(1, a, b)
 
 
-def check_response(y: np.ndarray, family: str):
-    """Raise InvalidResponseError naming the first entry of y invalid for family.
+def check_response(y, family: str, rows: int | None = None, ndims=(1, 2)) -> np.ndarray:
+    """The one response intake: y as a float array, checked for family in this order.
 
-    Binary families take a 0/1 vector; ``poisson`` takes a vector or an
-    n x K matrix of non-negative integer counts, and a bad count is
-    named by its row (and column, for a matrix).
+    The family; the ndim (binary families take a vector, ``poisson`` any
+    of ``ndims``); the length against the design's ``rows``, "y length k
+    != design rows n"; the values, naming the first bad (or NaN) entry
+    by its index, or by row and column for a count matrix.
     """
     validate_family(family)
+    y = np.asarray(y, dtype=float)
+    ndims = ndims if family == "poisson" else (1,)
+    if y.ndim not in ndims:
+        raise DimensionMismatchError(f"{family} response must have ndim in {ndims}, got {y.ndim}")
+    if rows is not None and y.shape[0] != rows:
+        raise DimensionMismatchError(f"y length {y.shape[0]} != design rows {rows}")
     if family == "poisson":
         bad = ~np.isfinite(y) | (y < 0) | (y != np.floor(y))
         what = "count response must be a non-negative integer"
@@ -213,22 +220,21 @@ def check_response(y: np.ndarray, family: str):
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         where = f"row {idx[0]}, column {idx[1]}" if len(idx) == 2 else f"index {idx[0]}"
         raise InvalidResponseError(f"{what}; offending {where}: {float(y[idx])!r}")
+    return y
 
 
-def latent_vector(y, family: str, hyper: JacobiHyper | None = None) -> np.ndarray:
+def latent_vector(
+    y, family: str, hyper: JacobiHyper | None = None, rows: int | None = None
+) -> np.ndarray:
     """Element-wise posterior modes for a response vector or count matrix.
 
-    ``poisson`` also accepts an n x K count matrix and maps every
+    y goes through ``check_response``, against ``rows`` design rows if
+    given. ``poisson`` also takes an n x K count matrix and maps every
     column at once. Resolves the one_over_n schedule using the row
     count n. Binary families only take two distinct values, so the
     probit optimization runs at most twice regardless of n.
     """
-    validate_family(family)
-    y = np.asarray(y, dtype=float)
-    ndims = (1, 2) if family == "poisson" else (1,)
-    if y.ndim not in ndims:
-        raise DimensionMismatchError(f"{family} response must have ndim in {ndims}, got {y.ndim}")
-    check_response(y, family)
+    y = check_response(y, family, rows)
     if hyper is None:
         hyper = default_hyper(family)
     a, b = hyper.resolve(y.shape[0])
@@ -243,19 +249,14 @@ def fit_jacobi(X, y, family: str, hyper: JacobiHyper | None = None) -> FittedGLM
     solver = LeastSquaresSolver(X)
     if hyper is None:
         hyper = default_hyper(family)
-    eta_hat = latent_vector(y, family, hyper)
+    eta_hat = latent_vector(y, family, hyper, solver.n)
     beta = solver.solve(eta_hat)
     return FittedGLM(beta=beta, family=family, hyper=hyper, eta_hat=eta_hat, n_train=solver.n)
 
 
 def predict_linear(model: FittedGLM, X0) -> np.ndarray:
     """X0 @ beta: an n-vector, or n x K for a p x K fit."""
-    X0 = as_matrix(X0, "X0")
-    if X0.shape[1] != model.beta.shape[0]:
-        raise DimensionMismatchError(
-            f"X0 has {X0.shape[1]} columns, model expects {model.beta.shape[0]}"
-        )
-    return stable_matvec(X0, model.beta)
+    return stable_matvec(as_matrix(X0, "X0", model.beta.shape[0]), model.beta)
 
 
 def inverse_link(eta: np.ndarray, family: str) -> np.ndarray:

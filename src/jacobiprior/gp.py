@@ -109,11 +109,7 @@ def gp_fit_binary(
 
 def _cross_kernel(model: GPModel, X0) -> tuple[np.ndarray, np.ndarray]:
     """Validated X0 and the cross-kernel block S(X0, X_train)."""
-    X0 = as_matrix(X0, "X0")
-    if X0.shape[1] != model.X_train.shape[1]:
-        raise DimensionMismatchError(
-            f"X0 has {X0.shape[1]} columns, model expects {model.X_train.shape[1]}"
-        )
+    X0 = as_matrix(X0, "X0", model.X_train.shape[1])
     return X0, kernel_matrix(X0, model.X_train, model.params)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidHyperError
+from .errors import InvalidHyperError, is_count
 from .glm import JacobiHyper, binary_modes, check_response, inverse_link
 from .linalg import LeastSquaresSolver, as_matrix, stable_matvec
 from .modelio import csv_text
@@ -59,16 +59,13 @@ def _objective_score(objective, y_val, preds, disbursement):
     return -utility_total(y_val, 1.0 - approve, disbursement)
 
 
-def _surface(X_train, y_train, X_eval, family: str):
-    """(a, b) -> predictions on X_eval from one QR of X_train; inputs are checked once, first."""
+def _surface(X_train, y_train, X_eval, y_eval, family: str):
+    """(predict_at, checked y_eval); predict_at(a, b) predicts on X_eval from one QR of
+    X_train. Every input is checked once, before any cell."""
     solver = LeastSquaresSolver(X_train)
-    y = np.asarray(y_train, dtype=float)
-    if y.shape != (solver.n,):
-        raise DimensionMismatchError(f"y_train has shape {y.shape}, X_train has {solver.n} rows")
-    check_response(y, family)
-    X_eval = as_matrix(X_eval, "X_eval")
-    if X_eval.shape[1] != solver.p:
-        raise DimensionMismatchError(f"X_eval has {X_eval.shape[1]} columns, X_train has {solver.p}")
+    y = check_response(y_train, family, solver.n, (1,))
+    X_eval = as_matrix(X_eval, "X_eval", solver.p)
+    y_eval = check_response(y_eval, family, X_eval.shape[0], (1,))
     basis = [np.ones(solver.n)] + ([] if family == "poisson" else [y])
     u, *v = (stable_matvec(X_eval, beta) for beta in solver.solve(np.column_stack(basis)).T)
 
@@ -83,7 +80,7 @@ def _surface(X_train, y_train, X_eval, family: str):
             return inverse_link(m0 * u + (m1 - m0) * v[0], family)
         return inverse_link(count_part(hyper.a) - math.log(1.0 + hyper.b) * u, family)
 
-    return predict_at
+    return predict_at, y_eval
 
 
 def sensitivity_grid(
@@ -104,7 +101,7 @@ def sensitivity_grid(
     a_values = np.sort(np.asarray(a_values, dtype=float))
     b_values = np.sort(np.asarray(b_values, dtype=float))
     scores = np.full((a_values.shape[0], b_values.shape[0]), np.nan)
-    predict_at = _surface(X_train, y_train, X_test, family)
+    predict_at, y_test = _surface(X_train, y_train, X_test, y_test, family)
     for i, a in enumerate(a_values):
         for j, b in enumerate(b_values):
             try:
@@ -143,7 +140,7 @@ def stochastic_search(
     reshuffling it, and the incumbent score is non-increasing along
     the trace.
     """
-    if not isinstance(budget, (int, np.integer)) or budget < 1:
+    if not is_count(budget):
         raise InvalidHyperError(f"budget must be an integer >= 1, got {budget!r}")
     if not 0 < lo <= hi < math.inf:
         raise InvalidHyperError(f"need finite 0 < lo <= hi, got lo={lo!r}, hi={hi!r}")
@@ -151,7 +148,7 @@ def stochastic_search(
         raise InvalidHyperError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
     if objective == "utility" and disbursement is None:
         raise InvalidHyperError("utility objective needs a disbursement vector")
-    predict_at = _surface(X_train, y_train, X_val, family)
+    predict_at, y_val = _surface(X_train, y_train, X_val, y_val, family)
     rng = derive_rng(seed, 0)
     candidates = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(budget, 2)))
     trace = []

@@ -43,8 +43,12 @@ def _as_finite(a, ndim: int, name: str) -> np.ndarray:
     return a
 
 
-def as_matrix(X, name: str = "X") -> np.ndarray:
-    return _as_finite(X, 2, name)
+def as_matrix(X, name: str = "X", cols: int | None = None) -> np.ndarray:
+    """X as a finite float matrix; with ``cols``, the column count a fitted model expects."""
+    X = _as_finite(X, 2, name)
+    if cols is not None and X.shape[1] != cols:
+        raise DimensionMismatchError(f"{name} has {X.shape[1]} columns, model expects {cols}")
+    return X
 
 
 def as_vector(v, name: str = "v") -> np.ndarray:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, DimensionMismatchError, InsufficientDrawsError
-from .glm import JacobiHyper, check_response, default_hyper, validate_family
-from .linalg import LeastSquaresSolver, as_matrix, as_vector
+from .errors import ConfigError, InsufficientDrawsError, is_count
+from .glm import JacobiHyper, check_response, default_hyper
+from .linalg import LeastSquaresSolver
 from .rng import SeedSpec, derive_rng
 
 # Keep sampled probabilities strictly inside (0, 1) so links stay finite.
@@ -78,21 +78,14 @@ def sample_beta(
     Gamma(y + a, rate 1 + b) for counts (log applied). The projection
     reuses one QR factorization across all draws.
     """
-    validate_family(family)
-    X = as_matrix(X)
-    y = as_vector(y, "y")
-    if y.shape[0] != X.shape[0]:
-        raise DimensionMismatchError(f"y length {y.shape[0]} != design rows {X.shape[0]}")
-    if n_draws < 1:
-        raise InsufficientDrawsError("n_draws must be >= 1")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    check_response(y, family)
-    if hyper is None:
-        hyper = default_hyper(family)
-    a, b = hyper.resolve(y.shape[0])
+    if not is_count(n_draws):
+        raise InsufficientDrawsError(f"n_draws must be an integer >= 1, got {n_draws!r}")
+    if not is_count(workers):
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     solver = LeastSquaresSolver(X)
-    out = np.empty((n_draws, X.shape[1]))
+    y = check_response(y, family, solver.n, (1,))
+    a, b = (hyper or default_hyper(family)).resolve(solver.n)
+    out = np.empty((n_draws, solver.p))
 
     def run_range(lo, hi):
         for r in range(lo, hi):

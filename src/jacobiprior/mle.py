@@ -13,14 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidResponseError,
-    RankDeficientError,
-    SeparationError,
-)
+from .errors import InvalidResponseError, RankDeficientError, SeparationError
 from .glm import check_response
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix
 
 
 @dataclass
@@ -55,16 +50,13 @@ def fit_mle(
     ``separation_limit`` during iteration (perfect separation for the
     logit family, or a wildly misspecified Poisson fit).
     """
+    X = as_matrix(X)
+    n, p = X.shape
+    y = check_response(y, family, n, (1,))
     if family not in ("logit", "poisson"):
         raise InvalidResponseError(f"fit_mle supports logit and poisson, got {family!r}")
-    X = as_matrix(X)
-    y = as_vector(y, "y")
-    n, p = X.shape
-    if y.shape[0] != n:
-        raise DimensionMismatchError(f"y length {y.shape[0]} != design rows {n}")
     if n < p:
         raise RankDeficientError(f"need n >= p, got n={n} < p={p}")
-    check_response(y, family)
     deviance = _logit_deviance if family == "logit" else _poisson_deviance
 
     beta = np.zeros(p)

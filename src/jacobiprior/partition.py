@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, InvalidHyperError, JacobiPriorError, SchemaMismatchError
-from .glm import JacobiHyper, latent_vector
-from .linalg import HouseholderQR, LeastSquaresSolver, as_vector
+from .errors import (ConfigError, DimensionMismatchError, InvalidHyperError, JacobiPriorError,
+                     SchemaMismatchError, is_count)
+from .glm import JacobiHyper, check_response, latent_vector
+from .linalg import HouseholderQR, LeastSquaresSolver
 from .rng import SeedSpec, derive_rng
 
 SCHEMA_VERSION = 2
@@ -71,13 +72,8 @@ def shard_stats(
     InvalidHyperError without it, since a shard cannot know it.
     """
     X_m = np.asarray(X_m, dtype=float)  # HouseholderQR checks its values, once per row
-    y_m = as_vector(y_m, "y_m")
     if X_m.ndim != 2 or X_m.shape[0] == 0:
         raise DimensionMismatchError(f"shard {shard_id}: need a non-empty matrix, got {X_m.shape}")
-    if y_m.shape[0] != X_m.shape[0]:
-        raise DimensionMismatchError(
-            f"shard {shard_id}: y length {y_m.shape[0]} != shard rows {X_m.shape[0]}"
-        )
     if hyper is not None and hyper.schedule == "one_over_n":
         if n_total is None:
             raise InvalidHyperError(
@@ -86,10 +82,10 @@ def shard_stats(
         hyper = JacobiHyper(*hyper.resolve(n_total), "fixed")
     try:
         qr = HouseholderQR(X_m)
-        eta = latent_vector(y_m, family, hyper)
+        eta = latent_vector(y_m, family, hyper, qr.n)
+        return PartialStats(shard_id=shard_id, n_shard=qr.n, r=qr.R, qteta=qr.qt(eta))
     except JacobiPriorError as exc:  # rows and indices in the message are shard-local
         raise type(exc)(f"shard {shard_id}: {exc}") from None
-    return PartialStats(shard_id=shard_id, n_shard=X_m.shape[0], r=qr.R, qteta=qr.qt(eta))
 
 
 def encode_shard_message(stats: PartialStats) -> bytes:
@@ -205,14 +201,16 @@ def run_harness(
     the only copy of a shard is the one its QR factors in place.
     """
     X = np.asarray(X, dtype=float)  # each shard's QR checks the values of its own rows
-    y = as_vector(y, "y")
     if X.ndim != 2:
         raise DimensionMismatchError(f"X must be 2-d, got ndim={X.ndim}")
     n = X.shape[0]
-    if not 1 <= n_shards <= n:
-        raise DimensionMismatchError(f"need 1 <= n_shards <= {n}, got {n_shards}")
-    if max_workers < 1:
-        raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
+    y = np.asarray(y, dtype=float)  # each shard checks the values of its own rows
+    if y.shape != (n,):
+        check_response(y, family, n, (1,))  # raises the intake's ndim or length error
+    if not (is_count(n_shards) and n_shards <= n):
+        raise DimensionMismatchError(f"need an integer 1 <= n_shards <= {n}, got {n_shards!r}")
+    if not is_count(max_workers):
+        raise ConfigError(f"max_workers must be an integer >= 1, got {max_workers!r}")
     X_blocks = np.array_split(X, n_shards)
     y_blocks = np.array_split(y, n_shards)
 

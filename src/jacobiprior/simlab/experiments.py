@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from ..errors import ConfigError, JacobiPriorError, RankDeficientError, SeparationError
+from ..errors import ConfigError, JacobiPriorError, RankDeficientError, SeparationError, is_count
 from ..glm import JacobiHyper, default_hyper, fit_jacobi, inverse_link
 from ..dmr import predict_proba
 from ..mle import fit_mle
@@ -132,8 +133,7 @@ def _real(v) -> bool:
 
 
 def _integer(lo):
-    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= lo,
-            f"an integer >= {lo}")
+    return (lambda v: is_count(v, lo), f"an integer >= {lo}")
 
 
 def _fraction(kind, own):
@@ -150,7 +150,8 @@ def _checks(kind):
     """field -> (test, requirement) for every field a JSON config can set."""
     own = DEFAULT_METHODS[kind] if kind in KINDS else ()
     return {
-        "name": (lambda v: isinstance(v, str), "a string"),
+        "name": (lambda v: isinstance(v, str) and v not in ("", ".", "..") and os.path.basename(v) == v,
+                 "a bare file name"),
         "kind": (lambda v: v in KINDS, f"one of {KINDS}"),
         "n": _integer(2),
         "n_reps": _integer(1),
@@ -312,7 +313,7 @@ def run_consistency(
     Under the one_over_n schedule the medians shrink with n; under any
     fixed shape pair they plateau at the shrinkage bias.
     """
-    hyper = JacobiHyper(0.5, 0.5, schedule) if schedule == "one_over_n" else JacobiHyper(0.5, 0.5)
+    hyper = JacobiHyper(0.5, 0.5, schedule)
     beta0 = np.asarray(beta0, dtype=float)
     results = {}
     for i, n in enumerate(ns):

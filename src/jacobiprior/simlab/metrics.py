@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, InsufficientDataError
+from ..errors import DimensionMismatchError, InsufficientDataError, is_count
 
 
 def _paired(y, p_hat):
@@ -104,8 +104,8 @@ def bootstrap_median_se(values, rng, n_boot: int = 1000) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape[0] < 2:
         raise InsufficientDataError("need at least 2 values")
-    if n_boot < 1:
-        raise InsufficientDataError("need n_boot >= 1")
+    if not is_count(n_boot):
+        raise InsufficientDataError(f"need an integer n_boot >= 1, got {n_boot!r}")
     n = values.shape[0]
     medians = np.median(values[rng.integers(0, n, size=(n_boot, n))], axis=1)
     if n_boot < 2 or np.ptp(medians) == 0.0:

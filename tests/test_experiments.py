@@ -6,7 +6,7 @@ import pytest
 
 from jacobiprior.cli import main
 from jacobiprior.dmr import fit_dmr, predict_proba
-from jacobiprior.errors import ConfigError
+from jacobiprior.errors import ConfigError, InvalidHyperError
 from jacobiprior.glm import JacobiHyper, fit_jacobi, inverse_link, predict_linear
 from jacobiprior.mle import fit_mle
 from jacobiprior.rng import SeedSpec, derive_rng
@@ -170,6 +170,8 @@ BAD_CONFIGS = [
     ({"hyper": {"a": 1, "c": 5}}, "hyper"),
     ({"seed": {"root_seed": 1.7}}, "seed"),
     ({"hyper": {"a": "0.5"}}, "hyper"),
+    ({"name": "../escaped"}, "name"),
+    ({"name": ""}, "name"),
 ]
 
 
@@ -182,6 +184,7 @@ def test_bad_config_names_its_key(doc, key, tmp_path, capsys):
     assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: $.{key}: ") and err.count("\n") == 1, err
+    assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json", "out"}  # nothing escaped --out
 
 
 def test_readme_example_config_runs():
@@ -192,6 +195,11 @@ def test_readme_example_config_runs():
     report = run_experiment(config)
     assert [r.method for r in report.rows] == list(config.methods)
     assert all(r.n_used + r.n_failed == 2 for r in report.rows)
+
+
+def test_consistency_schedule_typo_is_typed():
+    with pytest.raises(InvalidHyperError, match="unknown schedule 'one-over-n'"):
+        run_consistency("one-over-n", ns=(50,), n_reps=2)
 
 
 def test_consistency_sweep_shapes():

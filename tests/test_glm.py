@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ from jacobiprior.glm import (
     predict,
     predict_linear,
 )
+from jacobiprior.gp import gp_fit_binary, gp_predict_proba
+from jacobiprior.hyper import sensitivity_grid, stochastic_search
+from jacobiprior.mc import sample_beta
+from jacobiprior.mle import fit_mle
+from jacobiprior.partition import run_harness, shard_stats
 
 
 class TestJacobiHyper:
@@ -183,3 +189,80 @@ class TestPredict:
         model = fit_jacobi(np.ones((4, 1)), np.array([1.0, 0.0, 1.0, 0.0]), "logit")
         with pytest.raises(DimensionMismatchError):
             predict(model, np.ones((2, 2)))
+
+
+def _intake_data():
+    rng = np.random.default_rng(21)
+    X = np.column_stack([np.ones(100), rng.standard_normal((100, 2))])
+    y = np.tile([0.0, 1.0], 50)
+    return X, y
+
+
+# Every entry point that takes (X, y, family), called so that y is the one bad input.
+ENTRY_POINTS = {
+    "latent_vector": lambda X, y, good, f: latent_vector(y, f, None, X.shape[0]),
+    "fit_jacobi": lambda X, y, good, f: fit_jacobi(X, y, f),
+    "sample_beta": lambda X, y, good, f: sample_beta(X, y, f, n_draws=2),
+    "fit_mle": lambda X, y, good, f: fit_mle(X, y, f),
+    "shard_stats": lambda X, y, good, f: shard_stats(X, y, f),
+    "run_harness": lambda X, y, good, f: run_harness(X, y, 4, f),
+    "gp_fit_binary": lambda X, y, good, f: gp_fit_binary(X, y),
+    "sensitivity_grid.y_train": lambda X, y, good, f: sensitivity_grid(X, y, X, good, f, [0.5], [0.5]),
+    "sensitivity_grid.y_test": lambda X, y, good, f: sensitivity_grid(X, good, X, y, f, [0.5], [0.5]),
+    "stochastic_search.y_train": lambda X, y, good, f: stochastic_search(X, y, X, good, f, budget=2),
+    "stochastic_search.y_val": lambda X, y, good, f: stochastic_search(
+        X, good, X, y, f, budget=2, objective="accuracy"
+    ),
+}
+
+
+def _bad_response(case, y):
+    """(y, family, error type, message) of one bad-input case."""
+    if case == "short":
+        return y[:99], "logit", DimensionMismatchError, "y length 99 != design rows 100"
+    bad = y.copy()
+    if case == "nan":
+        bad[5] = np.nan
+        return bad, "logit", InvalidResponseError, "binary response must be 0 or 1; offending index 5: nan"
+    if case == "out_of_support":
+        bad[7] = 2.0
+        return bad, "logit", InvalidResponseError, "binary response must be 0 or 1; offending index 7: 2.0"
+    return y, "gamma", InvalidResponseError, "unknown family 'gamma'"
+
+
+INTAKE_CASES = [
+    (entry, case)
+    for entry in sorted(ENTRY_POINTS)
+    for case in ("short", "nan", "out_of_support", "unknown_family")
+    if (entry, case) != ("gp_fit_binary", "unknown_family")  # it has no family argument
+]
+
+
+class TestOneResponseIntake:
+    @pytest.mark.parametrize("entry, case", INTAKE_CASES)
+    def test_same_error_everywhere(self, entry, case):
+        X, y = _intake_data()
+        bad, family, error, message = _bad_response(case, y)
+        with pytest.raises(error, match=re.escape(message)):
+            ENTRY_POINTS[entry](X, bad, y, family)
+
+    def test_grid_and_search_score_nothing_for_bad_labels(self):
+        X, y = _intake_data()
+        for bad in (2.0 * y, 3.0 * y):
+            with pytest.raises(InvalidResponseError, match="offending index 1: "):
+                sensitivity_grid(X, y, X, bad, "logit", [0.5, 1.0], [0.5])
+            with pytest.raises(InvalidResponseError, match="offending index 1: "):
+                stochastic_search(X, y, X, bad, "logit", budget=3, objective="accuracy")
+
+    @pytest.mark.parametrize("entry", ["predict", "gp_predict_proba", "sensitivity_grid"])
+    def test_design_column_mismatch(self, entry):
+        X, y = _intake_data()
+        X0 = X[:, :2]
+        if entry == "predict":
+            call, name = lambda: predict(fit_jacobi(X, y, "logit"), X0), "X0"
+        elif entry == "gp_predict_proba":
+            call, name = lambda: gp_predict_proba(gp_fit_binary(X, y), X0), "X0"
+        else:
+            call, name = lambda: sensitivity_grid(X, y, X0, y, "logit", [0.5], [0.5]), "X_eval"
+        with pytest.raises(DimensionMismatchError, match=f"^{name} has 2 columns, model expects 3$"):
+            call()

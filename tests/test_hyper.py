@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jacobiprior.hyper as hyper_module
-from jacobiprior.errors import DimensionMismatchError, InvalidHyperError
+from jacobiprior.errors import DimensionMismatchError, InvalidHyperError, InvalidResponseError
 from jacobiprior.glm import JacobiHyper, fit_jacobi, predict
 from jacobiprior.hyper import sensitivity_grid, stochastic_search
 from jacobiprior.linalg import LeastSquaresSolver
@@ -269,6 +269,16 @@ class TestInputsCheckedBeforeAnyCell:
             stochastic_search(*bad_inputs()[case], "logit", budget=3)
         assert pairs_built == []
 
+    @pytest.mark.parametrize("bad", ["twice", "nan"])
+    def test_evaluation_response(self, bad, pairs_built):
+        Xtr, ytr, Xte, yte = family_data("logit")
+        y_eval = 2.0 * yte if bad == "twice" else np.where(np.arange(yte.size) == 3, np.nan, yte)
+        with pytest.raises(InvalidResponseError, match="binary response must be 0 or 1"):
+            sensitivity_grid(Xtr, ytr, Xte, y_eval, "logit", [0.5, 1.0], [0.5])
+        with pytest.raises(InvalidResponseError, match="binary response must be 0 or 1"):
+            stochastic_search(Xtr, ytr, Xte, y_eval, "logit", budget=3, objective="accuracy")
+        assert pairs_built == []
+
 
 class TestSearchArguments:
     @pytest.mark.parametrize(
@@ -279,6 +289,7 @@ class TestSearchArguments:
             (dict(hi=np.inf), "hi"),
             (dict(budget=2.5), "budget"),
             (dict(budget=0), "budget"),
+            (dict(budget=True), "budget"),
         ],
     )
     def test_bad_range_or_budget_is_typed(self, kwargs, name):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -53,8 +55,19 @@ def test_poisson_worker_input_validation():
     assert draws.draws.shape == (5, 3)
     with pytest.raises(InsufficientDrawsError):
         sample_beta(X, y, "poisson", n_draws=0)
-    with pytest.raises(ConfigError, match="workers must be >= 1, got -3"):
+    with pytest.raises(ConfigError, match="workers must be an integer >= 1, got -3"):
         sample_beta(X, y, "poisson", n_draws=5, workers=-3)
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(n_draws=2.5), InsufficientDrawsError, "n_draws must be an integer >= 1, got 2.5"),
+    (dict(n_draws=True), InsufficientDrawsError, "n_draws must be an integer >= 1, got True"),
+    (dict(workers=2.5), ConfigError, "workers must be an integer >= 1, got 2.5"),
+])
+def test_non_integer_counts_are_typed(kwargs, error, message):
+    X, y = small_problem(seed=3)
+    with pytest.raises(error, match=re.escape(message)):
+        sample_beta(X, y, "logit", **{"n_draws": 5, **kwargs})
 
 
 def test_beta_posterior_mean_for_success_label():

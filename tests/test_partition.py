@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -291,8 +292,18 @@ class TestHarness:
             run_harness(X, y, n_shards=11, family="logit")
         with pytest.raises(DimensionMismatchError):
             run_harness(X, y, n_shards=0, family="logit")
-        with pytest.raises(ConfigError, match="max_workers must be >= 1, got 0"):
+        with pytest.raises(ConfigError, match="max_workers must be an integer >= 1, got 0"):
             run_harness(X, y, n_shards=2, family="logit", max_workers=0)
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(n_shards=2.5), DimensionMismatchError, "need an integer 1 <= n_shards <= 10, got 2.5"),
+        (dict(n_shards=True), DimensionMismatchError, "need an integer 1 <= n_shards <= 10, got True"),
+        (dict(max_workers=1.5), ConfigError, "max_workers must be an integer >= 1, got 1.5"),
+    ])
+    def test_non_integer_counts_are_typed(self, kwargs, error, message):
+        X, y = logit_data(seed=10, n=10, p=2)
+        with pytest.raises(error, match=re.escape(message)):
+            run_harness(X, y, **{"n_shards": 2, "family": "logit", **kwargs})
 
     def test_shuffled_delivery_matches_ordered(self):
         X, y = logit_data(seed=11, n=80, p=4)
