@@ -26,7 +26,7 @@ from .gp import (
     kernel_matrix,
 )
 from .hyper import GridReport, SearchResult, sensitivity_grid, stochastic_search
-from .linalg import LeastSquaresSolver, cholesky_solve, solve_normal_equations
+from .linalg import LeastSquaresSolver
 from .mc import BetaDraws, sample_beta, summarize
 from .mle import MleFit, fit_mle
 from .partition import (
@@ -68,8 +68,6 @@ __all__ = [
     "sensitivity_grid",
     "stochastic_search",
     "LeastSquaresSolver",
-    "cholesky_solve",
-    "solve_normal_equations",
     "BetaDraws",
     "sample_beta",
     "summarize",

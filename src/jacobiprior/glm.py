@@ -29,6 +29,9 @@ from .linalg import LeastSquaresSolver, as_matrix, stable_matvec
 FAMILIES = ("logit", "probit", "poisson")
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+PROBIT_TOL = 1e-10  # probit_mode stops at |grad| <= PROBIT_TOL
+PROBIT_MAX_ITER = 200  # Newton steps before NoConvergenceError
+PROBIT_BRACKET = 12.0  # the mode is sought on [-PROBIT_BRACKET, PROBIT_BRACKET]
 
 
 def validate_family(family: str) -> str:
@@ -55,7 +58,8 @@ class JacobiHyper:
         if self.schedule not in ("fixed", "one_over_n"):
             raise InvalidHyperError(f"unknown schedule {self.schedule!r}")
         if not (0 < self.a < math.inf and 0 < self.b < math.inf):
-            raise InvalidHyperError(f"need finite a > 0 and b > 0, got a={self.a}, b={self.b}")
+            name, value = ("b", self.b) if 0 < self.a < math.inf else ("a", self.a)
+            raise InvalidHyperError(f"need finite {name} > 0, got {name}={value}")
 
     def resolve(self, n: int) -> tuple[float, float]:
         """Effective (a, b) for a training set of size n."""
@@ -141,21 +145,14 @@ def _probit_grad_hess(eta: float, c1: float, c2: float) -> tuple[float, float]:
     return grad, hess
 
 
-def probit_mode(
-    y,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    bracket: float = 12.0,
-) -> float:
+def probit_mode(y, a: float, b: float) -> float:
     """Posterior mode of eta for a Bernoulli observation under the probit link.
 
     Maximizes Phi(eta)^(y+a-1) * (1-Phi(eta))^(b-y) * phi(eta) by
     safeguarded Newton iteration started at 0. The squared-exponential
     factor phi(eta) forces the log-posterior to -inf at both ends, so
     a sign change of the gradient is guaranteed inside
-    [-bracket, bracket] for any valid (y, a, b).
+    [-PROBIT_BRACKET, PROBIT_BRACKET] for any valid (y, a, b).
     """
     y = _check_binary_scalar(y)
     if y + a <= 0 or b - y + 1.0 <= 0:
@@ -164,7 +161,7 @@ def probit_mode(
         )
     c1 = y + a - 1.0
     c2 = b - y
-    lo, hi = -bracket, bracket
+    lo, hi = -PROBIT_BRACKET, PROBIT_BRACKET
     g_lo, _ = _probit_grad_hess(lo, c1, c2)
     g_hi, _ = _probit_grad_hess(hi, c1, c2)
     if not (g_lo > 0 > g_hi):
@@ -172,9 +169,9 @@ def probit_mode(
             f"gradient does not bracket a maximum on [{lo}, {hi}] for y={y}, a={a}, b={b}"
         )
     eta = 0.0
-    for _ in range(max_iter):
+    for _ in range(PROBIT_MAX_ITER):
         grad, hess = _probit_grad_hess(eta, c1, c2)
-        if abs(grad) <= tol:
+        if abs(grad) <= PROBIT_TOL:
             return eta
         if grad > 0:
             lo = eta
@@ -186,7 +183,8 @@ def probit_mode(
             step = math.nan
         # Fall back to bisection whenever Newton leaves the bracket.
         eta = step if (lo < step < hi) else 0.5 * (lo + hi)
-    raise NoConvergenceError(f"probit mode did not reach |grad| <= {tol} in {max_iter} iterations")
+    raise NoConvergenceError(f"probit mode did not reach |grad| <= {PROBIT_TOL} "
+                             f"in {PROBIT_MAX_ITER} iterations")
 
 
 def binary_modes(family: str, a: float, b: float) -> tuple[float, float]:

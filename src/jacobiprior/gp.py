@@ -148,10 +148,6 @@ class GPMulticlass:
 
     models: list  # list[GPModel], one per class
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.models)
-
     def predict_latent_means(self, X0) -> np.ndarray:
         X0, Ks = _cross_kernel(self.models[0], X0)
         return np.column_stack([_latent_mean(m, X0, Ks) for m in self.models])

@@ -1,12 +1,12 @@
-"""Dense least-squares and Cholesky kernels.
+"""Dense least-squares kernels.
 
-All estimators in this library reduce to one of two solves: the
-orthogonal projection of latent values onto the column space of the
-design (via QR, never via an explicit normal-equations inverse), and a
-symmetric positive definite solve for kernel systems. ``HouseholderQR``
-is the only QR code (blocked by rows for tall designs); ``LeastSquaresSolver``
-adds the rank check, and its ``solve`` is the one projection call for a
-latent vector (GLM fits, MC draws, stacked shard factors) or an n x K matrix.
+Every estimator in this library has one projection: latent values onto
+the column space of the design, via QR, never via an explicit
+normal-equations inverse. ``HouseholderQR`` is the only QR code (blocked
+by rows for tall designs); ``LeastSquaresSolver`` adds the rank check, and
+its ``solve`` is the one projection call for a latent vector (GLM fits,
+MC draws, stacked shard factors) or an n x K matrix. The symmetric
+positive definite kernel solve of the GP classifiers lives in ``gp``.
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dtrcon, dtrtrs
 
-from .errors import (
-    DimensionMismatchError,
-    NotPositiveDefiniteError,
-    RankDeficientError,
-)
+from .errors import DimensionMismatchError, RankDeficientError
 
 # Condition estimate above this means the design is treated as collinear.
 COND_LIMIT = 1e12
@@ -49,10 +45,6 @@ def as_matrix(X, name: str = "X", cols: int | None = None) -> np.ndarray:
     if cols is not None and X.shape[1] != cols:
         raise DimensionMismatchError(f"{name} has {X.shape[1]} columns, model expects {cols}")
     return X
-
-
-def as_vector(v, name: str = "v") -> np.ndarray:
-    return _as_finite(v, 1, name)
 
 
 def _geqrf(A):
@@ -190,37 +182,3 @@ def stable_matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
         out += mul(X[:, j], beta[j])
     return out
 
-
-def solve_normal_equations(X, t) -> np.ndarray:
-    """Least-squares projection of t onto the column space of X.
-
-    Raises RankDeficientError when the condition estimate of X exceeds
-    ``COND_LIMIT`` (collinear design) and DimensionMismatchError on
-    shape errors or non-finite input.
-    """
-    return LeastSquaresSolver(X).solve(as_vector(t, "t"))
-
-
-def cholesky_solve(A, B) -> np.ndarray:
-    """Solve A Z = B for symmetric positive definite A.
-
-    A must be symmetric within 1e-10 relative; failure of the Cholesky
-    factorization raises NotPositiveDefiniteError (typical causes:
-    zero noise variance with duplicated rows, or invalid kernel
-    parameters).
-    """
-    A = as_matrix(A, "A")
-    n, m = A.shape
-    if n != m:
-        raise DimensionMismatchError(f"A must be square, got {A.shape}")
-    B = np.asarray(B, dtype=float)
-    if B.shape[0] != n:
-        raise DimensionMismatchError(f"B has {B.shape[0]} rows, expected {n}")
-    scale = np.max(np.abs(A)) if n else 0.0
-    if scale > 0 and np.max(np.abs(A - A.T)) > 1e-10 * scale:
-        raise NotPositiveDefiniteError("A is not symmetric within 1e-10 relative")
-    try:
-        c, low = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    return scipy.linalg.cho_solve((c, low), B, check_finite=False)

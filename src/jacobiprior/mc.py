@@ -97,11 +97,7 @@ def sample_beta(
     else:
         bounds = np.linspace(0, n_draws, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_range, bounds[i], bounds[i + 1]) for i in range(workers)
-            ]
-            for f in futures:
-                f.result()
+            list(pool.map(run_range, bounds[:-1], bounds[1:]))  # re-raises a worker's error
     return BetaDraws(draws=out, seed=seed, family=family)
 
 

@@ -17,6 +17,10 @@ from .errors import InvalidResponseError, RankDeficientError, SeparationError
 from .glm import check_response
 from .linalg import as_matrix
 
+TOL = 1e-8  # IRLS has converged when the score's max-abs is <= TOL
+MAX_ITER = 100  # IRLS steps before fit_mle returns converged=False
+SEPARATION_LIMIT = 1e4  # a coefficient norm above this raises SeparationError
+
 
 @dataclass
 class MleFit:
@@ -36,18 +40,11 @@ def _poisson_deviance(y, eta):
     return 2.0 * float(np.sum(xlogy(y, y) - y * eta - y + mu))
 
 
-def fit_mle(
-    X,
-    y,
-    family: str,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    separation_limit: float = 1e4,
-) -> MleFit:
-    """IRLS until the score's max-abs is <= tol or max_iter is hit.
+def fit_mle(X, y, family: str) -> MleFit:
+    """IRLS until the score's max-abs is <= TOL or MAX_ITER is hit.
 
     Raises SeparationError when the coefficient norm exceeds
-    ``separation_limit`` during iteration (perfect separation for the
+    ``SEPARATION_LIMIT`` during iteration (perfect separation for the
     logit family, or a wildly misspecified Poisson fit).
     """
     X = as_matrix(X)
@@ -64,7 +61,7 @@ def fit_mle(
     dev = deviance(y, eta)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         if family == "logit":
             mu = expit(eta)
             w = mu * (1.0 - mu)
@@ -82,7 +79,7 @@ def fit_mle(
             mu = np.exp(eta)
             w = mu
         score = X.T @ (y - mu)
-        if np.max(np.abs(score)) <= tol:
+        if np.max(np.abs(score)) <= TOL:
             converged = True
             iterations -= 1
             break
@@ -102,9 +99,9 @@ def fit_mle(
             dev_new = deviance(y, X @ (beta + step))
             halvings += 1
         beta = beta + step
-        if np.linalg.norm(beta) > separation_limit:
+        if np.linalg.norm(beta) > SEPARATION_LIMIT:
             raise SeparationError(
-                f"coefficient norm {np.linalg.norm(beta):.3e} exceeded {separation_limit:.0e}"
+                f"coefficient norm {np.linalg.norm(beta):.3e} exceeded {SEPARATION_LIMIT:.0e}"
             )
         eta = X @ beta
         dev = dev_new

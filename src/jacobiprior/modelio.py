@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dmr import softmax_rows
-from .errors import ConfigError, MissingFeatureError
+from .errors import ConfigError, InvalidHyperError, MissingFeatureError, is_count
 from .glm import FAMILIES, FittedGLM, JacobiHyper, inverse_link
 from .linalg import as_matrix, stable_matvec
 
@@ -156,6 +156,17 @@ def load_csv_dataset(
     )
 
 
+def _take(doc: dict, key: str, test, need: str):
+    """doc[key] if it passes test, else a ConfigError naming the key."""
+    if not test(value := doc[key]):
+        raise ConfigError(f"key {key!r}: need {need}, got {value!r}")
+    return value
+
+
+_NAMES = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v) and len(set(v)) == len(v),
+          "a list of distinct strings")
+
+
 @dataclass
 class StoredModel:
     """On-disk form of a fitted model plus the metadata predict needs."""
@@ -221,21 +232,26 @@ class StoredModel:
                 raise ConfigError(f"model kind {kind!r} does not match family {family!r}")
             key = "beta" if kind == "glm" else "betas"
             coef = np.asarray(doc[key], dtype=float)
-            feature_names = list(doc["feature_names"])
-            class_names = list(doc["class_names"]) if kind == "dmr" else []
+            feature_names = _take(doc, "feature_names", *_NAMES)
+            class_names = _take(doc, "class_names", *_NAMES) if kind == "dmr" else []
             shape = (len(feature_names), len(class_names)) if kind == "dmr" else (len(feature_names),)
             if coef.shape != shape:
                 raise ConfigError(
                     f"key {key!r} has shape {coef.shape}, expected {shape}: one row per "
                     "feature name and, for a multinomial model, one column per class name"
                 )
+            for name in ("a", "b", "schedule"):  # each key alone through JacobiHyper's check
+                try:
+                    JacobiHyper(**{name: doc[name]})
+                except (TypeError, InvalidHyperError) as exc:
+                    raise ConfigError(f"key {name!r}: {exc}") from None
             return cls(
                 family=family,
                 hyper=JacobiHyper(doc["a"], doc["b"], doc["schedule"]),
                 a_effective=doc["a_effective"],
                 b_effective=doc["b_effective"],
                 feature_names=feature_names,
-                n_train=int(doc["n_train"]),
+                n_train=_take(doc, "n_train", is_count, "an integer >= 1"),
                 beta=coef,
                 class_names=class_names,
             )

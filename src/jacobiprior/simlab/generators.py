@@ -17,6 +17,8 @@ EXP_LOGISTIC_BETA = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 EXP_POISSON_BETA = np.array([0.3, 0.15, 0.0, 0.0, 0.2, 0.0, 0.0, 0.0])
 
 RATE_LIMIT = 1e6
+DMR_SPARSITY = 0.5  # gen_dmr zeroes each coefficient with this probability
+DMR_TOTAL_RATE = 10.0  # and draws row totals from Poisson(DMR_TOTAL_RATE)
 
 
 def ar1_covariance(p: int, sigma: float, rho: float) -> np.ndarray:
@@ -51,26 +53,19 @@ def gen_poisson(n: int, beta0, sigma: float, rho: float, rng):
     return X, y
 
 
-def gen_dmr(
-    n: int,
-    n_features: int,
-    n_classes: int,
-    rng,
-    sparsity: float = 0.5,
-    total_rate: float = 10.0,
-):
+def gen_dmr(n: int, n_features: int, n_classes: int, rng):
     """Multinomial count data with a sparse random coefficient matrix.
 
-    Coefficients are standard normal, independently zeroed with the
-    given probability. Features are uniform on (0, 1) with an
-    intercept column; row totals are Poisson(total_rate), so zero-total
-    rows are possible and valid.
+    Coefficients are standard normal, independently zeroed with
+    probability DMR_SPARSITY. Features are uniform on (0, 1) with an
+    intercept column; row totals are Poisson(DMR_TOTAL_RATE), so
+    zero-total rows are possible and valid.
     """
     beta0 = rng.standard_normal((n_features + 1, n_classes))
-    beta0[rng.random(beta0.shape) < sparsity] = 0.0
+    beta0[rng.random(beta0.shape) < DMR_SPARSITY] = 0.0
     X = np.column_stack([np.ones(n), rng.random((n, n_features))])
     probs = softmax_rows(X @ beta0)
-    totals = rng.poisson(total_rate, size=n)
+    totals = rng.poisson(DMR_TOTAL_RATE, size=n)
     counts = np.empty((n, n_classes))
     for i in range(n):
         counts[i] = rng.multinomial(totals[i], probs[i])

@@ -303,6 +303,19 @@ class TestPredictBadModelFile:
         assert rc == 2
         assert err.startswith("error: ") and "broken.json" in err and "'beta'" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("a", -1.0), ("b", "x"), ("schedule", "bogus"),
+        ("feature_names", "x1"), ("feature_names", [1, 2]), ("feature_names", ["x1", "x1"]),
+        ("n_train", 2.7), ("n_train", -5),
+    ])
+    def test_bad_field_names_its_key(self, tmp_path, train_csv, model_doc, capsys, key, value):
+        model_doc[key] = value
+        rc = self.predict_with(tmp_path, train_csv, json.dumps(model_doc))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "broken.json" in err and f"key '{key}'" in err, err
+        assert err.count("\n") == 1, err
+
 
 class TestShardsCommand:
     def test_shard_counts_agree(self, tmp_path, train_csv):

@@ -151,6 +151,7 @@ class TestConfigValidation:
 BAD_CONFIGS = [
     ({"n_reps": 2.5}, "n_reps"),
     ({"n": 50.5}, "n"),
+    ({"n": 10**20}, "n"),
     ({"sigma": -1}, "sigma"),
     ({"rho": 1.5}, "rho"),
     ({"flip_fraction": 2}, "flip_fraction"),

@@ -5,17 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from jacobiprior.errors import (
-    DimensionMismatchError,
-    NotPositiveDefiniteError,
-    RankDeficientError,
-)
-from jacobiprior.linalg import (
-    BLOCK_ROWS,
-    LeastSquaresSolver,
-    cholesky_solve,
-    solve_normal_equations,
-)
+from jacobiprior.errors import DimensionMismatchError, RankDeficientError
+from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver
 
 
 def tall_design(n, p=8, seed=0):
@@ -31,17 +22,17 @@ def rel_err(a, ref):
 
 class TestSolveNormalEquations:
     def test_identity_design(self):
-        beta = solve_normal_equations(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        beta = LeastSquaresSolver(np.eye(3)).solve(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(beta, [1.0, 2.0, 3.0], atol=1e-14)
 
     def test_intercept_only_mean(self):
         X = np.ones((4, 1))
-        beta = solve_normal_equations(X, np.array([1.0, 1.0, -1.0, -1.0]))
+        beta = LeastSquaresSolver(X).solve(np.array([1.0, 1.0, -1.0, -1.0]))
         np.testing.assert_allclose(beta, [0.0], atol=1e-14)
 
     def test_exact_linear_fit(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        beta = solve_normal_equations(X, np.array([0.0, 1.0, 2.0]))
+        beta = LeastSquaresSolver(X).solve(np.array([0.0, 1.0, 2.0]))
         np.testing.assert_allclose(beta, [0.0, 1.0], atol=1e-12)
 
     def test_matches_pinv_oracle_on_random_systems(self):
@@ -49,7 +40,7 @@ class TestSolveNormalEquations:
         for _ in range(20):
             X = rng.standard_normal((20, 5))
             t = rng.standard_normal(20)
-            beta = solve_normal_equations(X, t)
+            beta = LeastSquaresSolver(X).solve(t)
             oracle = np.linalg.pinv(X) @ t
             np.testing.assert_allclose(beta, oracle, rtol=1e-8, atol=1e-10)
 
@@ -57,14 +48,14 @@ class TestSolveNormalEquations:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((30, 4))
         t = rng.standard_normal(30)
-        beta = solve_normal_equations(X, t)
+        beta = LeastSquaresSolver(X).solve(t)
         resid = X.T @ (t - X @ beta)
         assert np.max(np.abs(resid)) <= 1e-8 * max(np.max(np.abs(X.T @ t)), 1.0)
 
     def test_collinear_design_raises(self):
         X = np.column_stack([np.ones(5), np.ones(5)])
         with pytest.raises(RankDeficientError):
-            solve_normal_equations(X, np.zeros(5))
+            LeastSquaresSolver(X).solve(np.zeros(5))
         X = tall_design(2 * BLOCK_ROWS + 3, p=4, seed=3)  # factored in row blocks
         X[:, 3] = 2.0 * X[:, 1] - X[:, 2]
         with pytest.raises(RankDeficientError):
@@ -72,22 +63,22 @@ class TestSolveNormalEquations:
 
     def test_underdetermined_raises(self):
         with pytest.raises(RankDeficientError):
-            solve_normal_equations(np.ones((2, 3)), np.zeros(2))
+            LeastSquaresSolver(np.ones((2, 3))).solve(np.zeros(2))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
-            solve_normal_equations(np.eye(3), np.zeros(4))
+            LeastSquaresSolver(np.eye(3)).solve(np.zeros(4))
 
     def test_non_finite_rejected(self):
         X = np.eye(3)
         X[0, 0] = np.nan
         with pytest.raises(DimensionMismatchError, match="X contains a non-finite entry at row 0, column 0: nan"):
-            solve_normal_equations(X, np.zeros(3))
+            LeastSquaresSolver(X).solve(np.zeros(3))
         X[0, 0], X[2, 1], X[1, 2] = 1.0, -np.inf, np.inf
         with pytest.raises(DimensionMismatchError, match="at row 1, column 2: inf"):
             LeastSquaresSolver(X)
         with pytest.raises(DimensionMismatchError, match="t contains a non-finite entry at index 1: nan"):
-            solve_normal_equations(np.eye(3), [0.0, np.nan, np.inf])
+            LeastSquaresSolver(np.eye(3)).solve([0.0, np.nan, np.inf])
         # The solver checks its right-hand side too, naming the global row
         # of a blocked design, never a row within its block.
         for n in (10, 2 * BLOCK_ROWS + 1):
@@ -111,7 +102,7 @@ class TestSolveNormalEquations:
         solver = LeastSquaresSolver(X)
         for _ in range(5):
             t = rng.standard_normal(15)
-            np.testing.assert_array_equal(solver.solve(t), solve_normal_equations(X, t))
+            np.testing.assert_array_equal(solver.solve(t), LeastSquaresSolver(X).solve(t))
 
     def test_factor_equals_scipy_qr_and_keeps_input(self):
         rng = np.random.default_rng(6)
@@ -203,39 +194,3 @@ class TestBlockedFactor:
         beta = LeastSquaresSolver(X).solve(t)
         assert rel_err(beta, np.linalg.lstsq(X, t, rcond=None)[0]) <= 1e-12
 
-
-class TestCholeskySolve:
-    def test_diagonal_system(self):
-        out = cholesky_solve(2.0 * np.eye(2), np.eye(2))
-        np.testing.assert_allclose(out, 0.5 * np.eye(2), atol=1e-14)
-
-    def test_symmetric_hand_solve(self):
-        A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        out = cholesky_solve(A, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(out, [1.0 / 3.0, 1.0 / 3.0], atol=1e-12)
-
-    def test_singular_matrix_raises(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky_solve(np.ones((2, 2)), np.ones(2))
-
-    def test_asymmetric_raises(self):
-        A = np.array([[2.0, 1.0], [0.0, 2.0]])
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky_solve(A, np.ones(2))
-
-    def test_recovers_solution_for_random_spd(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            M = rng.standard_normal((6, 6))
-            A = M.T @ M + np.eye(6)
-            Z = rng.standard_normal((6, 3))
-            out = cholesky_solve(A, A @ Z)
-            np.testing.assert_allclose(out, Z, rtol=1e-8, atol=1e-10)
-
-    def test_relative_residual(self):
-        rng = np.random.default_rng(12)
-        M = rng.standard_normal((8, 8))
-        A = M.T @ M + np.eye(8)
-        B = rng.standard_normal(8)
-        out = cholesky_solve(A, B)
-        assert np.linalg.norm(A @ out - B) <= 1e-8 * np.linalg.norm(B)
