@@ -222,17 +222,17 @@ def check_response(y, family: str, rows: int | None = None, ndims=(1, 2)) -> np.
 
 
 def latent_vector(
-    y, family: str, hyper: JacobiHyper | None = None, rows: int | None = None
+    y, family: str, hyper: JacobiHyper | None = None, rows: int | None = None, ndims=(1, 2)
 ) -> np.ndarray:
     """Element-wise posterior modes for a response vector or count matrix.
 
     y goes through ``check_response``, against ``rows`` design rows if
-    given. ``poisson`` also takes an n x K count matrix and maps every
-    column at once. Resolves the one_over_n schedule using the row
-    count n. Binary families only take two distinct values, so the
-    probit optimization runs at most twice regardless of n.
+    given and the allowed ``ndims``. ``poisson`` also takes an n x K count
+    matrix and maps every column at once. Resolves the one_over_n schedule
+    using the row count n. Binary families only take two distinct values,
+    so the probit optimization runs at most twice regardless of n.
     """
-    y = check_response(y, family, rows)
+    y = check_response(y, family, rows, ndims)
     if hyper is None:
         hyper = default_hyper(family)
     a, b = hyper.resolve(y.shape[0])

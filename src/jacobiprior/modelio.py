@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dmr import softmax_rows
-from .errors import ConfigError, InvalidHyperError, MissingFeatureError, is_count
+from .errors import (
+    ConfigError, DimensionMismatchError, InvalidHyperError, MissingFeatureError, is_count,
+)
 from .glm import FAMILIES, FittedGLM, JacobiHyper, inverse_link
-from .linalg import as_matrix, stable_matvec
+from .linalg import as_finite, as_matrix, stable_matvec
 
 MODEL_FORMAT = "jacobiprior-model"
 MODEL_VERSION = 1
@@ -240,18 +242,28 @@ class StoredModel:
                     f"key {key!r} has shape {coef.shape}, expected {shape}: one row per "
                     "feature name and, for a multinomial model, one column per class name"
                 )
+            try:
+                as_finite(coef, coef.ndim, f"key {key!r}")
+            except DimensionMismatchError as exc:
+                raise ConfigError(str(exc)) from None
             for name in ("a", "b", "schedule"):  # each key alone through JacobiHyper's check
                 try:
                     JacobiHyper(**{name: doc[name]})
                 except (TypeError, InvalidHyperError) as exc:
                     raise ConfigError(f"key {name!r}: {exc}") from None
+            hyper = JacobiHyper(doc["a"], doc["b"], doc["schedule"])
+            n_train = _take(doc, "n_train", is_count, "an integer >= 1")
+            a_eff, b_eff = hyper.resolve(n_train)  # what from_glm writes; anything else contradicts a, b
+            for name, want in (("a_effective", a_eff), ("b_effective", b_eff)):
+                _take(doc, name, lambda v: type(v) in (int, float) and v == want,
+                      f"{want!r}, the {hyper.schedule} value for n_train {n_train}")
             return cls(
                 family=family,
-                hyper=JacobiHyper(doc["a"], doc["b"], doc["schedule"]),
-                a_effective=doc["a_effective"],
-                b_effective=doc["b_effective"],
+                hyper=hyper,
+                a_effective=a_eff,
+                b_effective=b_eff,
                 feature_names=feature_names,
-                n_train=_take(doc, "n_train", is_count, "an integer >= 1"),
+                n_train=n_train,
                 beta=coef,
                 class_names=class_names,
             )

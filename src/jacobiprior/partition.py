@@ -82,7 +82,7 @@ def shard_stats(
         hyper = JacobiHyper(*hyper.resolve(n_total), "fixed")
     try:
         qr = HouseholderQR(X_m)
-        eta = latent_vector(y_m, family, hyper, qr.n)
+        eta = latent_vector(y_m, family, hyper, qr.n, ndims=(1,))  # a shard's eta is a vector
         return PartialStats(shard_id=shard_id, n_shard=qr.n, r=qr.R, qteta=qr.qt(eta))
     except JacobiPriorError as exc:  # rows and indices in the message are shard-local
         raise type(exc)(f"shard {shard_id}: {exc}") from None

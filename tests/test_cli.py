@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 
 import numpy as np
@@ -9,8 +10,11 @@ from hypothesis.extra import numpy as hnp
 
 from jacobiprior import modelio
 from jacobiprior.cli import main
-from jacobiprior.glm import JacobiHyper, default_hyper, fit_jacobi, predict
+from jacobiprior.dmr import softmax_rows
+from jacobiprior.errors import ConfigError
+from jacobiprior.glm import JacobiHyper, default_hyper, fit_jacobi, inverse_link, predict
 from jacobiprior.hyper import sensitivity_grid, stochastic_search
+from jacobiprior.linalg import BLOCK_ROWS
 from jacobiprior.mc import sample_beta, summarize
 from jacobiprior.modelio import StoredModel, load_csv_dataset
 from jacobiprior.partition import PartialStats, aggregate_and_solve, run_harness
@@ -101,6 +105,23 @@ class TestFitPredict:
         main(["predict", "--model", str(model_path), "--data", str(train_csv), "--out", str(out_a)])
         main(["predict", "--model", str(model_path), "--data", str(permuted), "--out", str(out_b)])
         assert out_a.read_text() == out_b.read_text()
+
+    def test_permuted_columns_same_predictions_across_row_blocks(self):
+        n, names, order = 2 * BLOCK_ROWS + 1, ["x1", "x2", "x3", "x4"], [2, 0, 3, 1]
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((n, 4)) * [1e-3, 1.0, 1e3, 10.0]
+        plain = modelio.CsvDataset(names, X)
+        permuted = modelio.CsvDataset([names[i] for i in order], X[:, order])
+        for family, beta, classes in (
+            ("logit", rng.standard_normal(4), []),
+            ("multinomial", rng.standard_normal((4, 3)), ["a", "b", "c"]),
+        ):
+            stored = StoredModel(family, JacobiHyper(), 0.5, 0.5, names, 100, beta, classes)
+            # The reference sums whole columns in model order, with no row blocks.
+            eta = functools.reduce(np.add, (np.multiply.outer(X[:, j], beta[j]) for j in range(4)))
+            want = softmax_rows(eta) if classes else inverse_link(eta, family)
+            np.testing.assert_array_equal(stored.predict_mean(plain), want)
+            np.testing.assert_array_equal(stored.predict_mean(permuted), want)
 
     def test_extra_columns_ignored(self, tmp_path, train_csv):
         model_path = tmp_path / "model.json"
@@ -307,6 +328,8 @@ class TestPredictBadModelFile:
         ("a", -1.0), ("b", "x"), ("schedule", "bogus"),
         ("feature_names", "x1"), ("feature_names", [1, 2]), ("feature_names", ["x1", "x1"]),
         ("n_train", 2.7), ("n_train", -5),
+        ("a_effective", "x"), ("a_effective", None), ("a_effective", True), ("b_effective", -3.0),
+        ("b_effective", 0.25),
     ])
     def test_bad_field_names_its_key(self, tmp_path, train_csv, model_doc, capsys, key, value):
         model_doc[key] = value
@@ -315,6 +338,22 @@ class TestPredictBadModelFile:
         assert rc == 2
         assert err.startswith("error: ") and "broken.json" in err and f"key '{key}'" in err, err
         assert err.count("\n") == 1, err
+
+    def test_non_finite_coefficient_names_its_index(self, tmp_path, train_csv, model_doc, capsys):
+        model_doc["beta"][1] = float("nan")  # json writes NaN, which json.load reads back
+        rc = self.predict_with(tmp_path, train_csv, json.dumps(model_doc))
+        err = capsys.readouterr().err
+        assert rc == 2
+        path = tmp_path / "broken.json"
+        assert err == f"error: {path}: key 'beta' contains a non-finite entry at index 1: nan\n"
+        names, classes = ["x1", "x2"], ["a", "b", "c"]
+        doc = StoredModel("multinomial", JacobiHyper(1.0, 1.0), 1.0, 1.0, names, 60,
+                          np.zeros((2, 3)), classes).to_json()
+        for bad in (float("inf"), None):
+            doc["betas"][1][2] = bad
+            with pytest.raises(ConfigError, match=r"key 'betas' contains a non-finite "
+                               r"entry at row 1, column 2: (inf|nan)$"):
+                StoredModel.from_json(json.loads(json.dumps(doc)))
 
 
 class TestShardsCommand:

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from jacobiprior.errors import DimensionMismatchError, RankDeficientError
-from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver
+from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver, stable_matvec
 
 
 def tall_design(n, p=8, seed=0):
@@ -194,3 +194,43 @@ class TestBlockedFactor:
         beta = LeastSquaresSolver(X).solve(t)
         assert rel_err(beta, np.linalg.lstsq(X, t, rcond=None)[0]) <= 1e-12
 
+
+def column_loop(X, beta):
+    """The reference sum: whole columns of X, left to right, no row blocks."""
+    mul = np.multiply if beta.ndim == 1 else np.multiply.outer
+    out = mul(X[:, 0], beta[0])
+    for j in range(1, X.shape[1]):
+        out = out + mul(X[:, j], beta[j])
+    return out
+
+
+# Equal-valued designs in the memory layouts predictions meet.
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "row_strided": lambda A: np.repeat(A, 2, axis=0)[::2],
+    "column_permuted": lambda A: np.ascontiguousarray(A[:, ::-1])[:, ::-1],
+}
+
+
+class TestStableMatvec:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+    def test_matches_column_loop_bit_for_bit(self, n, layout):
+        rng = np.random.default_rng(n)
+        p, k = 6, 3
+        # Columns of very different scales, so a different order of adds shows in the bits.
+        A = rng.standard_normal((n, p)) * 10.0 ** np.arange(-4, 2 * p - 4, 2)
+        X = LAYOUTS[layout](A)
+        assert np.array_equal(X, A)
+        before = X.copy()
+        beta, betas = rng.standard_normal(p), rng.standard_normal((p, k))
+        got = stable_matvec(X, beta)
+        assert got.shape == (n,)
+        np.testing.assert_array_equal(got, column_loop(A, beta))
+        got = stable_matvec(X, betas)
+        assert got.shape == (n, k)
+        np.testing.assert_array_equal(got, column_loop(A, betas))
+        for j in range(k):
+            np.testing.assert_array_equal(got[:, j], stable_matvec(X, betas[:, j]))
+        np.testing.assert_array_equal(X, before)

@@ -73,6 +73,12 @@ class TestShardStats:
         with pytest.raises(DimensionMismatchError, match="shard 4: y length 9"):
             shard_stats(X, y[:9], "logit", shard_id=4)
 
+    def test_count_matrix_response_names_y(self):
+        X, _ = logit_data(seed=16, n=10)
+        message = "shard 3: poisson response must have ndim in (1,), got 2"
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+            shard_stats(X, np.ones((10, 2)), "poisson", shard_id=3)
+
     def test_self_concatenation_doubles(self):
         X, y = logit_data(seed=1, n=20)
         one = shard_stats(X, y, "logit")
