@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidResponseError
-from .glm import FittedGLM, JacobiHyper, check_response, fit_jacobi, predict_linear
+from .glm import FittedGLM, JacobiHyper, _fit, check_response, predict_linear
+from .linalg import as_array
 
 
 @dataclass
@@ -66,7 +67,10 @@ def fit_dmr(X, Y: CountTable, hyper: JacobiHyper | None = None) -> FittedGLM:
     on (X, Y[:, k]); the shared QR only saves work, it cannot change the
     answer.
     """
-    return fit_jacobi(X, Y.counts, "poisson", hyper)
+    X = as_array(X, 2, "X")  # Y was checked when it was made; only its rows are checked here
+    if Y.n != X.shape[0]:
+        raise DimensionMismatchError(f"y length {Y.n} != design rows {X.shape[0]}")
+    return _fit(X, Y.counts, "poisson", hyper)
 
 
 def softmax_rows(eta: np.ndarray) -> np.ndarray:

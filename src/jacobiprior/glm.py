@@ -24,7 +24,7 @@ from .errors import (
     InvalidResponseError,
     NoConvergenceError,
 )
-from .linalg import LeastSquaresSolver, as_matrix, stable_matvec
+from .linalg import LeastSquaresSolver, as_array, as_matrix, project, stable_matvec
 
 FAMILIES = ("logit", "probit", "poisson")
 
@@ -233,8 +233,11 @@ def latent_vector(
     so the probit optimization runs at most twice regardless of n.
     """
     y = check_response(y, family, rows, ndims)
-    if hyper is None:
-        hyper = default_hyper(family)
+    return _latents(y, family, hyper or default_hyper(family))
+
+
+def _latents(y: np.ndarray, family: str, hyper: JacobiHyper) -> np.ndarray:
+    """``latent_vector`` of a y that has been through ``check_response``."""
     a, b = hyper.resolve(y.shape[0])
     if family == "poisson":
         return np.log((y + a) / (1.0 + b))
@@ -243,13 +246,21 @@ def latent_vector(
 
 
 def fit_jacobi(X, y, family: str, hyper: JacobiHyper | None = None) -> FittedGLM:
-    """Fit the projection estimator: beta solves min ||X beta - eta_hat||."""
-    solver = LeastSquaresSolver(X)
-    if hyper is None:
-        hyper = default_hyper(family)
-    eta_hat = latent_vector(y, family, hyper, solver.n)
-    beta = solver.solve(eta_hat)
-    return FittedGLM(beta=beta, family=family, hyper=hyper, eta_hat=eta_hat, n_train=solver.n)
+    """Fit the projection estimator: beta solves min ||X beta - eta_hat||.
+
+    Checks X's shape, then y (``check_response``), then X's values and rank.
+    """
+    X = as_array(X, 2, "X")
+    return _fit(X, check_response(y, family, X.shape[0]), family, hyper)
+
+
+def _fit(X: np.ndarray, y: np.ndarray, family: str, hyper: JacobiHyper | None) -> FittedGLM:
+    """``fit_jacobi`` on a 2-d X and its checked y: one latent map, one projection."""
+    hyper = hyper or default_hyper(family)
+    eta_hat = _latents(y, family, hyper)
+    S, c = project(X, eta_hat)  # a tall X streams through one block buffer
+    beta = LeastSquaresSolver(S).solve(c)
+    return FittedGLM(beta=beta, family=family, hyper=hyper, eta_hat=eta_hat, n_train=X.shape[0])
 
 
 def predict_linear(model: FittedGLM, X0) -> np.ndarray:

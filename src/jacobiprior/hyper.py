@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidHyperError, is_count
 from .glm import JacobiHyper, binary_modes, check_response, inverse_link
-from .linalg import LeastSquaresSolver, as_matrix, stable_matvec
+from .linalg import LeastSquaresSolver, as_array, as_matrix, stable_matvec
 from .modelio import csv_text
 from .rng import SeedSpec, derive_rng
 from .simlab.metrics import accuracy, surrogate_rmse, utility_total
@@ -62,8 +62,9 @@ def _objective_score(objective, y_val, preds, disbursement):
 def _surface(X_train, y_train, X_eval, y_eval, family: str):
     """(predict_at, checked y_eval); predict_at(a, b) predicts on X_eval from one QR of
     X_train. Every input is checked once, before any cell."""
+    X_train = as_array(X_train, 2, "X")
+    y = check_response(y_train, family, X_train.shape[0], (1,))
     solver = LeastSquaresSolver(X_train)
-    y = check_response(y_train, family, solver.n, (1,))
     X_eval = as_matrix(X_eval, "X_eval", solver.p)
     y_eval = check_response(y_eval, family, X_eval.shape[0], (1,))
     basis = [np.ones(solver.n)] + ([] if family == "poisson" else [y])

@@ -2,15 +2,21 @@
 
 Every estimator in this library has one projection: latent values onto
 the column space of the design, via QR, never via an explicit
-normal-equations inverse. ``HouseholderQR`` is the only QR code (blocked
-by rows for tall designs); ``LeastSquaresSolver`` adds the rank check, and
-its ``solve`` is the one projection call for a latent vector (GLM fits,
-MC draws, stacked shard factors) or an n x K matrix. The symmetric
-positive definite kernel solve of the GP classifiers lives in ``gp``.
+normal-equations inverse. ``HouseholderQR`` is the only QR code;
+``LeastSquaresSolver`` adds the rank check, and its ``solve`` is the one
+projection call for a latent vector or an n x K matrix. A tall design is
+reduced by row blocks (TSQR) in one block walker. A fit has one set of
+right-hand sides, so ``project`` streams the design through one
+block-sized buffer and keeps only each block's R and Q'T, never an
+n x p copy; ``HouseholderQR`` keeps every block's reflectors only for
+callers that solve later right-hand sides (MC draws, grid and search
+surfaces). The symmetric positive definite kernel solve of the GP
+classifiers lives in ``gp``.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -26,20 +32,30 @@ COND_LIMIT = 1e12
 BLOCK_ROWS = 16384
 
 
-def as_finite(a, ndim: int, name: str) -> np.ndarray:
-    """a as a finite float array of ``ndim`` dims; the first non-finite entry is named."""
+def as_array(a, ndim: int, name: str) -> np.ndarray:
+    """a as a float array of ``ndim`` dims; its values are not checked."""
     a = np.asarray(a, dtype=float)
     if a.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-d, got ndim={a.ndim}")
+    return a
+
+
+def _check_finite(a: np.ndarray, name: str, row0: int = 0) -> np.ndarray:
+    """a, unless an entry is non-finite: the first is named, its row offset by row0."""
     # v'v < inf fails iff an entry is non-finite or v'v overflows; ravel views a contiguous a
     fast = a.size and a.flags.forc and scipy.linalg.blas.ddot(v := a.ravel(order="K"), v) < np.inf
     if not fast and not np.isfinite(a).all():
         idx = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
-        where = f"row {idx[0]}, column {idx[1]}" if ndim == 2 else f"index {idx[0]}"
+        where = f"row {row0 + idx[0]}, column {idx[1]}" if a.ndim == 2 else f"index {idx[0]}"
         raise DimensionMismatchError(
             f"{name} contains a non-finite entry at {where}: {float(a[idx])!r}"
         )
     return a
+
+
+def as_finite(a, ndim: int, name: str) -> np.ndarray:
+    """a as a finite float array of ``ndim`` dims; the first non-finite entry is named."""
+    return _check_finite(as_array(a, ndim, name), name)
 
 
 def as_matrix(X, name: str = "X", cols: int | None = None) -> np.ndarray:
@@ -50,13 +66,18 @@ def as_matrix(X, name: str = "X", cols: int | None = None) -> np.ndarray:
     return X
 
 
+@functools.lru_cache(maxsize=128)
+def _geqrf_lwork(m: int, n: int) -> int:
+    # The query is a LAPACK call, 2-3% of a 100 x 8 fit; a tall fit repeats two block shapes.
+    return max(1, int(dgeqrf_lwork(m, n)[0]))
+
+
 def _geqrf(A):
     """(factor, tau, lock) of F-ordered A, overwritten: R on and above the diagonal."""
     # dgeqrf with the workspace scipy.linalg.qr queries gives its exact
     # factor without the wrapper's repeated checks and second copy of X,
     # which cost more than the factorization itself at n = 100.
-    lwork = max(1, int(dgeqrf_lwork(*A.shape)[0]))
-    qr, tau, _, info = dgeqrf(A, lwork=lwork, overwrite_a=1)
+    qr, tau, _, info = dgeqrf(A, lwork=_geqrf_lwork(*A.shape), overwrite_a=1)
     if info != 0:
         raise RankDeficientError(f"dgeqrf failed with info={info}")
     return qr, tau, threading.Lock()
@@ -73,31 +94,70 @@ def _apply_qt(qr, tau, lock, c: np.ndarray) -> np.ndarray:
     return cq
 
 
+def _tsqr_blocks(n: int, p: int) -> int:
+    """TSQR row blocks of an n x p design, n // max(BLOCK_ROWS, 8 p); 0 below two."""
+    k = n // max(BLOCK_ROWS, 8 * p) if n >= 2 * BLOCK_ROWS and p >= 1 else 0  # max() costs a small fit
+    return k if k >= 2 else 0
+
+
+def _factor_blocks(X: np.ndarray, keep: bool):
+    """Yield (rows, factor) of each TSQR row block of X: copied F-ordered into a buffer,
+    checked finite there while in cache (naming a global row), factored in place. With
+    ``keep`` each block has its own slot of one n x p buffer; without, all blocks share
+    one block-sized buffer, so a factor is valid only until the next block."""
+    n, p = X.shape
+    blocks = np.array_split(X, _tsqr_blocks(n, p))
+    buf = np.empty(X.size if keep else blocks[0].size)  # the first block is a largest one
+    start = 0
+    for block in blocks:
+        off = start * p if keep else 0
+        a = buf[off : off + block.size].reshape(p, -1).T
+        np.copyto(a, block)
+        _check_finite(a, "X", start)
+        yield slice(start, start + len(block)), _geqrf(a)
+        start += len(block)
+
+
+def project(X: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, C) such that ``HouseholderQR(S).qt(C)`` is ``HouseholderQR(X).qt(T)``, bit for bit.
+
+    T is a finite n-vector or n x K. A design below two TSQR blocks comes back as it is
+    (its solver checks it); a taller one streams through one block buffer, S stacking each
+    block's triu(R_b) and C the first p entries of Q_b'T_b: no n x p copy, no Q kept.
+    """
+    n, p = X.shape
+    if not _tsqr_blocks(n, p):
+        return X, T
+    cols = T.reshape(n, -1)
+    R, C = [], []
+    for rows, f in _factor_blocks(X, keep=False):
+        R.append(np.triu(f[0][:p]))
+        C.append(np.column_stack([_apply_qt(*f, cols[rows, j])[:p] for j in range(cols.shape[1])]))
+    return np.vstack(R), np.vstack(C).reshape((-1,) + T.shape[1:])
+
+
 class HouseholderQR:
     """Householder QR of any matrix with n >= 1 rows, with no rank check.
 
     ``R`` (p x p) and ``qt(t)`` (first p entries of Q't) are zero-padded
     to p rows when n < p; R'R = X'X and R' qt(t) = X't. Q is never
     formed, and concurrent ``qt`` calls return what each returns alone.
-    With n >= 2 m rows, m = max(BLOCK_ROWS, 8 p), n // m row blocks are factored,
-    then their stacked R factors (TSQR); fewer rows take one dgeqrf, bit for bit.
+    A design of two or more TSQR row blocks keeps every block's factor,
+    for later right-hand sides, plus one QR of their stacked R factors;
+    fewer rows take one dgeqrf, bit for bit.
     """
 
     def __init__(self, X):
-        X = as_matrix(X)
+        X = as_array(X, 2, "X")
         n, p = X.shape
         if n < 1 or p < 1:
             raise RankDeficientError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
         self.n, self.p = n, p
-        n_blocks = n // max(BLOCK_ROWS, 8 * p)
         self._blocks = []
-        if n_blocks >= 2:  # one F-ordered copy for all blocks; a copy per block churns the heap
-            blocks = np.array_split(X, n_blocks)
-            flat = np.concatenate([b.T for b in blocks], axis=None)
-            ends = np.cumsum([b.size for b in blocks])[:-1]
-            self._blocks = [_geqrf(f.reshape(p, -1).T) for f in np.split(flat, ends)]
+        if _tsqr_blocks(n, p):  # one n x p buffer for all blocks; a buffer per block churns the heap
+            self._blocks = [f for _, f in _factor_blocks(X, keep=True)]
             X = np.vstack([np.triu(f[:p]) for f, _, _ in self._blocks])  # p reflectors each
-        self._factor, self._tau, self._lock = _geqrf(np.array(X, order="F"))
+        self._factor, self._tau, self._lock = _geqrf(np.array(_check_finite(X, "X"), order="F"))
         self._qr = self._factor[:, : self._tau.shape[0]]  # the k = min(n, p) reflectors dormqr applies
 
     @property
@@ -115,7 +175,7 @@ class HouseholderQR:
             raise DimensionMismatchError(
                 f"rhs shape {t.shape} does not have design rows {self.n}"
             )
-        cols = as_finite(t, t.ndim, "t").reshape(self.n, -1)  # names a global row, not a block's
+        cols = _check_finite(t, "t").reshape(self.n, -1)  # names a global row, not a block's
         k = self._qr.shape[1]
         out = np.zeros((self.p, cols.shape[1]))
         for j in range(cols.shape[1]):

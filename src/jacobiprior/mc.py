@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, InsufficientDrawsError, is_count
 from .glm import JacobiHyper, check_response, default_hyper
-from .linalg import LeastSquaresSolver
+from .linalg import LeastSquaresSolver, as_array
 from .rng import SeedSpec, derive_rng
 
 # Keep sampled probabilities strictly inside (0, 1) so links stay finite.
@@ -82,8 +82,9 @@ def sample_beta(
         raise InsufficientDrawsError(f"n_draws must be an integer >= 1, got {n_draws!r}")
     if not is_count(workers):
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    X = as_array(X, 2, "X")
+    y = check_response(y, family, X.shape[0], (1,))
     solver = LeastSquaresSolver(X)
-    y = check_response(y, family, solver.n, (1,))
     a, b = (hyper or default_hyper(family)).resolve(solver.n)
     out = np.empty((n_draws, solver.p))
 

@@ -5,7 +5,8 @@ rows: it sends R_m of X_m = Q_m R_m and the first p entries of
 Q_m' eta_m. One more QR of the stacked pairs, with the same code and
 condition check as ``fit_jacobi``, gives the monolithic fit (bit for
 bit for one shard) without squaring the condition number as X'X would.
-``HouseholderQR`` runs the same reduction over row blocks of a tall X.
+A tall shard, like a tall monolithic fit, runs the same reduction over
+row blocks of its rows, streamed through one block buffer (``project``).
 The harness runs shards concurrently, serializes their factors, and
 aggregates them independently of arrival order.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatchError, InvalidHyperError, JacobiPriorError,
                      SchemaMismatchError, is_count)
 from .glm import JacobiHyper, check_response, latent_vector
-from .linalg import HouseholderQR, LeastSquaresSolver
+from .linalg import HouseholderQR, LeastSquaresSolver, as_array, project
 from .rng import SeedSpec, derive_rng
 
 SCHEMA_VERSION = 2
@@ -71,7 +72,7 @@ def shard_stats(
     the one_over_n schedule resolves against it and raises
     InvalidHyperError without it, since a shard cannot know it.
     """
-    X_m = np.asarray(X_m, dtype=float)  # HouseholderQR checks its values, once per row
+    X_m = np.asarray(X_m, dtype=float)  # its values are checked after y, once per row
     if X_m.ndim != 2 or X_m.shape[0] == 0:
         raise DimensionMismatchError(f"shard {shard_id}: need a non-empty matrix, got {X_m.shape}")
     if hyper is not None and hyper.schedule == "one_over_n":
@@ -81,9 +82,10 @@ def shard_stats(
             )
         hyper = JacobiHyper(*hyper.resolve(n_total), "fixed")
     try:
-        qr = HouseholderQR(X_m)
-        eta = latent_vector(y_m, family, hyper, qr.n, ndims=(1,))  # a shard's eta is a vector
-        return PartialStats(shard_id=shard_id, n_shard=qr.n, r=qr.R, qteta=qr.qt(eta))
+        eta = latent_vector(y_m, family, hyper, X_m.shape[0], ndims=(1,))  # a shard's eta is a vector
+        S, c = project(X_m, eta)
+        qr = HouseholderQR(S)
+        return PartialStats(shard_id=shard_id, n_shard=X_m.shape[0], r=qr.R, qteta=qr.qt(c))
     except JacobiPriorError as exc:  # rows and indices in the message are shard-local
         raise type(exc)(f"shard {shard_id}: {exc}") from None
 
@@ -198,11 +200,10 @@ def run_harness(
     Messages are delivered to the coordinator in a seed-shuffled order
     to exercise arrival-order independence; the pooled solve equals
     the monolithic fit regardless. Shards are row-slice views of X, so
-    the only copy of a shard is the one its QR factors in place.
+    a shard's rows are copied only into its QR: whole for a short
+    shard, one block buffer at a time for a tall one.
     """
-    X = np.asarray(X, dtype=float)  # each shard's QR checks the values of its own rows
-    if X.ndim != 2:
-        raise DimensionMismatchError(f"X must be 2-d, got ndim={X.ndim}")
+    X = as_array(X, 2, "X")  # each shard checks the values of its own rows
     n = X.shape[0]
     y = np.asarray(y, dtype=float)  # each shard checks the values of its own rows
     if y.shape != (n,):

@@ -19,6 +19,7 @@ from jacobiprior.glm import (
 )
 from jacobiprior.gp import gp_fit_binary, gp_predict_proba
 from jacobiprior.hyper import sensitivity_grid, stochastic_search
+from jacobiprior.linalg import BLOCK_ROWS
 from jacobiprior.mc import sample_beta
 from jacobiprior.mle import fit_mle
 from jacobiprior.partition import run_harness, shard_stats
@@ -245,6 +246,20 @@ class TestOneResponseIntake:
         bad, family, error, message = _bad_response(case, y)
         with pytest.raises(error, match=re.escape(message)):
             ENTRY_POINTS[entry](X, bad, y, family)
+
+    @pytest.mark.parametrize("entry", ["fit_jacobi", "sample_beta", "shard_stats", "run_harness", "sensitivity_grid.y_train"])
+    @pytest.mark.parametrize("n", [100, 2 * BLOCK_ROWS + 5])
+    def test_response_checked_before_design_values(self, n, entry):
+        # One order for every n, streamed or not: X's shape, then y, then X's values and rank.
+        rng = np.random.default_rng(n)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        y = np.tile([0.0, 1.0], n)[:n]
+        X[3, 1], bad = np.nan, y.copy()
+        bad[7] = 2.0
+        with pytest.raises(InvalidResponseError, match=re.escape("binary response must be 0 or 1; offending index 7: 2.0")):
+            ENTRY_POINTS[entry](X, bad, y, "logit")
+        with pytest.raises(DimensionMismatchError, match=re.escape("X contains a non-finite entry at row 3, column 1: nan")):
+            ENTRY_POINTS[entry](X, y, y, "logit")
 
     def test_grid_and_search_score_nothing_for_bad_labels(self):
         X, y = _intake_data()

@@ -1,12 +1,16 @@
+import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from jacobiprior.errors import DimensionMismatchError, RankDeficientError
+from jacobiprior.glm import fit_jacobi, latent_vector
 from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver, stable_matvec
+from jacobiprior.partition import shard_stats
 
 
 def tall_design(n, p=8, seed=0):
@@ -170,9 +174,21 @@ class TestSolveNormalEquations:
             assert sum(mismatches) == 0, f"n={n}: {sum(mismatches)} of {n_threads * per_thread} solves differ"
 
 
+# Row counts on both sides of the blocked factor's threshold, and a ragged last block.
+TALL_ROWS = [2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 5 * BLOCK_ROWS + 7]
+
+
+def responses(X, seed):
+    """(binary y, count y, n x 3 count matrix) drawn from a design."""
+    rng = np.random.default_rng(seed)
+    eta = 0.5 * (X @ rng.standard_normal(X.shape[1]))
+    y = (rng.random(len(X)) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    return y, rng.poisson(np.exp(np.clip(eta, -3, 3))).astype(float), rng.poisson(2.0, (len(X), 3)).astype(float)
+
+
 class TestBlockedFactor:
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("n", [2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 5 * BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("n", TALL_ROWS)
     def test_matches_lstsq_and_keeps_input(self, n, order):
         X = np.array(tall_design(n, seed=n), order=order)
         before = X.copy()
@@ -185,6 +201,47 @@ class TestBlockedFactor:
         for k in range(3):
             np.testing.assert_array_equal(B[:, k], solver.solve(T[:, k]))
         np.testing.assert_array_equal(X, before)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", TALL_ROWS)
+    def test_streamed_fit_equals_retained_solver(self, n, order):
+        # fit_jacobi streams a tall X through one block buffer and keeps no Q;
+        # LeastSquaresSolver keeps every block's factor. Same bits either way.
+        X = np.array(tall_design(n, seed=n + 2), order=order)
+        before = X.copy()
+        y, counts, table = responses(X, n)
+        for family, t in (("logit", y), ("probit", y), ("poisson", counts)):
+            expected = LeastSquaresSolver(X).solve(latent_vector(t, family))
+            np.testing.assert_array_equal(fit_jacobi(X, t, family).beta, expected)
+        beta = fit_jacobi(X, table, "poisson").beta
+        for k in range(table.shape[1]):
+            np.testing.assert_array_equal(beta[:, k], fit_jacobi(X, table[:, k], "poisson").beta)
+        np.testing.assert_array_equal(X, before)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", TALL_ROWS)
+    def test_non_finite_cell_in_last_block_names_global_row(self, n, order):
+        X = np.array(tall_design(n, seed=4), order=order)
+        y = responses(X, 5)[0]
+        X[n - 3, 2] = np.inf
+        message = "X contains a non-finite entry at row {}, column 2: inf"
+        with pytest.raises(DimensionMismatchError, match=re.escape(message.format(n - 3))):
+            fit_jacobi(X, y, "logit")
+        # A shard names the row within its own rows, after its id.
+        with pytest.raises(DimensionMismatchError, match=re.escape("shard 6: " + message.format(n - 10))):
+            shard_stats(X[7:], y[7:], "logit", shard_id=6)
+
+    def test_streamed_fit_copies_no_design(self):
+        X = tall_design(5 * BLOCK_ROWS, seed=6)
+        y = responses(X, 7)[0]
+        fit_jacobi(X, y, "logit")
+        tracemalloc.start()
+        try:
+            fit_jacobi(X, y, "logit")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2, f"fit allocated {peak} bytes at peak for a {X.nbytes}-byte design"
 
     def test_column_zero_throughout_first_block_fits(self):
         n = 3 * BLOCK_ROWS
