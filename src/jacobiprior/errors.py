@@ -34,7 +34,7 @@ class InvalidHyperError(JacobiPriorError):
 
 
 class InvalidResponseError(JacobiPriorError):
-    """A response value is outside the support of the requested family."""
+    """A response value (or a per-row amount such as a loan disbursement) is outside its support."""
 
 
 class ImproperPosteriorError(JacobiPriorError):

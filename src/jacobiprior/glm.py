@@ -34,6 +34,11 @@ PROBIT_MAX_ITER = 200  # Newton steps before NoConvergenceError
 PROBIT_BRACKET = 12.0  # the mode is sought on [-PROBIT_BRACKET, PROBIT_BRACKET]
 
 
+def valid_shape(x) -> bool:
+    """True for a prior shape parameter in (0, inf): ``JacobiHyper``'s test of a and b."""
+    return 0 < x < math.inf
+
+
 def validate_family(family: str) -> str:
     if family not in FAMILIES:
         raise InvalidResponseError(f"unknown family {family!r}, expected one of {FAMILIES}")
@@ -57,8 +62,8 @@ class JacobiHyper:
     def __post_init__(self):
         if self.schedule not in ("fixed", "one_over_n"):
             raise InvalidHyperError(f"unknown schedule {self.schedule!r}")
-        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
-            name, value = ("b", self.b) if 0 < self.a < math.inf else ("a", self.a)
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):  # valid_shape, inlined for speed
+            name, value = ("b", self.b) if valid_shape(self.a) else ("a", self.a)
             raise InvalidHyperError(f"need finite {name} > 0, got {name}={value}")
 
     def resolve(self, n: int) -> tuple[float, float]:
@@ -159,6 +164,7 @@ def probit_mode(y, a: float, b: float) -> float:
         raise ImproperPosteriorError(
             f"posterior Beta({y + a}, {b - y + 1.0}) has a non-positive shape"
         )
+    a, b = float(a), float(b)  # numpy-scalar arithmetic doubles the Newton's cost, same bits
     c1 = y + a - 1.0
     c2 = b - y
     lo, hi = -PROBIT_BRACKET, PROBIT_BRACKET

@@ -6,23 +6,27 @@ X_eval beta(a, b) = m0 u + (m1 - m0) X_eval solve(y) for the modes m0, m1
 at y = 0, 1, and poisson X_eval solve(log(y + a)) - log(1 + b) u. So a
 grid or a search costs one QR plus two solves (binary) or one solve per
 distinct a plus one (poisson); each pair is then scalar mode work and an
-O(n_eval) combination.
+O(n_eval) combination. Cells are scored in batches of at most
+``linalg.BLOCK_ROWS`` predictions (``BLOCK_ROWS // n_eval`` cells, at
+least one): one array pass forms a batch's block and the objective
+reduces each row, so every score is bit-identical to its cell's alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidHyperError, is_count
-from .glm import JacobiHyper, binary_modes, check_response, inverse_link
-from .linalg import LeastSquaresSolver, as_array, as_matrix, stable_matvec
+from .glm import binary_modes, check_response, inverse_link, valid_shape
+from .linalg import BLOCK_ROWS, LeastSquaresSolver, as_array, as_matrix, stable_matvec
 from .modelio import csv_text
 from .rng import SeedSpec, derive_rng
-from .simlab.metrics import accuracy, surrogate_rmse, utility_total
+from .simlab.metrics import accuracy, check_disbursement, surrogate_rmse, utility_total
 
 SEARCH_LO = 1e-3
 SEARCH_HI = 2.0
@@ -49,39 +53,45 @@ class GridReport:
         return csv_text(["a", "b", "score"], zip(a.flat, b.flat, self.scores.flat))
 
 
-def _objective_score(objective, y_val, preds, disbursement):
-    if objective == "rmse":
-        return surrogate_rmse(y_val, preds)
-    if objective == "accuracy":
-        return -accuracy(y_val, preds)
-    approve = (preds >= 0.5).astype(float)
-    # Approving predicted non-defaulters: defaults are the positive class.
-    return -utility_total(y_val, 1.0 - approve, disbursement)
-
-
 def _surface(X_train, y_train, X_eval, y_eval, family: str):
-    """(predict_at, checked y_eval); predict_at(a, b) predicts on X_eval from one QR of
-    X_train. Every input is checked once, before any cell."""
+    """(score_pairs, checked y_eval) from one QR of X_train; inputs are checked before any cell.
+    score_pairs(pairs, score): (indices, scores) of the pairs whose shapes and modes are
+    valid, in order. The modes run pair by pair first, so the first error is that of a
+    pair-at-a-time loop; then score reduces each batch's rows of predictions."""
     X_train = as_array(X_train, 2, "X")
     y = check_response(y_train, family, X_train.shape[0], (1,))
     solver = LeastSquaresSolver(X_train)
     X_eval = as_matrix(X_eval, "X_eval", solver.p)
     y_eval = check_response(y_eval, family, X_eval.shape[0], (1,))
-    basis = [np.ones(solver.n)] + ([] if family == "poisson" else [y])
+    poisson = family == "poisson"
+    basis = [np.ones(solver.n)] + ([] if poisson else [y])
     u, *v = (stable_matvec(X_eval, beta) for beta in solver.solve(np.column_stack(basis)).T)
+    step = max(1, BLOCK_ROWS // max(1, u.shape[0]))  # cells a batch: at most BLOCK_ROWS predictions
 
     @functools.lru_cache(maxsize=1)  # a grid visits each a in one run of cells
     def count_part(a):
         return stable_matvec(X_eval, solver.solve(np.log(y + a)))
 
-    def predict_at(a, b):
-        hyper = JacobiHyper(a, b)
-        if family != "poisson":
-            m0, m1 = binary_modes(family, hyper.a, hyper.b)
-            return inverse_link(m0 * u + (m1 - m0) * v[0], family)
-        return inverse_link(count_part(hyper.a) - math.log(1.0 + hyper.b) * u, family)
+    def score_pairs(pairs, score):
+        kept, cells, scores = [], [], []
+        for k, (a, b) in enumerate(pairs):
+            if valid_shape(a) and valid_shape(b):
+                try:  # the modes (m0, m1), or (a, log(1 + b)) for poisson
+                    cells.append((a, math.log(1.0 + b)) if poisson else binary_modes(family, a, b))
+                except InvalidHyperError:  # e.g. logit's b + 1 - y rounds to 0 for a tiny b
+                    continue
+                kept.append(k)
+        for i in range(0, len(cells), step):
+            m = np.array(cells[i : i + step])
+            if poisson:
+                eta = np.array([count_part(a) for a in m[:, 0].tolist()]) - m[:, 1:] * u
+            else:
+                eta = m[:, :1] * u
+                eta += (m[:, 1:] - m[:, :1]) * v[0]
+            scores += score(inverse_link(eta, family)).tolist()
+        return kept, scores
 
-    return predict_at, y_eval
+    return score_pairs, y_eval
 
 
 def sensitivity_grid(
@@ -102,13 +112,10 @@ def sensitivity_grid(
     a_values = np.sort(np.asarray(a_values, dtype=float))
     b_values = np.sort(np.asarray(b_values, dtype=float))
     scores = np.full((a_values.shape[0], b_values.shape[0]), np.nan)
-    predict_at, y_test = _surface(X_train, y_train, X_test, y_test, family)
-    for i, a in enumerate(a_values):
-        for j, b in enumerate(b_values):
-            try:
-                scores[i, j] = surrogate_rmse(y_test, predict_at(a, b))
-            except InvalidHyperError:
-                continue
+    score_pairs, y_test = _surface(X_train, y_train, X_test, y_test, family)
+    pairs = list(itertools.product(a_values.tolist(), b_values.tolist()))
+    kept, valid = score_pairs(pairs, functools.partial(surrogate_rmse, y_test))
+    scores.flat[kept] = valid
     return GridReport(a_values=a_values, b_values=b_values, scores=scores)
 
 
@@ -147,18 +154,22 @@ def stochastic_search(
         raise InvalidHyperError(f"need finite 0 < lo <= hi, got lo={lo!r}, hi={hi!r}")
     if objective not in OBJECTIVES:
         raise InvalidHyperError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
-    if objective == "utility" and disbursement is None:
-        raise InvalidHyperError("utility objective needs a disbursement vector")
-    predict_at, y_val = _surface(X_train, y_train, X_val, y_val, family)
+    if objective == "utility":
+        if disbursement is None:
+            raise InvalidHyperError("utility objective needs a disbursement vector")
+        disbursement = check_disbursement(disbursement, as_array(X_val, 2, "X_eval").shape[0])
+    score_pairs, y_val = _surface(X_train, y_train, X_val, y_val, family)
+    score = {
+        "rmse": lambda P: surrogate_rmse(y_val, P),
+        "accuracy": lambda P: -accuracy(y_val, P),
+        # Approving predicted non-defaulters: defaults are the positive class.
+        "utility": lambda P: -utility_total(y_val, 1.0 - (P >= 0.5), disbursement),
+    }[objective]
     rng = derive_rng(seed, 0)
     candidates = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(budget, 2)))
-    trace = []
-    for a, b in candidates:
-        try:
-            score = _objective_score(objective, y_val, predict_at(a, b), disbursement)
-        except InvalidHyperError:
-            continue
-        trace.append((float(a), float(b), float(score)))
+    pairs = candidates.tolist()
+    kept, scores = score_pairs(pairs, score)
+    trace = [(*pairs[k], s) for k, s in zip(kept, scores)]
     if not trace:
         raise InvalidHyperError("every search candidate failed")
     best = min(trace, key=lambda t: t[2])  # the first of equal scores, as the trace runs

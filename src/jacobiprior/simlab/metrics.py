@@ -4,25 +4,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, InsufficientDataError, is_count
+from ..errors import DimensionMismatchError, InsufficientDataError, InvalidResponseError, is_count
+from ..linalg import as_array
 
 
-def _paired(y, p_hat):
+def _paired(y, p_hat, stack: bool = False):
+    """(y, p_hat) as float arrays of one shape; with ``stack``, p_hat may be a stack of
+    such rows, each scored bit for bit as the row alone."""
     y = np.asarray(y, dtype=float)
     p_hat = np.asarray(p_hat, dtype=float)
-    if y.shape != p_hat.shape:
+    if y.shape != (p_hat.shape[p_hat.ndim - y.ndim :] if stack else p_hat.shape):
         raise DimensionMismatchError(f"shape mismatch: {y.shape} vs {p_hat.shape}")
     return y, p_hat
 
 
-def surrogate_rmse(y, p_hat) -> float:
+def _per_row(score: np.ndarray):
+    return float(score) if score.ndim == 0 else score
+
+
+def surrogate_rmse(y, p_hat) -> float | np.ndarray:
     """Root mean squared deviation between responses and mean-scale predictions.
 
     For binary y this penalizes low-confidence correct predictions: a
     correct label predicted at 0.7 still contributes 0.3 of error.
     """
-    y, p_hat = _paired(y, p_hat)
-    return float(np.sqrt(((y - p_hat) ** 2).mean()))
+    y, p_hat = _paired(y, p_hat, stack=True)
+    return _per_row(np.sqrt(((y - p_hat) ** 2).mean(axis=-1)))
 
 
 def beta_rmse(beta_hat, beta0, kind: str = "per_coefficient") -> float:
@@ -40,10 +47,10 @@ def beta_rmse(beta_hat, beta0, kind: str = "per_coefficient") -> float:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def accuracy(y, p_hat, threshold: float = 0.5) -> float:
+def accuracy(y, p_hat, threshold: float = 0.5) -> float | np.ndarray:
     """Binary accuracy of thresholded probability predictions."""
-    y, p_hat = _paired(y, p_hat)
-    return float(np.mean((p_hat >= threshold) == (y == 1.0)))
+    y, p_hat = _paired(y, p_hat, stack=True)
+    return _per_row(np.mean((p_hat >= threshold) == (y == 1.0), axis=-1))
 
 
 def multiclass_accuracy(labels, predicted) -> float:
@@ -82,21 +89,28 @@ UTILITY_CELLS = {
 }
 
 
-def utility_total(y_default, approve, disbursement) -> float:
-    """Total decision utility over loans, additive per loan."""
-    y_default = np.asarray(y_default, dtype=float)
-    approve = np.asarray(approve, dtype=float)
-    v = np.asarray(disbursement, dtype=float)
-    if not (y_default.shape == approve.shape == v.shape):
-        raise DimensionMismatchError("y_default, approve, disbursement must share shape")
-    if np.any(v < 0):
-        raise ValueError("disbursement must be non-negative")
+def check_disbursement(disbursement, rows: int) -> np.ndarray:
+    """The loan amounts as ``rows`` finite values >= 0; the first bad one is named by index."""
+    v = as_array(disbursement, 1, "disbursement")
+    if v.shape[0] != rows:
+        raise DimensionMismatchError(f"disbursement length {v.shape[0]} != rows {rows}")
+    bad = np.flatnonzero(~np.isfinite(v) | (v < 0))
+    if bad.size:
+        i = bad[0]
+        raise InvalidResponseError(f"disbursement must be finite and >= 0; offending index {i}: {v[i]}")
+    return v
+
+
+def utility_total(y_default, approve, disbursement) -> float | np.ndarray:
+    """Total decision utility over loans, additive per loan; one total per row of ``approve``."""
+    y_default, approve = _paired(as_array(y_default, 1, "y_default"), approve, stack=True)
+    v = check_disbursement(disbursement, y_default.shape[0])
     payoff = np.where(
         y_default == 1.0,
         np.where(approve == 1.0, UTILITY_CELLS[1, 1], UTILITY_CELLS[1, 0]),
         np.where(approve == 1.0, UTILITY_CELLS[0, 1], UTILITY_CELLS[0, 0]),
     )
-    return float(np.sum(payoff * v))
+    return _per_row(np.sum(payoff * v, axis=-1))
 
 
 def bootstrap_median_se(values, rng, n_boot: int = 1000) -> float:

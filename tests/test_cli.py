@@ -484,6 +484,22 @@ class TestSensitivityAndSearch:
         assert len(rows) == 6
 
 
+    def test_search_bad_disbursement_is_a_typed_error(self, tmp_path, capsys):
+        val_csv = tmp_path / "val.csv"
+        rows = [[0.1 * i, 1.0 - 0.02 * i, i % 2, 100.0 if i != 4 else -5.0] for i in range(20)]
+        write_csv(val_csv, ["x1", "x2", "y", "amt"], rows)
+        train = tmp_path / "train2.csv"
+        write_csv(train, ["x1", "x2", "y"], [[0.1 * i, 0.5 + 0.03 * i, (i // 2) % 2] for i in range(30)])
+        out = tmp_path / "trace.csv"
+        rc = main(["search", "--train", str(train), "--val", str(val_csv), "--target", "y",
+                   "--objective", "utility", "--disbursement", "amt", "--budget", "4",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: disbursement must be finite and >= 0; offending index 4: -5.0")
+        assert not out.exists()
+
+
 class TestGenerate:
     @pytest.mark.parametrize("kind,cols", [
         ("poisson", 9), ("dmr", 7), ("sinc", 2), ("circular", 3),

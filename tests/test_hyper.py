@@ -1,15 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jacobiprior.hyper as hyper_module
-from jacobiprior.errors import DimensionMismatchError, InvalidHyperError, InvalidResponseError
-from jacobiprior.glm import JacobiHyper, fit_jacobi, predict
+from jacobiprior.errors import (
+    DimensionMismatchError,
+    InvalidHyperError,
+    InvalidResponseError,
+    NoConvergenceError,
+)
+from jacobiprior.glm import JacobiHyper, binary_modes, fit_jacobi, inverse_link, predict
 from jacobiprior.hyper import sensitivity_grid, stochastic_search
-from jacobiprior.linalg import LeastSquaresSolver
+from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver, stable_matvec
 from jacobiprior.rng import SeedSpec, derive_rng
 from jacobiprior.simlab import gen_logistic, gen_poisson, surrogate_rmse, utility_total
+from jacobiprior.simlab.metrics import UTILITY_CELLS
 
 
 def split_data(seed=0, n=120):
@@ -110,13 +118,15 @@ class TestStochasticSearch:
         assert np.isfinite(util.best_score)
 
 
-def family_data(family, seed=0, n=80):
+def family_data(family, seed=0, n=80, n_eval=None):
+    """n // 2 training rows and n_eval (default n - n // 2) evaluation rows."""
     rng = derive_rng(SeedSpec(707, 0), seed)
+    h = n // 2
+    n = n if n_eval is None else h + n_eval
     if family == "poisson":
         X, y = gen_poisson(n, np.array([0.8, -0.4, 0.3]), 1.0, 0.3, rng)
     else:
         X, y = gen_logistic(n, np.array([2.0, -1.0, 0.5]), 1.0, 0.3, rng)
-    h = n // 2
     return X[:h], y[:h], X[h:], y[h:]
 
 
@@ -248,14 +258,20 @@ def bad_inputs():
 class TestInputsCheckedBeforeAnyCell:
     @pytest.fixture()
     def pairs_built(self, monkeypatch):
+        """Records every binary cell's mode call: the first work a cell does."""
         built = []
 
-        def counting_hyper(*args):
+        def counting_modes(*args):
             built.append(args)
-            return JacobiHyper(*args)
+            return binary_modes(*args)
 
-        monkeypatch.setattr(hyper_module, "JacobiHyper", counting_hyper)
+        monkeypatch.setattr(hyper_module, "binary_modes", counting_modes)
         return built
+
+    def test_counter_sees_cells(self, pairs_built):
+        Xtr, ytr, Xte, yte = family_data("logit")
+        sensitivity_grid(Xtr, ytr, Xte, yte, "logit", [0.5, 1.0], [0.5])
+        assert pairs_built == [("logit", 0.5, 0.5), ("logit", 1.0, 0.5)]
 
     @pytest.mark.parametrize("case", sorted(bad_inputs()))
     def test_grid(self, case, pairs_built):
@@ -280,6 +296,47 @@ class TestInputsCheckedBeforeAnyCell:
         assert pairs_built == []
 
 
+def with_entry(v, i, value):
+    v = v.copy()
+    v[i] = value
+    return v
+
+
+class TestDisbursementChecked:
+    @pytest.mark.parametrize(
+        "bad, error, match",
+        [
+            (lambda v: v[:-1], DimensionMismatchError, "disbursement length 39 != rows 40"),
+            (lambda v: np.column_stack([v, v]), DimensionMismatchError, "disbursement must be 1-d"),
+            (lambda v: with_entry(v, 3, -5.0), InvalidResponseError, "offending index 3: -5.0"),
+            (lambda v: with_entry(v, 7, np.nan), InvalidResponseError, "offending index 7: nan"),
+            (lambda v: with_entry(v, 0, np.inf), InvalidResponseError, "offending index 0: inf"),
+        ],
+        ids=["short", "2-d", "negative", "nan", "inf"],
+    )
+    def test_before_the_qr_and_any_cell(self, bad, error, match, monkeypatch):
+        work = []
+
+        class CountingSolver(LeastSquaresSolver):
+            def __init__(self, X):
+                work.append("qr")
+                super().__init__(X)
+
+        monkeypatch.setattr(hyper_module, "LeastSquaresSolver", CountingSolver)
+        monkeypatch.setattr(hyper_module, "binary_modes", lambda *args: work.append("cell"))
+        Xtr, ytr, Xv, yv = family_data("logit")
+        disb = bad(np.linspace(50.0, 150.0, yv.shape[0]))
+        with pytest.raises(error, match=match):
+            stochastic_search(Xtr, ytr, Xv, yv, "logit", budget=5, objective="utility",
+                              disbursement=disb)
+        assert work == []
+
+    def test_other_objectives_ignore_it(self):
+        Xtr, ytr, Xv, yv = family_data("logit")
+        result = stochastic_search(Xtr, ytr, Xv, yv, "logit", budget=3, disbursement=[-1.0])
+        assert len(result.trace) == 3
+
+
 class TestSearchArguments:
     @pytest.mark.parametrize(
         "kwargs, name",
@@ -297,3 +354,119 @@ class TestSearchArguments:
         kwargs = {"budget": 4, **kwargs}
         with pytest.raises(InvalidHyperError, match=name):
             stochastic_search(Xtr, ytr, Xv, yv, "logit", **kwargs)
+
+
+# A batch holds max(1, BLOCK_ROWS // n_eval) cells: BLOCK_ROWS cells at n_eval = 1,
+# 3 at BLOCK_ROWS // 3 and one from BLOCK_ROWS - 1 rows up.
+def cell_at_a_time(Xtr, ytr, Xev, yev, family, disbursement=None):
+    """Reference: predictions and the three objectives for one (a, b) at a time."""
+    solver = LeastSquaresSolver(Xtr)
+    basis = [np.ones(len(ytr))] + ([] if family == "poisson" else [ytr])
+    u, *v = (stable_matvec(Xev, beta) for beta in solver.solve(np.column_stack(basis)).T)
+
+    def predict(a, b):
+        JacobiHyper(a, b)  # InvalidHyperError for a rejected pair
+        if family == "poisson":
+            count = stable_matvec(Xev, solver.solve(np.log(ytr + a)))
+            return inverse_link(count - math.log(1.0 + b) * u, family)
+        m0, m1 = binary_modes(family, a, b)
+        return inverse_link(m0 * u + (m1 - m0) * v[0], family)
+
+    def score(objective, p):
+        if objective == "rmse":
+            return float(np.sqrt(((yev - p) ** 2).mean()))
+        if objective == "accuracy":
+            return -float(np.mean((p >= 0.5) == (yev == 1.0)))
+        approve = 1.0 - (p >= 0.5).astype(float)
+        payoff = np.where(
+            yev == 1.0,
+            np.where(approve == 1.0, UTILITY_CELLS[1, 1], UTILITY_CELLS[1, 0]),
+            np.where(approve == 1.0, UTILITY_CELLS[0, 1], UTILITY_CELLS[0, 0]),
+        )
+        return -float(np.sum(payoff * disbursement))
+
+    return predict, score
+
+
+# (n_eval, valid cells per axis): valid cell counts on either side of one batch
+GRID_BATCHES = [
+    (1, (127, 129)), (1, (128, 128)), (1, (113, 145)),
+    (BLOCK_ROWS // 3, (1, 2)), (BLOCK_ROWS // 3, (1, 3)), (BLOCK_ROWS // 3, (2, 2)),
+    (BLOCK_ROWS // 3, (7, 1)),
+    (BLOCK_ROWS - 1, (1, 2)), (BLOCK_ROWS, (2, 1)), (BLOCK_ROWS + 1, (1, 2)),
+]
+
+
+class TestBatchBoundaries:
+    @pytest.mark.parametrize("family", ["logit", "probit", "poisson"])
+    @pytest.mark.parametrize("n_eval, shape", GRID_BATCHES)
+    def test_grid_equals_cell_at_a_time(self, family, n_eval, shape):
+        Xtr, ytr, Xev, yev = family_data(family, n_eval=n_eval)
+        a_values = [0.0, np.inf, *np.linspace(0.05, 3.0, shape[0])]
+        b_values = [-1.0, *np.linspace(0.1, 2.5, shape[1]), np.nan]
+        report = sensitivity_grid(Xtr, ytr, Xev, yev, family, a_values, b_values)
+        predict, score = cell_at_a_time(Xtr, ytr, Xev, yev, family)
+        want = np.full(report.scores.shape, np.nan)
+        for i, a in enumerate(report.a_values):
+            for j, b in enumerate(report.b_values):
+                try:
+                    want[i, j] = score("rmse", predict(a, b))
+                except InvalidHyperError:
+                    continue
+        assert np.sum(~np.isnan(want)) == shape[0] * shape[1]
+        assert np.array_equal(report.scores, want, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "family, objective, n_eval, budget",
+        [("logit", "utility", 1, BLOCK_ROWS + 1)]
+        + [
+            (family, objective, n_eval, budget)
+            for family in ("logit", "probit", "poisson")
+            for objective in ("rmse", "accuracy", "utility")
+            for n_eval, budget in [(BLOCK_ROWS // 3, 2), (BLOCK_ROWS // 3, 3), (BLOCK_ROWS // 3, 4),
+                                   (BLOCK_ROWS // 3, 7), (BLOCK_ROWS - 1, 2), (BLOCK_ROWS, 2),
+                                   (BLOCK_ROWS + 1, 2)]
+        ],
+    )
+    def test_search_equals_cell_at_a_time(self, family, objective, n_eval, budget):
+        Xtr, ytr, Xev, yev = family_data(family, seed=1, n_eval=n_eval)
+        disb = np.linspace(50.0, 150.0, n_eval)
+        seed = SeedSpec(9, 4)
+        result = stochastic_search(Xtr, ytr, Xev, yev, family, budget, seed=seed,
+                                   objective=objective, disbursement=disb, lo=0.05)
+        predict, score = cell_at_a_time(Xtr, ytr, Xev, yev, family, disb)
+        candidates = np.exp(derive_rng(seed, 0).uniform(np.log(0.05), np.log(2.0), size=(budget, 2)))
+        want = [(float(a), float(b), score(objective, predict(a, b))) for a, b in candidates]
+        assert result.trace == want
+        assert result.skipped == 0
+        assert (result.best_a, result.best_b, result.best_score) == min(want, key=lambda t: t[2])
+
+    @pytest.mark.parametrize("family", ["logit", "probit", "poisson"])
+    def test_prefix_property_across_a_batch(self, family):
+        Xtr, ytr, Xv, yv = family_data(family, seed=2, n_eval=BLOCK_ROWS // 3)  # 3 cells a batch
+        for short, long in ((2, 5), (3, 4), (4, 9)):
+            small = stochastic_search(Xtr, ytr, Xv, yv, family, short, seed=SeedSpec(4, 1), lo=0.05)
+            large = stochastic_search(Xtr, ytr, Xv, yv, family, long, seed=SeedSpec(4, 1), lo=0.05)
+            assert large.trace[:short] == small.trace
+
+    def test_non_converging_probit_pair_keeps_its_error(self):
+        Xtr, ytr, Xv, yv = family_data("probit", seed=3, n_eval=BLOCK_ROWS // 3)
+        with pytest.raises(NoConvergenceError) as direct:
+            binary_modes("probit", 1e-3, 1e-3)
+        with pytest.raises(NoConvergenceError) as grid:
+            sensitivity_grid(Xtr, ytr, Xv, yv, "probit", [0.5, 1e-3, 1.0], [0.7, 1e-3])
+        assert str(grid.value) == str(direct.value)
+        # The search's first failing candidate comes after the first full batch.
+        seed = SeedSpec(8, 1)
+        candidates = np.exp(derive_rng(seed, 0).uniform(np.log(1e-3), np.log(2.0), size=(40, 2)))
+        first = None
+        for k, (a, b) in enumerate(candidates):
+            try:
+                binary_modes("probit", float(a), float(b))
+            except NoConvergenceError as exc:
+                first = k, str(exc)
+                break
+        assert first is not None and first[0] >= 3
+        with pytest.raises(NoConvergenceError) as search:
+            stochastic_search(Xtr, ytr, Xv, yv, "probit", 40, seed=seed)
+        assert str(search.value) == first[1]

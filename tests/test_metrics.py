@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jacobiprior.errors import DimensionMismatchError, InsufficientDataError
+from jacobiprior.errors import DimensionMismatchError, InsufficientDataError, InvalidResponseError
 from jacobiprior.rng import SeedSpec, derive_rng
 from jacobiprior.simlab import (
     accuracy,
@@ -86,8 +86,31 @@ class TestUtility:
         assert utility_total(y, approve, v) == pytest.approx(-70.0 + 50.0)
 
     def test_negative_disbursement_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidResponseError, match="offending index 0: -5.0"):
             utility_total([1.0], [1.0], [-5.0])
+
+
+class TestStackedRows:
+    """A stack of prediction rows scores each row exactly as that row alone."""
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 129, 1001])  # around the pairwise-sum block sizes
+    def test_each_row_scores_as_alone(self, n):
+        rng = derive_rng(SeedSpec(3, 0), n)
+        y = (rng.random(n) < 0.4).astype(float)
+        P = rng.random((6, n))
+        v = rng.uniform(0.0, 100.0, n)
+        rmse = surrogate_rmse(y, P)
+        assert np.array_equal(rmse, [surrogate_rmse(y, row) for row in P])
+        assert np.array_equal(rmse, [float(np.sqrt(((y - row) ** 2).mean())) for row in P])
+        assert np.array_equal(accuracy(y, P), [accuracy(y, row) for row in P])
+        approve = P < 0.5
+        assert np.array_equal(utility_total(y, approve, v), [utility_total(y, a, v) for a in approve])
+
+    def test_row_length_must_match(self):
+        with pytest.raises(DimensionMismatchError):
+            surrogate_rmse(np.zeros(3), np.zeros((2, 4)))
+        with pytest.raises(DimensionMismatchError):
+            utility_total(np.zeros(3), np.zeros((2, 4)), np.ones(3))
 
 
 class TestBootstrapMedianSe:

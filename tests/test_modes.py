@@ -132,6 +132,13 @@ class TestProbitMode:
         with pytest.raises(ImproperPosteriorError):
             probit_mode(1, -1.0, 0.5)
 
+    @settings(max_examples=50)
+    @given(y=st.sampled_from([0, 1]), a=shapes, b=shapes)
+    def test_numpy_scalar_shapes_give_the_float_mode(self, y, a, b):
+        mode = probit_mode(y, np.float64(a), np.float64(b))
+        assert type(mode) is float
+        assert mode == probit_mode(y, a, b)
+
     def test_invalid_response(self):
         with pytest.raises(InvalidResponseError):
             probit_mode(0.5, 1.0, 1.0)
