@@ -74,10 +74,9 @@ def cmd_fit(args) -> int:
         data = load_csv_dataset(args.train, target=args.target)
         y, fit_family, class_names = data.y, family, []
     model = fit_jacobi(data.X, y, fit_family, _hyper_from_args(args, fit_family))
-    stored = StoredModel.from_glm(model, data.feature_names, class_names)
-    stored.save(args.model_out)
-    a, b = stored.a_effective, stored.b_effective
-    print(f"fitted {family} model on n={stored.n_train} (a={a:g}, b={b:g}) -> {args.model_out}")
+    StoredModel.from_glm(model, data.feature_names, class_names).save(args.model_out)
+    a, b = model.hyper.resolve(model.n_train)
+    print(f"fitted {family} model on n={model.n_train} (a={a:g}, b={b:g}) -> {args.model_out}")
     return 0
 
 

@@ -37,8 +37,8 @@ class InvalidResponseError(JacobiPriorError):
     """A response value (or a per-row amount such as a loan disbursement) is outside its support."""
 
 
-class ImproperPosteriorError(JacobiPriorError):
-    """Posterior exponents make the per-observation density non-integrable."""
+class ImproperPosteriorError(InvalidHyperError):
+    """Posterior exponents make the per-observation density non-integrable: a shape pair too small."""
 
 
 class NoConvergenceError(JacobiPriorError):

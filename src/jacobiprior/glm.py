@@ -102,10 +102,16 @@ class FittedGLM:
         return self.beta
 
 
-def _check_binary_scalar(y) -> int:
+def _posterior_shapes(y, a: float, b: float) -> tuple[int, float, float]:
+    """(y, y + a, b + 1 - y): y checked, and the binary posterior's Beta shapes, both > 0."""
     if y not in (0, 1, 0.0, 1.0):
         raise InvalidResponseError(f"binary response must be 0 or 1, got {y!r}")
-    return int(y)
+    y = int(y)
+    num = y + a
+    den = b + 1.0 - y
+    if num <= 0 or den <= 0:
+        raise ImproperPosteriorError(f"need y + a > 0 and b + 1 - y > 0, got {num}, {den}")
+    return y, num, den
 
 
 def logit_mode(y, a: float, b: float) -> float:
@@ -115,12 +121,11 @@ def logit_mode(y, a: float, b: float) -> float:
     success probability updated by y, transported to the log-odds
     scale.
     """
-    y = _check_binary_scalar(y)
-    num = y + a
-    den = b + 1.0 - y
-    if num <= 0 or den <= 0:
-        raise InvalidHyperError(f"need y + a > 0 and b + 1 - y > 0, got {num}, {den}")
-    return math.log(num / den)
+    _, num, den = _posterior_shapes(y, a, b)
+    ratio = num / den
+    if not 0 < ratio < math.inf:  # 1e-300 / 1e300 underflows, 1e300 / 1e-10 overflows
+        raise InvalidHyperError(f"need (y + a) / (b + 1 - y) in (0, inf), got {num} / {den}")
+    return math.log(ratio)
 
 
 def poisson_mode(y, a: float, b: float) -> float:
@@ -159,13 +164,9 @@ def probit_mode(y, a: float, b: float) -> float:
     a sign change of the gradient is guaranteed inside
     [-PROBIT_BRACKET, PROBIT_BRACKET] for any valid (y, a, b).
     """
-    y = _check_binary_scalar(y)
-    if y + a <= 0 or b - y + 1.0 <= 0:
-        raise ImproperPosteriorError(
-            f"posterior Beta({y + a}, {b - y + 1.0}) has a non-positive shape"
-        )
     a, b = float(a), float(b)  # numpy-scalar arithmetic doubles the Newton's cost, same bits
-    c1 = y + a - 1.0
+    y, num, _ = _posterior_shapes(y, a, b)
+    c1 = num - 1.0
     c2 = b - y
     lo, hi = -PROBIT_BRACKET, PROBIT_BRACKET
     g_lo, _ = _probit_grad_hess(lo, c1, c2)

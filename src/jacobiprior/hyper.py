@@ -78,7 +78,7 @@ def _surface(X_train, y_train, X_eval, y_eval, family: str):
             if valid_shape(a) and valid_shape(b):
                 try:  # the modes (m0, m1), or (a, log(1 + b)) for poisson
                     cells.append((a, math.log(1.0 + b)) if poisson else binary_modes(family, a, b))
-                except InvalidHyperError:  # e.g. logit's b + 1 - y rounds to 0 for a tiny b
+                except InvalidHyperError:  # e.g. b + 1 - y rounds to 0 for a tiny b
                     continue
                 kept.append(k)
         for i in range(0, len(cells), step):

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dmr import softmax_rows
+from .dmr import predict_proba
 from .errors import (
     ConfigError, DimensionMismatchError, InvalidHyperError, MissingFeatureError, is_count,
 )
-from .glm import FAMILIES, FittedGLM, JacobiHyper, inverse_link
-from .linalg import as_finite, as_matrix, stable_matvec
+from .glm import FAMILIES, FittedGLM, JacobiHyper, predict
+from .linalg import as_finite
 
 MODEL_FORMAT = "jacobiprior-model"
 MODEL_VERSION = 1
@@ -170,48 +170,38 @@ _NAMES = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v) a
 
 
 @dataclass
-class StoredModel:
-    """On-disk form of a fitted model plus the metadata predict needs."""
+class StoredModel(FittedGLM):
+    """A ``FittedGLM`` plus the column and class names its model file records.
 
-    family: str  # a GLM family, or "multinomial" for a p x K count fit
-    hyper: JacobiHyper
-    a_effective: float
-    b_effective: float
-    feature_names: list
-    n_train: int
-    beta: np.ndarray  # p-vector, or p x K (one column per class name)
+    A p x K fit is written as family ``"multinomial"`` over ``class_names``
+    and read back as the ``poisson`` fit ``fit_dmr`` returns. The file holds
+    no training latents, so a loaded model's ``eta_hat`` is empty.
+    """
+
+    feature_names: list = field(default_factory=list)
     class_names: list = field(default_factory=list)
 
     @property
     def kind(self) -> str:
-        return KIND_OF_FAMILY[self.family]
+        return "dmr" if self.beta.ndim == 2 else "glm"
 
     @classmethod
     def from_glm(cls, model: FittedGLM, feature_names, class_names=()) -> "StoredModel":
-        """A p x K fit is stored as a multinomial model over ``class_names``."""
-        a, b = model.hyper.resolve(model.n_train)
-        return cls(
-            family="multinomial" if model.beta.ndim == 2 else model.family,
-            hyper=model.hyper,
-            a_effective=a,
-            b_effective=b,
-            feature_names=list(feature_names),
-            n_train=model.n_train,
-            beta=model.beta,
-            class_names=list(class_names),
-        )
+        return cls(model.beta, model.family, model.hyper, model.eta_hat, model.n_train,
+                   list(feature_names), list(class_names))
 
     def to_json(self) -> dict:
+        a, b = self.hyper.resolve(self.n_train)
         doc = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "kind": self.kind,
-            "family": self.family,
+            "family": "multinomial" if self.kind == "dmr" else self.family,
             "a": self.hyper.a,
             "b": self.hyper.b,
             "schedule": self.hyper.schedule,
-            "a_effective": self.a_effective,
-            "b_effective": self.b_effective,
+            "a_effective": a,
+            "b_effective": b,
             "feature_names": self.feature_names,
             "n_train": self.n_train,
         }
@@ -253,20 +243,12 @@ class StoredModel:
                     raise ConfigError(f"key {name!r}: {exc}") from None
             hyper = JacobiHyper(doc["a"], doc["b"], doc["schedule"])
             n_train = _take(doc, "n_train", is_count, "an integer >= 1")
-            a_eff, b_eff = hyper.resolve(n_train)  # what from_glm writes; anything else contradicts a, b
+            a_eff, b_eff = hyper.resolve(n_train)  # what to_json writes; anything else contradicts a, b
             for name, want in (("a_effective", a_eff), ("b_effective", b_eff)):
                 _take(doc, name, lambda v: type(v) in (int, float) and v == want,
                       f"{want!r}, the {hyper.schedule} value for n_train {n_train}")
-            return cls(
-                family=family,
-                hyper=hyper,
-                a_effective=a_eff,
-                b_effective=b_eff,
-                feature_names=feature_names,
-                n_train=n_train,
-                beta=coef,
-                class_names=class_names,
-            )
+            return cls(coef, "poisson" if kind == "dmr" else family, hyper, np.empty(0), n_train,
+                       feature_names, class_names)
         except KeyError as exc:
             raise ConfigError(f"missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
@@ -295,10 +277,8 @@ class StoredModel:
         missing = [f for f in self.feature_names if f not in data.feature_names]
         if missing:
             raise MissingFeatureError(f"data is missing feature column {missing[0]!r}")
-        idx = [data.feature_names.index(f) for f in self.feature_names]
-        return as_matrix(data.X[:, idx])
+        return data.X[:, [data.feature_names.index(f) for f in self.feature_names]]
 
     def predict_mean(self, data: CsvDataset) -> np.ndarray:
         """Mean-scale predictions; class probabilities (n x K) for multinomial."""
-        eta = stable_matvec(self.design_from(data), self.beta)
-        return softmax_rows(eta) if self.kind == "dmr" else inverse_link(eta, self.family)
+        return (predict_proba if self.kind == "dmr" else predict)(self, self.design_from(data))

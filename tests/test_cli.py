@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from jacobiprior import modelio
 from jacobiprior.cli import main
-from jacobiprior.dmr import softmax_rows
+from jacobiprior.dmr import CountTable, fit_dmr, predict_proba, softmax_rows
 from jacobiprior.errors import ConfigError
 from jacobiprior.glm import JacobiHyper, default_hyper, fit_jacobi, inverse_link, predict
 from jacobiprior.hyper import sensitivity_grid, stochastic_search
@@ -90,6 +90,34 @@ class TestFitPredict:
         assert doc["a_effective"] == pytest.approx(1.0 / 120.0)
         assert doc["b_effective"] == pytest.approx(1.0 / 120.0)
 
+    @pytest.mark.parametrize("kind, flags, shapes", [
+        ("logistic", ["--family", "logit"], (0.5, 0.5, "fixed", 0.5, 0.5)),
+        ("logistic", ["--family", "probit", "--schedule", "one-over-n"],
+         (0.5, 0.5, "one_over_n", 1 / 120, 1 / 120)),
+        ("poisson", ["--family", "poisson"], (1.0, 1.0, "fixed", 1.0, 1.0)),
+    ])
+    def test_glm_model_file_bytes(self, tmp_path, kind, flags, shapes):
+        train, model_path = tmp_path / "train.csv", tmp_path / "model.json"
+        assert main(["generate", "--kind", kind, "--n", "120", "--seed", "5", "--out", str(train)]) == 0
+        assert main(["fit", "--train", str(train), "--target", "y", *flags,
+                     "--model-out", str(model_path)]) == 0
+        data = load_csv_dataset(train, target="y")
+        family, (a, b, schedule, a_eff, b_eff) = flags[1], shapes
+        fit = fit_jacobi(data.X, data.y, family, JacobiHyper(a, b, schedule))
+        # A literal version-1 glm document, keys in the written order.
+        doc = {
+            "format": "jacobiprior-model", "version": 1, "kind": "glm", "family": family,
+            "a": a, "b": b, "schedule": schedule, "a_effective": a_eff, "b_effective": b_eff,
+            "feature_names": [f"x{j}" for j in range(1, 9)], "n_train": 120,
+            "beta": fit.beta.tolist(),
+        }
+        assert model_path.read_text() == json.dumps(doc, indent=2) + "\n"
+        stored = StoredModel.load(model_path)
+        stored.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == model_path.read_bytes()
+        assert stored.eta_hat.size == 0 and stored.family == family
+        np.testing.assert_array_equal(stored.predict_mean(data), predict(fit, data.X))
+
     def test_permuted_columns_same_predictions(self, tmp_path, train_csv):
         model_path = tmp_path / "model.json"
         main(["fit", "--train", str(train_csv), "--target", "y",
@@ -114,9 +142,9 @@ class TestFitPredict:
         permuted = modelio.CsvDataset([names[i] for i in order], X[:, order])
         for family, beta, classes in (
             ("logit", rng.standard_normal(4), []),
-            ("multinomial", rng.standard_normal((4, 3)), ["a", "b", "c"]),
+            ("poisson", rng.standard_normal((4, 3)), ["a", "b", "c"]),
         ):
-            stored = StoredModel(family, JacobiHyper(), 0.5, 0.5, names, 100, beta, classes)
+            stored = StoredModel(beta, family, JacobiHyper(), np.empty(0), 100, names, classes)
             # The reference sums whole columns in model order, with no row blocks.
             eta = functools.reduce(np.add, (np.multiply.outer(X[:, j], beta[j]) for j in range(4)))
             want = softmax_rows(eta) if classes else inverse_link(eta, family)
@@ -181,6 +209,15 @@ class TestFitPredict:
             "n_train": 60, "betas": betas, "class_names": ["blue", "green", "red"],
         }
         assert model_path.read_text() == json.dumps(old_doc, indent=2) + "\n"
+        stored = StoredModel.load(model_path)
+        stored.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == model_path.read_bytes()
+        assert stored.family == "poisson" and stored.beta.shape == (2, 3)
+        csv_data = load_csv_dataset(data, classes="color")
+        idx = np.unique(np.array(csv_data.labels, dtype=object), return_inverse=True)[1]
+        fit = fit_dmr(csv_data.X, CountTable.from_labels(idx, 3), JacobiHyper(1.0, 1.0))
+        np.testing.assert_array_equal(stored.beta, fit.beta)
+        np.testing.assert_array_equal(stored.predict_mean(csv_data), predict_proba(fit, csv_data.X))
         old_path, old_out = tmp_path / "old.json", tmp_path / "old.csv"
         old_path.write_text(json.dumps(old_doc))
         rc = main(["predict", "--model", str(old_path), "--data", str(data), "--out", str(old_out)])
@@ -347,8 +384,8 @@ class TestPredictBadModelFile:
         path = tmp_path / "broken.json"
         assert err == f"error: {path}: key 'beta' contains a non-finite entry at index 1: nan\n"
         names, classes = ["x1", "x2"], ["a", "b", "c"]
-        doc = StoredModel("multinomial", JacobiHyper(1.0, 1.0), 1.0, 1.0, names, 60,
-                          np.zeros((2, 3)), classes).to_json()
+        doc = StoredModel(np.zeros((2, 3)), "poisson", JacobiHyper(1.0, 1.0), np.empty(0), 60,
+                          names, classes).to_json()
         for bad in (float("inf"), None):
             doc["betas"][1][2] = bad
             with pytest.raises(ConfigError, match=r"key 'betas' contains a non-finite "
@@ -515,6 +552,15 @@ class TestGenerate:
 
 
 class TestNonFiniteShapeFlag:
+    @pytest.mark.parametrize("family", ["logit", "probit"])
+    def test_tiny_b_exits_2_in_both_binary_families(self, train_csv, tmp_path, capsys, family):
+        model_path = tmp_path / "m.json"
+        rc = main(["fit", "--train", str(train_csv), "--target", "y", "--family", family,
+                   "--a", "1", "--b", "1e-17", "--model-out", str(model_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need y + a > 0 and b + 1 - y > 0, got 2.0, 0.0\n"
+        assert not model_path.exists()
+
     def test_infinite_a_exits_2(self, train_csv, tmp_path, capsys):
         model_path = tmp_path / "m.json"
         rc = main(["fit", "--train", str(train_csv), "--target", "y",

@@ -59,6 +59,16 @@ class TestNonFiniteShapes:
         with pytest.raises(InvalidHyperError, match=shown):
             fit_jacobi(X, y, family, JacobiHyper(a, b))
 
+    @pytest.mark.parametrize("family, a, b", [
+        ("logit", 1e-300, 1e300), ("logit", 1e300, 1e-10), ("logit", 1.0, 1e-17),
+        ("probit", 1.0, 1e-17), ("probit", 1.0, 8e-17),
+    ])
+    def test_shapes_no_mode_can_use_are_invalid_hyper(self, family, a, b):
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        with pytest.raises(InvalidHyperError, match=r"^need "):
+            fit_jacobi(X, y, family, JacobiHyper(a, b))
+
 
 class TestLatentVector:
     def test_logit_elementwise(self):

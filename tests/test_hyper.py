@@ -449,6 +449,14 @@ class TestBatchBoundaries:
             large = stochastic_search(Xtr, ytr, Xv, yv, family, long, seed=SeedSpec(4, 1), lo=0.05)
             assert large.trace[:short] == small.trace
 
+    @pytest.mark.parametrize("family", ["logit", "probit"])
+    def test_tiny_b_gives_a_nan_cell_in_both_binary_families(self, family):
+        Xtr, ytr, Xte, yte = family_data(family)
+        report = sensitivity_grid(Xtr, ytr, Xte, yte, family, [1.0, 2.0], [1e-17, 8e-17, 1.0])
+        assert np.isnan(report.scores[:, :2]).all()
+        want = sensitivity_grid(Xtr, ytr, Xte, yte, family, [1.0, 2.0], [1.0]).scores
+        assert np.array_equal(report.scores[:, 2:], want)
+
     def test_non_converging_probit_pair_keeps_its_error(self):
         Xtr, ytr, Xv, yv = family_data("probit", seed=3, n_eval=BLOCK_ROWS // 3)
         with pytest.raises(NoConvergenceError) as direct:

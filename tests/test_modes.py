@@ -62,6 +62,31 @@ class TestLogitMode:
         assert logit_mode(1, a, b) > logit_mode(0, a, b)
 
 
+class TestBinaryShapeCheck:
+    """Both binary modes refuse a shape pair by one rule, one message and one type."""
+
+    @pytest.mark.parametrize("b", [1e-17, 8e-17])
+    def test_tiny_b_refused_alike(self, b):
+        # At y = 1, b + 1 - y rounds to 0 for both b (b - y + 1 would not at 8e-17).
+        messages = []
+        for mode in (logit_mode, probit_mode):
+            with pytest.raises(ImproperPosteriorError) as exc:
+                mode(1, 1.0, b)
+            messages.append(str(exc.value))
+        assert messages == ["need y + a > 0 and b + 1 - y > 0, got 2.0, 0.0"] * 2
+        assert issubclass(ImproperPosteriorError, InvalidHyperError)
+
+    @pytest.mark.parametrize("y, a, b", [(0, 1e-300, 1e300), (1, 1e300, 1e-10)])
+    def test_logit_ratio_outside_zero_to_inf_is_typed(self, y, a, b):
+        # (y + a) / (b + 1 - y) underflows to 0 or overflows to inf: log has no finite value.
+        with pytest.raises(InvalidHyperError, match=r"need \(y \+ a\) / \(b \+ 1 - y\) in \(0, inf\)"):
+            logit_mode(y, a, b)
+
+    def test_logit_ratio_near_the_ends_still_fits(self):
+        assert logit_mode(0, 1e-150, 1e150) == math.log(1e-150 / (1e150 + 1.0))
+        assert logit_mode(1, 1e300, 1.0) == math.log((1.0 + 1e300) / 1.0)
+
+
 class TestPoissonMode:
     def test_direct_values(self):
         assert poisson_mode(0, 1.0, 1.0) == pytest.approx(math.log(0.5), abs=1e-12)
