@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: fit, predict, experiment, sensitivity, search, shards,
-uncertainty, generate. Each subcommand accepts only the flags it reads.
+uncertainty, generate. Each subcommand accepts only the flags it reads
+and imports only the modules it runs (fit and predict load no GP code).
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration
 error (including a malformed model file or CSV).
 """
@@ -18,22 +19,7 @@ import numpy as np
 from .dmr import CountTable
 from .errors import ConfigError, InvalidHyperError, JacobiPriorError
 from .glm import FAMILIES, JacobiHyper, default_hyper, fit_jacobi
-from .hyper import sensitivity_grid, stochastic_search
-from .mc import sample_beta, summarize
 from .modelio import StoredModel, load_csv_dataset, write_csv
-from .partition import run_harness, shard_message_json
-from .rng import SeedSpec, derive_rng
-from .simlab import (
-    EXP_LOGISTIC_BETA,
-    EXP_POISSON_BETA,
-    ExperimentConfig,
-    gen_circular,
-    gen_dmr,
-    gen_logistic,
-    gen_poisson,
-    gen_sinc,
-    run_experiment,
-)
 
 
 def _hyper_from_args(args, family: str) -> JacobiHyper:
@@ -95,6 +81,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .simlab import ExperimentConfig, run_experiment
+
     with open(args.config, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -113,6 +101,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    from .hyper import sensitivity_grid
+
     train = load_csv_dataset(args.train, target=args.target)
     test = load_csv_dataset(args.test, target=args.target)
     default = np.linspace(args.grid_min, args.grid_max, args.grid_steps).tolist()
@@ -128,6 +118,9 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .hyper import stochastic_search
+    from .rng import SeedSpec
+
     train = load_csv_dataset(args.train, target=args.target)
     val = load_csv_dataset(
         args.val, target=args.target, disbursement=args.disbursement
@@ -152,6 +145,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_shards(args) -> int:
+    from .partition import run_harness, shard_message_json
+    from .rng import SeedSpec
+
     data = load_csv_dataset(args.data, target=args.target)
     hyper = _hyper_from_args(args, args.family)
     result = run_harness(
@@ -177,6 +173,9 @@ def cmd_shards(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
+    from .mc import sample_beta, summarize
+    from .rng import SeedSpec
+
     data = load_csv_dataset(args.data, target=args.target)
     hyper = _hyper_from_args(args, args.family)
     draws = sample_beta(
@@ -198,19 +197,22 @@ def cmd_uncertainty(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import simlab
+    from .rng import SeedSpec, derive_rng
+
     rng = derive_rng(SeedSpec(args.seed, args.stream), 0)
     if args.kind == "logistic":
-        X, y = gen_logistic(args.n, EXP_LOGISTIC_BETA, 3.0, 0.5, rng)
+        X, y = simlab.gen_logistic(args.n, simlab.EXP_LOGISTIC_BETA, 3.0, 0.5, rng)
     elif args.kind == "poisson":
-        X, y = gen_poisson(args.n, EXP_POISSON_BETA, 1.0, 0.5, rng)
+        X, y = simlab.gen_poisson(args.n, simlab.EXP_POISSON_BETA, 1.0, 0.5, rng)
     elif args.kind == "dmr":
-        X, counts, _ = gen_dmr(args.n, args.n_features, args.n_classes, rng)
+        X, counts, _ = simlab.gen_dmr(args.n, args.n_features, args.n_classes, rng)
         # Drop the generator's intercept column; the CSV carries raw features.
         X, y = X[:, 1:], counts.counts
     elif args.kind == "sinc":
-        X, y = gen_sinc(args.n, rng, noise_sd=args.noise_sd)
+        X, y = simlab.gen_sinc(args.n, rng, noise_sd=args.noise_sd)
     else:
-        X, y = gen_circular(args.n, rng)
+        X, y = simlab.gen_circular(args.n, rng)
     y = y.reshape(args.n, -1).astype(np.int64)
     x_names = ["x"] if args.kind == "sinc" else [f"x{j + 1}" for j in range(X.shape[1])]
     y_names = [f"count_{k}" for k in range(y.shape[1])] if args.kind == "dmr" else ["y"]

@@ -136,13 +136,23 @@ def poisson_mode(y, a: float, b: float) -> float:
     """
     if y < 0 or y != int(y):
         raise InvalidResponseError(f"count response must be a non-negative integer, got {y!r}")
-    num = y + a
-    den = 1.0 + b
-    if num <= 0:
-        raise InvalidHyperError(f"need y + a > 0, got {num}")
-    if den <= 0:
-        raise InvalidHyperError(f"need 1 + b > 0, got {den}")
-    return math.log(num / den)
+    if y + a <= 0:
+        raise InvalidHyperError(f"need y + a > 0, got {y + a}")
+    if 1.0 + b <= 0:
+        raise InvalidHyperError(f"need 1 + b > 0, got {1.0 + b}")
+    return math.log(_count_ratio(y, a, b))
+
+
+def _count_ratio(y, a: float, b: float):
+    """(y + a) / (1 + b) for a count or count array, the count mode's argument of log, checked
+    to lie in (0, inf); a valid shape pair need not give that: 1e-300 / (1 + 1e300) is 0."""
+    ratio = (y + a) / (1.0 + b)
+    # Two reductions cost half of a (0 < ratio) & (ratio < inf) mask at n = 100.
+    lo = np.minimum.reduce(ratio, axis=None, initial=1.0)  # initial=1.0: an empty y passes
+    hi = np.maximum.reduce(ratio, axis=None, initial=1.0)
+    if not 0 < lo <= hi < math.inf:
+        raise InvalidHyperError(f"need (y + a) / (1 + b) in (0, inf), got a={a}, b={b}")
+    return ratio
 
 
 def _probit_grad_hess(eta: float, c1: float, c2: float) -> tuple[float, float]:
@@ -247,7 +257,7 @@ def _latents(y: np.ndarray, family: str, hyper: JacobiHyper) -> np.ndarray:
     """``latent_vector`` of a y that has been through ``check_response``."""
     a, b = hyper.resolve(y.shape[0])
     if family == "poisson":
-        return np.log((y + a) / (1.0 + b))
+        return np.log(_count_ratio(y, a, b))
     mode0, mode1 = binary_modes(family, a, b)
     return np.where(y == 1.0, mode1, mode0)
 

@@ -570,6 +570,17 @@ class TestNonFiniteShapeFlag:
         assert err.startswith("error: ") and "a=inf" in err
         assert not model_path.exists()
 
+    def test_underflowing_poisson_ratio_exits_2(self, tmp_path, capsys):
+        train = tmp_path / "counts.csv"
+        write_csv(train, ["x1", "y"], [[0.5, 0], [1.5, 2], [-1.0, 1], [2.0, 4]])
+        model_path = tmp_path / "m.json"
+        rc = main(["fit", "--train", str(train), "--target", "y", "--family", "poisson",
+                   "--a", "1e-300", "--b", "1e300", "--model-out", str(model_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: need (y + a) / (1 + b) in (0, inf), got a=1e-300, b=1e+300\n"
+        assert not model_path.exists()
+
 
 def dmr_columns(n, rng):
     X, counts, _ = gen_dmr(n, 3, 4, rng)
@@ -690,3 +701,28 @@ def test_write_then_load_round_trips_exactly(tmp_path_factory, M):
     data = load_csv_dataset(path)
     assert data.feature_names == names
     assert np.array_equal(data.X, M) and np.array_equal(np.signbit(data.X), np.signbit(M))
+
+
+class TestFreshInterpreter:
+    """The CLI as it is run: one new process per call."""
+
+    def test_import_loads_only_what_fit_and_predict_run(self, fresh_python):
+        loaded = fresh_python("-c", "import sys, jacobiprior.cli; print(*sys.modules)").split()
+        unused = [f"jacobiprior.{m}" for m in ("gp", "hyper", "mc", "mle", "partition", "simlab")]
+        assert [m for m in loaded if m in unused + ["scipy.spatial"]] == []
+
+    def test_generate_fit_predict_match_in_process(self, tmp_path, fresh_python, capsys):
+        steps = [
+            ["generate", "--kind", "logistic", "--n", "100", "--seed", "3", "--out", "{}/data.csv"],
+            ["fit", "--train", "{}/data.csv", "--target", "y", "--model-out", "{}/model.json"],
+            ["predict", "--model", "{}/model.json", "--data", "{}/data.csv", "--out", "{}/preds.csv"],
+        ]
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        fresh.mkdir()
+        here.mkdir()
+        for step in steps:
+            printed = fresh_python("-m", "jacobiprior.cli", *(arg.format(fresh) for arg in step))
+            assert main([arg.format(here) for arg in step]) == 0
+            assert printed.replace(str(fresh), "D") == capsys.readouterr().out.replace(str(here), "D")
+        for name in ("data.csv", "model.json", "preds.csv"):
+            assert (fresh / name).read_bytes() == (here / name).read_bytes()

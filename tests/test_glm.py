@@ -69,6 +69,22 @@ class TestNonFiniteShapes:
         with pytest.raises(InvalidHyperError, match=r"^need "):
             fit_jacobi(X, y, family, JacobiHyper(a, b))
 
+    def test_poisson_ratio_underflow_is_invalid_hyper(self):
+        # (0 + 1e-300) / (1 + 1e300) underflows to 0, which has no log.
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        y = np.array([0.0, 2.0, 1.0, 5.0, 3.0, 0.0])
+        message = r"^need \(y \+ a\) / \(1 \+ b\) in \(0, inf\), got a=1e-300, b=1e\+300$"
+        with pytest.raises(InvalidHyperError, match=message):
+            fit_jacobi(X, y, "poisson", JacobiHyper(1e-300, 1e300))
+        with pytest.raises(InvalidHyperError, match=message):
+            latent_vector(np.column_stack([y + 1.0, y]), "poisson", JacobiHyper(1e-300, 1e300))
+
+    def test_poisson_ratio_near_the_ends_keeps_its_bits(self):
+        y = np.array([0.0, 1.0, 7.0])
+        out = latent_vector(y, "poisson", JacobiHyper(1e-150, 1e150))
+        assert np.array_equal(out, np.log((y + 1e-150) / (1.0 + 1e150)))
+        assert latent_vector([], "poisson").shape == (0,)
+
 
 class TestLatentVector:
     def test_logit_elementwise(self):

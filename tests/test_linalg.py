@@ -291,3 +291,30 @@ class TestStableMatvec:
         for j in range(k):
             np.testing.assert_array_equal(got[:, j], stable_matvec(X, betas[:, j]))
         np.testing.assert_array_equal(X, before)
+
+
+# Prints the hex bytes of logit fits on seeded designs: p = 8 and 32 go through the
+# row-blocked factor (n >= 2 BLOCK_ROWS), p = 200 through one dgeqrf.
+THREAD_FITS = """
+import numpy as np
+from jacobiprior.glm import fit_jacobi
+for n, p in ((40_000, 8), (40_000, 32), (2_000, 200)):
+    rng = np.random.default_rng(p)
+    X = rng.standard_normal((n, p))
+    y = (rng.random(n) < 0.5).astype(float)
+    print(fit_jacobi(X, y, "logit").beta.tobytes().hex())
+"""
+
+
+def test_fits_repeat_at_a_fixed_blas_thread_count(fresh_python):
+    """README "Determinism": bits hold at a fixed BLAS thread count; across counts, dgeqrf
+    may round differently, at about 1e-15 relative to the coefficient vector."""
+    def fits(threads):
+        out = fresh_python("-c", THREAD_FITS, OPENBLAS_NUM_THREADS=threads)
+        return [np.frombuffer(bytes.fromhex(line)) for line in out.split()]
+
+    one, again, two = fits("1"), fits("1"), fits("2")
+    assert [b.shape for b in one] == [(8,), (32,), (200,)]
+    for b1, b1_again, b2 in zip(one, again, two):
+        assert np.array_equal(b1, b1_again)
+        assert rel_err(b2, b1) <= 1e-12

@@ -100,6 +100,16 @@ class TestPoissonMode:
                     expected = math.log((y + a) / (1 + b))
                     assert poisson_mode(y, a, b) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("a, b", [(1e-300, 1e300), (math.nan, 1.0)])
+    def test_ratio_outside_zero_to_inf_is_typed(self, a, b):
+        # 1e-300 / (1 + 1e300) underflows to 0; a NaN shape has no ratio at all.
+        with pytest.raises(InvalidHyperError, match=r"need \(y \+ a\) / \(1 \+ b\) in \(0, inf\)"):
+            poisson_mode(0, a, b)
+
+    def test_ratio_near_the_ends_still_fits(self):
+        assert poisson_mode(0, 1e-150, 1e150) == math.log(1e-150 / (1.0 + 1e150))
+        assert poisson_mode(2, 1e300, 1.0) == math.log((2 + 1e300) / 2.0)
+
     def test_invalid_response(self):
         with pytest.raises(InvalidResponseError):
             poisson_mode(-1, 1.0, 1.0)
