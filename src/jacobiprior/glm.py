@@ -31,7 +31,7 @@ FAMILIES = ("logit", "probit", "poisson")
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 PROBIT_TOL = 1e-10  # probit_mode stops at |grad| <= PROBIT_TOL
 PROBIT_MAX_ITER = 200  # Newton steps before NoConvergenceError
-PROBIT_BRACKET = 12.0  # the mode is sought on [-PROBIT_BRACKET, PROBIT_BRACKET]
+PROBIT_BRACKET = 12.0  # the least bracket half-width; see _probit_half_width
 
 
 def valid_shape(x) -> bool:
@@ -155,59 +155,122 @@ def _count_ratio(y, a: float, b: float):
     return ratio
 
 
-def _probit_grad_hess(eta: float, c1: float, c2: float) -> tuple[float, float]:
-    # log-posterior L(eta) = c1*log Phi(eta) + c2*log(1 - Phi(eta)) - eta^2/2
+def _probit_grad_hess(eta, c1: float, c2: float):
+    """Gradient and Hessian of c1*log Phi(eta) + c2*log(1 - Phi(eta)) - eta^2/2 at a float
+    or an array eta. Only ufuncs touch eta, so each element has the same bits either way."""
     log_phi = -0.5 * eta * eta - _LOG_SQRT_2PI
-    r1 = math.exp(log_phi - log_ndtr(eta))       # phi/Phi
-    r2 = math.exp(log_phi - log_ndtr(-eta))      # phi/(1 - Phi)
+    r1 = np.exp(log_phi - log_ndtr(eta))       # phi/Phi
+    r2 = np.exp(log_phi - log_ndtr(-eta))      # phi/(1 - Phi)
+    if isinstance(eta, float):  # Python-float arithmetic costs half of numpy scalars', same bits
+        r1, r2 = float(r1), float(r2)
     grad = c1 * r1 - c2 * r2 - eta
     hess = -c1 * r1 * (eta + r1) - c2 * r2 * (r2 - eta) - 1.0
     return grad, hess
+
+
+def _probit_half_width(m):
+    """The probit mode's bracket half-width for m = min(a, b): max(PROBIT_BRACKET,
+    4 sqrt((1 + m) / m)), which is PROBIT_BRACKET for m >= 1/8 and grows as a small m
+    pushes the mode out (it is about -14 at y = 0, a = b = 1/200)."""
+    return np.maximum(PROBIT_BRACKET, 4.0 * np.sqrt((1.0 + m) / m))
 
 
 def probit_mode(y, a: float, b: float) -> float:
     """Posterior mode of eta for a Bernoulli observation under the probit link.
 
     Maximizes Phi(eta)^(y+a-1) * (1-Phi(eta))^(b-y) * phi(eta) by
-    safeguarded Newton iteration started at 0. The squared-exponential
-    factor phi(eta) forces the log-posterior to -inf at both ends, so
-    a sign change of the gradient is guaranteed inside
-    [-PROBIT_BRACKET, PROBIT_BRACKET] for any valid (y, a, b).
+    safeguarded Newton iteration started at 0 on the bracket
+    [-w, w], w = ``_probit_half_width(min(a, b))``. The gradient must
+    change sign there, or NoConvergenceError. In exact arithmetic it
+    does for any valid (y, a, b); in float the ratios phi/Phi lose
+    their digits once |eta| is large, so pairs with min(a, b) below
+    about 3e-5 fail the bracket test or the |grad| <= PROBIT_TOL test.
     """
     a, b = float(a), float(b)  # numpy-scalar arithmetic doubles the Newton's cost, same bits
     y, num, _ = _posterior_shapes(y, a, b)
     c1 = num - 1.0
     c2 = b - y
-    lo, hi = -PROBIT_BRACKET, PROBIT_BRACKET
-    g_lo, _ = _probit_grad_hess(lo, c1, c2)
-    g_hi, _ = _probit_grad_hess(hi, c1, c2)
-    if not (g_lo > 0 > g_hi):
-        raise NoConvergenceError(
-            f"gradient does not bracket a maximum on [{lo}, {hi}] for y={y}, a={a}, b={b}"
-        )
-    eta = 0.0
-    for _ in range(PROBIT_MAX_ITER):
-        grad, hess = _probit_grad_hess(eta, c1, c2)
-        if abs(grad) <= PROBIT_TOL:
-            return eta
-        if grad > 0:
-            lo = eta
-        else:
-            hi = eta
-        if hess < 0:
-            step = eta - grad / hess
-        else:
-            step = math.nan
-        # Fall back to bisection whenever Newton leaves the bracket.
-        eta = step if (lo < step < hi) else 0.5 * (lo + hi)
+    with np.errstate(all="ignore"):  # a tiny min(a, b)'s wide bracket may overflow; a test fails
+        hi = float(_probit_half_width(min(a, b)))
+        lo = -hi
+        g_lo, _ = _probit_grad_hess(lo, c1, c2)
+        g_hi, _ = _probit_grad_hess(hi, c1, c2)
+        if not (g_lo > 0 > g_hi):
+            raise NoConvergenceError(
+                f"gradient does not bracket a maximum on [{lo}, {hi}] for y={y}, a={a}, b={b}"
+            )
+        eta = 0.0
+        for _ in range(PROBIT_MAX_ITER):
+            grad, hess = _probit_grad_hess(eta, c1, c2)
+            if abs(grad) <= PROBIT_TOL:
+                return eta
+            if grad > 0:
+                lo = eta
+            else:
+                hi = eta
+            if hess < 0:
+                step = eta - grad / hess
+            else:
+                step = math.nan
+            # Fall back to bisection whenever Newton leaves the bracket.
+            eta = step if (lo < step < hi) else 0.5 * (lo + hi)
     raise NoConvergenceError(f"probit mode did not reach |grad| <= {PROBIT_TOL} "
                              f"in {PROBIT_MAX_ITER} iterations")
 
 
+def probit_modes(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``binary_modes("probit", a, b)`` for arrays of shape pairs: (m0, m1, converged).
+
+    One array Newton loop runs a y = 0 and a y = 1 lane for every pair, each
+    lane with ``probit_mode``'s rule and float operations (the bracket test,
+    the Newton step, bisection when the step leaves the bracket, the stop at
+    |grad| <= PROBIT_TOL), so a converged mode equals the scalar one bit for
+    bit. A lane that fails the shape check or the bracket test, or runs out of
+    iterations, is NaN; a pair with such a lane is not converged, and
+    ``binary_modes`` gives its error.
+    """
+    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
+    y = np.repeat([0.0, 1.0], a.size)
+    a, b = np.tile(a, 2), np.tile(b, 2)
+    num = y + a
+    c1 = num - 1.0
+    c2 = b - y
+    mode = np.full(y.shape, np.nan)
+    with np.errstate(all="ignore"):  # as in probit_mode; a failed lane is NaN, not a warning
+        hi = _probit_half_width(np.minimum(a, b))
+        lo = -hi
+        ok = (num > 0) & (b + 1.0 - y > 0)  # _posterior_shapes
+        ok &= (_probit_grad_hess(lo, c1, c2)[0] > 0) & (0 > _probit_grad_hess(hi, c1, c2)[0])
+        lanes = np.flatnonzero(ok)
+        eta = np.zeros(lanes.size)
+        lo, hi, c1, c2 = lo[lanes], hi[lanes], c1[lanes], c2[lanes]
+        for _ in range(PROBIT_MAX_ITER):
+            grad, hess = _probit_grad_hess(eta, c1, c2)
+            done = np.abs(grad) <= PROBIT_TOL
+            mode[lanes[done]] = eta[done]
+            if done.all():
+                break
+            go = ~done
+            lanes, eta, grad, hess, lo, hi, c1, c2 = (
+                v[go] for v in (lanes, eta, grad, hess, lo, hi, c1, c2))
+            up = grad > 0
+            lo = np.where(up, eta, lo)
+            hi = np.where(up, hi, eta)
+            step = np.where(hess < 0, eta - grad / hess, np.nan)
+            eta = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+    m0, m1 = mode.reshape(2, -1)
+    return m0, m1, ~(np.isnan(m0) | np.isnan(m1))
+
+
 def binary_modes(family: str, a: float, b: float) -> tuple[float, float]:
-    """Latent modes (m0, m1) of a binary family at y = 0 and y = 1."""
+    """Latent modes (m0, m1) of a binary family at y = 0 and y = 1.
+
+    y = 1 goes first: a b below about 1.1e-16 rounds its b + 1 - y to 0, which is
+    ImproperPosteriorError before the y = 0 probit Newton runs on that b's wide bracket.
+    """
     mode = logit_mode if family == "logit" else probit_mode
-    return mode(0, a, b), mode(1, a, b)
+    m1 = mode(1, a, b)
+    return mode(0, a, b), m1
 
 
 def check_response(y, family: str, rows: int | None = None, ndims=(1, 2)) -> np.ndarray:

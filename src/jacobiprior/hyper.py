@@ -5,8 +5,11 @@ through scalars. With u = X_eval solve(1), logit and probit give
 X_eval beta(a, b) = m0 u + (m1 - m0) X_eval solve(y) for the modes m0, m1
 at y = 0, 1, and poisson X_eval solve(log(y + a)) - log(1 + b) u. So a
 grid or a search costs one QR plus two solves (binary) or one solve per
-distinct a plus one (poisson); each pair is then scalar mode work and an
-O(n_eval) combination. Cells are scored in batches of at most
+distinct a plus one (poisson); each pair is then mode work and an O(n_eval)
+combination. The probit modes of all pairs come from one array Newton loop
+(``glm.probit_modes``); logit and poisson pairs take their closed forms one by
+one. A cell whose score is not finite (a poisson rate past 1e308) is NaN in a
+grid and skipped in a search. Cells are scored in batches of at most
 ``linalg.BLOCK_ROWS`` predictions (``BLOCK_ROWS // n_eval`` cells, at
 least one): one array pass forms a batch's block and the objective
 reduces each row, so every score is bit-identical to its cell's alone.
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidHyperError, is_count
-from .glm import binary_modes, check_response, inverse_link, valid_shape
+from .glm import binary_modes, check_response, inverse_link, probit_modes, valid_shape
 from .linalg import BLOCK_ROWS, LeastSquaresSolver, as_array, as_matrix, stable_matvec
 from .modelio import csv_text
 from .rng import SeedSpec, derive_rng
@@ -56,8 +59,9 @@ class GridReport:
 def _surface(X_train, y_train, X_eval, y_eval, family: str):
     """(score_pairs, checked y_eval) from one QR of X_train; inputs are checked before any cell.
     score_pairs(pairs, score): (indices, scores) of the pairs whose shapes and modes are
-    valid, in order. The modes run pair by pair first, so the first error is that of a
-    pair-at-a-time loop; then score reduces each batch's rows of predictions."""
+    valid and whose score is finite, in order. Every mode is found before the first
+    batch is scored, so the first error is that of a pair-at-a-time loop; then score
+    reduces each batch's rows of predictions."""
     X_train = as_array(X_train, 2, "X")
     y = check_response(y_train, family, X_train.shape[0], (1,))
     solver = LeastSquaresSolver(X_train)
@@ -72,24 +76,42 @@ def _surface(X_train, y_train, X_eval, y_eval, family: str):
     def count_part(a):
         return stable_matvec(X_eval, solver.solve(np.log(y + a)))
 
+    def modes(pairs):
+        """(kept, cells): the indices of the pairs whose shapes and modes are valid, in
+        order, and their modes (m0, m1), or (a, log(1 + b)) for poisson. All probit modes
+        come from one array loop; a pair it does not solve is rerun alone, so the first
+        NoConvergenceError is that of a pair-at-a-time loop."""
+        kept = [k for k, (a, b) in enumerate(pairs) if valid_shape(a) and valid_shape(b)]
+        if poisson:
+            return kept, [(pairs[k][0], math.log(1.0 + pairs[k][1])) for k in kept]
+        if family == "probit":
+            m0, m1, ok = probit_modes(*np.array([pairs[k] for k in kept]).reshape(-1, 2).T)
+            cells = list(zip(m0.tolist(), m1.tolist()))
+            rerun = np.flatnonzero(~ok).tolist()
+        else:  # a logit mode's closed form is cheaper alone than in an array
+            cells, rerun = [None] * len(kept), range(len(kept))
+        for i in rerun:
+            try:
+                cells[i] = binary_modes(family, *pairs[kept[i]])
+            except InvalidHyperError:  # e.g. b + 1 - y rounds to 0 for a tiny b
+                cells[i] = None
+        found = [c is not None for c in cells]
+        return list(itertools.compress(kept, found)), list(itertools.compress(cells, found))
+
     def score_pairs(pairs, score):
-        kept, cells, scores = [], [], []
-        for k, (a, b) in enumerate(pairs):
-            if valid_shape(a) and valid_shape(b):
-                try:  # the modes (m0, m1), or (a, log(1 + b)) for poisson
-                    cells.append((a, math.log(1.0 + b)) if poisson else binary_modes(family, a, b))
-                except InvalidHyperError:  # e.g. b + 1 - y rounds to 0 for a tiny b
-                    continue
-                kept.append(k)
+        kept, cells = modes(pairs)
+        scores = []
         for i in range(0, len(cells), step):
             m = np.array(cells[i : i + step])
-            if poisson:
-                eta = np.array([count_part(a) for a in m[:, 0].tolist()]) - m[:, 1:] * u
-            else:
-                eta = m[:, :1] * u
-                eta += (m[:, 1:] - m[:, :1]) * v[0]
-            scores += score(inverse_link(eta, family)).tolist()
-        return kept, scores
+            with np.errstate(over="ignore", invalid="ignore"):  # a rate past 1e308: dropped below
+                if poisson:
+                    eta = np.array([count_part(a) for a in m[:, 0].tolist()]) - m[:, 1:] * u
+                else:
+                    eta = m[:, :1] * u
+                    eta += (m[:, 1:] - m[:, :1]) * v[0]
+                scores += score(inverse_link(eta, family)).tolist()
+        finite = np.isfinite(scores).tolist()
+        return list(itertools.compress(kept, finite)), list(itertools.compress(scores, finite))
 
     return score_pairs, y_eval
 

@@ -23,27 +23,45 @@ def test_star_import_binds_every_name():
     assert [name for name in jacobiprior.__all__ if name not in namespace] == []
 
 
-def test_each_export_is_its_home_module_object():
+def misplaced_exports(package):
+    """The names of ``package._EXPORTS`` that are not their home module's own object."""
     wrong = []
-    for name, home in jacobiprior._EXPORTS.items():
-        module = importlib.import_module(f"jacobiprior.{home}")
-        value = getattr(jacobiprior, name)
+    for name, home in package._EXPORTS.items():
+        module = importlib.import_module(f"{package.__name__}.{home}")
+        value = getattr(package, name)
         # A class or function must also be defined there, not re-exported from elsewhere.
         defined_in = getattr(value, "__module__", module.__name__)
         if value is not getattr(module, name) or defined_in != module.__name__:
             wrong.append(name)
-    assert wrong == []
+    return wrong
+
+
+def test_each_export_is_its_home_module_object():
+    assert misplaced_exports(jacobiprior) == []
+
+
+def test_each_simlab_export_is_its_home_module_object():
+    assert misplaced_exports(jacobiprior.simlab) == []
 
 
 def test_dir_covers_all():
-    assert set(jacobiprior.__all__) <= set(dir(jacobiprior))
+    for package in (jacobiprior, jacobiprior.simlab):
+        assert set(package.__all__) <= set(dir(package))
 
 
 def test_unknown_attribute_raises_attribute_error():
-    with pytest.raises(AttributeError, match="module 'jacobiprior' has no attribute 'fit'"):
-        jacobiprior.fit
+    for package in (jacobiprior, jacobiprior.simlab):
+        with pytest.raises(AttributeError, match=f"module '{package.__name__}' has no attribute 'fit'"):
+            package.fit
 
 
 def test_bare_import_loads_only_errors(fresh_python):
     loaded = fresh_python("-c", "import sys, jacobiprior; print(*sys.modules)").split()
     assert [m for m in loaded if m.startswith("jacobiprior.")] == ["jacobiprior.errors"]
+
+
+def test_hyper_loads_no_experiment_harness(fresh_python):
+    loaded = fresh_python("-c", "import sys, jacobiprior.hyper; print(*sys.modules)").split()
+    assert "jacobiprior.simlab.metrics" in loaded
+    assert [m for m in ("jacobiprior.mle", "jacobiprior.simlab.experiments",
+                        "jacobiprior.simlab.generators") if m in loaded] == []

@@ -12,11 +12,24 @@ from jacobiprior.errors import (
     InvalidResponseError,
     NoConvergenceError,
 )
-from jacobiprior.glm import JacobiHyper, binary_modes, fit_jacobi, inverse_link, predict
-from jacobiprior.hyper import sensitivity_grid, stochastic_search
+from jacobiprior.glm import (
+    JacobiHyper,
+    binary_modes,
+    fit_jacobi,
+    inverse_link,
+    predict,
+    probit_modes,
+)
+from jacobiprior.hyper import SEARCH_LO, sensitivity_grid, stochastic_search
 from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver, stable_matvec
 from jacobiprior.rng import SeedSpec, derive_rng
-from jacobiprior.simlab import gen_logistic, gen_poisson, surrogate_rmse, utility_total
+from jacobiprior.simlab import (
+    EXP_POISSON_BETA,
+    gen_logistic,
+    gen_poisson,
+    surrogate_rmse,
+    utility_total,
+)
 from jacobiprior.simlab.metrics import UTILITY_CELLS
 
 
@@ -147,11 +160,10 @@ def reference_grid(Xtr, ytr, Xte, yte, family, a_values, b_values):
     return out
 
 
-# Valid shapes plus values JacobiHyper rejects; probit shapes stay above the
-# range where its fixed Newton bracket fails to converge.
+# Valid shapes from the search range's floor up, plus values JacobiHyper rejects.
 invalid_shapes = st.sampled_from([0.0, -0.5, -np.inf, np.inf])
 shape_values = st.lists(
-    st.one_of(st.floats(min_value=0.05, max_value=8.0), invalid_shapes),
+    st.one_of(st.floats(min_value=SEARCH_LO, max_value=8.0), invalid_shapes),
     min_size=1, max_size=4,
 )
 
@@ -258,41 +270,52 @@ def bad_inputs():
 class TestInputsCheckedBeforeAnyCell:
     @pytest.fixture()
     def pairs_built(self, monkeypatch):
-        """Records every binary cell's mode call: the first work a cell does."""
+        """Records every binary cell's mode call, scalar or array: the first work a cell does."""
         built = []
 
         def counting_modes(*args):
             built.append(args)
             return binary_modes(*args)
 
+        def counting_probit_modes(a, b):
+            built.append(("probit", list(a), list(b)))
+            return probit_modes(a, b)
+
         monkeypatch.setattr(hyper_module, "binary_modes", counting_modes)
+        monkeypatch.setattr(hyper_module, "probit_modes", counting_probit_modes)
         return built
 
     def test_counter_sees_cells(self, pairs_built):
         Xtr, ytr, Xte, yte = family_data("logit")
         sensitivity_grid(Xtr, ytr, Xte, yte, "logit", [0.5, 1.0], [0.5])
         assert pairs_built == [("logit", 0.5, 0.5), ("logit", 1.0, 0.5)]
+        pairs_built.clear()
+        sensitivity_grid(Xtr, ytr, Xte, yte, "probit", [0.5, 1.0], [0.5])
+        assert pairs_built == [("probit", [0.5, 1.0], [0.5, 0.5])]
 
     @pytest.mark.parametrize("case", sorted(bad_inputs()))
     def test_grid(self, case, pairs_built):
-        with pytest.raises(DimensionMismatchError):
-            sensitivity_grid(*bad_inputs()[case], "logit", [0.5, 1.0], [0.5])
+        for family in ("logit", "probit"):
+            with pytest.raises(DimensionMismatchError):
+                sensitivity_grid(*bad_inputs()[case], family, [0.5, 1.0], [0.5])
         assert pairs_built == []
 
     @pytest.mark.parametrize("case", sorted(bad_inputs()))
     def test_search(self, case, pairs_built):
-        with pytest.raises(DimensionMismatchError):
-            stochastic_search(*bad_inputs()[case], "logit", budget=3)
+        for family in ("logit", "probit"):
+            with pytest.raises(DimensionMismatchError):
+                stochastic_search(*bad_inputs()[case], family, budget=3)
         assert pairs_built == []
 
     @pytest.mark.parametrize("bad", ["twice", "nan"])
     def test_evaluation_response(self, bad, pairs_built):
         Xtr, ytr, Xte, yte = family_data("logit")
         y_eval = 2.0 * yte if bad == "twice" else np.where(np.arange(yte.size) == 3, np.nan, yte)
-        with pytest.raises(InvalidResponseError, match="binary response must be 0 or 1"):
-            sensitivity_grid(Xtr, ytr, Xte, y_eval, "logit", [0.5, 1.0], [0.5])
-        with pytest.raises(InvalidResponseError, match="binary response must be 0 or 1"):
-            stochastic_search(Xtr, ytr, Xte, y_eval, "logit", budget=3, objective="accuracy")
+        for family in ("logit", "probit"):
+            with pytest.raises(InvalidResponseError, match="binary response must be 0 or 1"):
+                sensitivity_grid(Xtr, ytr, Xte, y_eval, family, [0.5, 1.0], [0.5])
+            with pytest.raises(InvalidResponseError, match="binary response must be 0 or 1"):
+                stochastic_search(Xtr, ytr, Xte, y_eval, family, budget=3, objective="accuracy")
         assert pairs_built == []
 
 
@@ -458,15 +481,17 @@ class TestBatchBoundaries:
         assert np.array_equal(report.scores[:, 2:], want)
 
     def test_non_converging_probit_pair_keeps_its_error(self):
+        # Below min(a, b) of about 3e-5 the ratios phi/Phi have too few digits for the
+        # Newton to reach |grad| <= PROBIT_TOL; such a pair raises from every caller alike.
         Xtr, ytr, Xv, yv = family_data("probit", seed=3, n_eval=BLOCK_ROWS // 3)
         with pytest.raises(NoConvergenceError) as direct:
-            binary_modes("probit", 1e-3, 1e-3)
+            binary_modes("probit", 1e-5, 1e-5)
         with pytest.raises(NoConvergenceError) as grid:
-            sensitivity_grid(Xtr, ytr, Xv, yv, "probit", [0.5, 1e-3, 1.0], [0.7, 1e-3])
+            sensitivity_grid(Xtr, ytr, Xv, yv, "probit", [0.5, 1e-5, 1.0], [0.7, 1e-5])
         assert str(grid.value) == str(direct.value)
         # The search's first failing candidate comes after the first full batch.
-        seed = SeedSpec(8, 1)
-        candidates = np.exp(derive_rng(seed, 0).uniform(np.log(1e-3), np.log(2.0), size=(40, 2)))
+        seed, lo = SeedSpec(8, 1), 1e-6
+        candidates = np.exp(derive_rng(seed, 0).uniform(np.log(lo), np.log(2.0), size=(40, 2)))
         first = None
         for k, (a, b) in enumerate(candidates):
             try:
@@ -476,5 +501,44 @@ class TestBatchBoundaries:
                 break
         assert first is not None and first[0] >= 3
         with pytest.raises(NoConvergenceError) as search:
-            stochastic_search(Xtr, ytr, Xv, yv, "probit", 40, seed=seed)
+            stochastic_search(Xtr, ytr, Xv, yv, "probit", 40, seed=seed, lo=lo)
         assert str(search.value) == first[1]
+
+    @pytest.mark.parametrize("objective", ["rmse", "utility"])
+    def test_probit_search_solves_every_candidate_of_the_range(self, objective):
+        Xtr, ytr, Xev, yev = family_data("probit", seed=4)
+        disb = np.linspace(50.0, 150.0, yev.shape[0])
+        seed = SeedSpec(10, 2)
+        result = stochastic_search(Xtr, ytr, Xev, yev, "probit", 300, seed=seed,
+                                   objective=objective, disbursement=disb)
+        predict, score = cell_at_a_time(Xtr, ytr, Xev, yev, "probit", disb)
+        candidates = np.exp(derive_rng(seed, 0).uniform(math.log(SEARCH_LO), math.log(2.0),
+                                                        size=(300, 2)))
+        assert candidates.min() < 2e-3  # pairs whose modes lie outside [-12, 12]
+        want = [(float(a), float(b), score(objective, predict(a, b))) for a, b in candidates]
+        assert result.skipped == 0
+        assert result.trace == want
+
+
+class TestNonFiniteScores:
+    def design(self):
+        rng = derive_rng(SeedSpec(808, 0), 0)
+        return gen_poisson(50, EXP_POISSON_BETA, 1.0, 0.3, rng)
+
+    def test_overflowing_poisson_cell_is_nan_in_a_grid(self):
+        X, y = self.design()
+        report = sensitivity_grid(X, y, X, y, "poisson", [1.0, 1e300], [1.0])
+        assert np.isnan(report.scores[1, 0])
+        want = sensitivity_grid(X, y, X, y, "poisson", [1.0], [1.0]).scores
+        assert report.scores[0, 0] == want[0, 0] and np.isfinite(want[0, 0])
+
+    def test_overflowing_poisson_candidate_is_skipped_in_a_search(self):
+        X, y = self.design()
+        seed = SeedSpec(3, 4)
+        result = stochastic_search(X, y, X, y, "poisson", 8, seed=seed, lo=1.0, hi=1e300)
+        predict, score = cell_at_a_time(X, y, X, y, "poisson")
+        candidates = np.exp(derive_rng(seed, 0).uniform(0.0, math.log(1e300), size=(8, 2)))
+        with np.errstate(over="ignore"):
+            want = [(float(a), float(b), score("rmse", predict(a, b))) for a, b in candidates]
+        assert result.trace == [cell for cell in want if np.isfinite(cell[2])]
+        assert result.skipped == 2

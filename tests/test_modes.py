@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
@@ -12,8 +12,20 @@ from jacobiprior.errors import (
     ImproperPosteriorError,
     InvalidHyperError,
     InvalidResponseError,
+    NoConvergenceError,
 )
-from jacobiprior.glm import logit_mode, poisson_mode, probit_mode
+from jacobiprior.glm import (
+    PROBIT_BRACKET,
+    PROBIT_TOL,
+    _probit_grad_hess,
+    _probit_half_width,
+    binary_modes,
+    logit_mode,
+    poisson_mode,
+    probit_mode,
+    probit_modes,
+)
+from jacobiprior.hyper import SEARCH_HI, SEARCH_LO
 
 shapes = st.floats(min_value=0.01, max_value=50.0, allow_nan=False)
 
@@ -75,6 +87,16 @@ class TestBinaryShapeCheck:
             messages.append(str(exc.value))
         assert messages == ["need y + a > 0 and b + 1 - y > 0, got 2.0, 0.0"] * 2
         assert issubclass(ImproperPosteriorError, InvalidHyperError)
+
+    @pytest.mark.parametrize("family", ["logit", "probit"])
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 2.0])
+    def test_tiny_b_pair_is_improper_whatever_a(self, family, a):
+        # The y = 0 lane alone is proper, but a probit one would need a bracket of
+        # about +-1e9 at b = 5e-17; the pair is refused on its y = 1 shape first.
+        with pytest.raises(ImproperPosteriorError):
+            binary_modes(family, a, 5e-17)
+        m0, m1, converged = probit_modes([a], [5e-17])
+        assert not converged[0] and math.isnan(m1[0])
 
     @pytest.mark.parametrize("y, a, b", [(0, 1e-300, 1e300), (1, 1e300, 1e-10)])
     def test_logit_ratio_outside_zero_to_inf_is_typed(self, y, a, b):
@@ -177,3 +199,67 @@ class TestProbitMode:
     def test_invalid_response(self):
         with pytest.raises(InvalidResponseError):
             probit_mode(0.5, 1.0, 1.0)
+
+
+# a and b log-uniform on the search range, where every probit mode must converge
+search_shapes = st.floats(min_value=math.log(SEARCH_LO), max_value=math.log(SEARCH_HI)).map(math.exp)
+
+
+def probit_slack(y, a, b, mode):
+    """2 PROBIT_TOL / |hess|: a mode stops within |grad| / |hess| <= PROBIT_TOL / |hess| of
+    its stationary point, so two modes miss their exact relation by at most twice that."""
+    _, hess = _probit_grad_hess(mode, (y + a) - 1.0, b - y)
+    return 2.0 * PROBIT_TOL / abs(hess)
+
+
+class TestProbitModeOverTheSearchRange:
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.sampled_from([0, 1]), a=search_shapes, b=search_shapes)
+    def test_converges_stationary_and_array_equals_scalar(self, y, a, b):
+        mode = probit_mode(y, a, b)  # NoConvergenceError fails the test
+        grad, _ = _probit_grad_hess(mode, (y + a) - 1.0, b - y)
+        assert abs(grad) <= PROBIT_TOL
+        m0, m1, converged = probit_modes([a, b], [b, a])
+        assert converged.tolist() == [True, True]
+        assert (m1 if y else m0)[0] == mode
+        assert [m0[1], m1[1]] == [probit_mode(0, b, a), probit_mode(1, b, a)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.sampled_from([0, 1]), a=search_shapes, a2=search_shapes, b=search_shapes)
+    def test_increases_in_a(self, y, a, a2, b):
+        a, a2 = sorted((a, a2))
+        assume(a < a2)
+        low = probit_mode(y, a, b)
+        # At y = 1 and a large mode, Phi is 1 to double precision and the true rise is
+        # below any float; there the two modes agree within their stopping slack.
+        assert probit_mode(y, a2, b) >= low - probit_slack(y, a, b, low)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=search_shapes, b=search_shapes)
+    def test_y1_mirrors_y0_with_the_shapes_swapped(self, a, b):
+        mode = probit_mode(1, a, b)
+        assert abs(mode + probit_mode(0, b, a)) <= probit_slack(1, a, b, mode)
+
+    def test_array_flags_what_the_scalar_refuses(self):
+        a = [0.5, 1e-5, 2.0, 1.0]
+        b = [0.5, 1e-5, 1e-17, np.inf]
+        m0, m1, converged = probit_modes(a, b)
+        assert converged.tolist() == [True, False, False, False]
+        # A failed lane is NaN; the y = 0 lane of (2, 1e-17) is proper and converges.
+        assert np.isnan([m0[1], m0[3], *m1[1:]]).all()
+        assert (m0[0], m1[0], m0[2]) == (probit_mode(0, 0.5, 0.5), probit_mode(1, 0.5, 0.5),
+                                         probit_mode(0, 2.0, 1e-17))
+        with pytest.raises(NoConvergenceError):
+            probit_mode(0, 1e-5, 1e-5)
+        with pytest.raises(ImproperPosteriorError):
+            probit_mode(1, 2.0, 1e-17)
+
+    def test_bracket_is_unchanged_from_one_eighth_up(self):
+        assert _probit_half_width(0.125) == PROBIT_BRACKET
+        assert _probit_half_width(2.0) == PROBIT_BRACKET
+        assert _probit_half_width(1 / 200) == pytest.approx(4.0 * math.sqrt(201.0))
+        assert probit_mode(0, 1 / 200, 1 / 200) < -PROBIT_BRACKET  # outside the fixed bracket
+
+    def test_empty_arrays(self):
+        m0, m1, converged = probit_modes([], [])
+        assert m0.shape == m1.shape == converged.shape == (0,)
