@@ -11,6 +11,7 @@ QR factorization and no iterative optimization over beta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -169,10 +170,11 @@ def _probit_grad_hess(eta, c1: float, c2: float):
 
 
 def _probit_half_width(m):
-    """The probit mode's bracket half-width for m = min(a, b): max(PROBIT_BRACKET,
-    4 sqrt((1 + m) / m)), which is PROBIT_BRACKET for m >= 1/8 and grows as a small m
-    pushes the mode out (it is about -14 at y = 0, a = b = 1/200)."""
-    return np.maximum(PROBIT_BRACKET, 4.0 * np.sqrt((1.0 + m) / m))
+    """The probit mode's bracket half-width for the lane's own shape m (a at y = 0, which
+    a small value pushes down; b at y = 1, which a small value pushes up):
+    max(PROBIT_BRACKET, 4 sqrt((1 + m) / m)), which is PROBIT_BRACKET for m >= 1/8 (and for
+    m = inf) and grows as m shrinks (the mode is about -14 at y = 0, a = b = 1/200)."""
+    return np.fmax(PROBIT_BRACKET, 4.0 * np.sqrt((1.0 + m) / m))
 
 
 def probit_mode(y, a: float, b: float) -> float:
@@ -180,18 +182,27 @@ def probit_mode(y, a: float, b: float) -> float:
 
     Maximizes Phi(eta)^(y+a-1) * (1-Phi(eta))^(b-y) * phi(eta) by
     safeguarded Newton iteration started at 0 on the bracket
-    [-w, w], w = ``_probit_half_width(min(a, b))``. The gradient must
-    change sign there, or NoConvergenceError. In exact arithmetic it
+    [-w, w], w = ``_probit_half_width(a if y == 0 else b)``. The gradient
+    must change sign there, or NoConvergenceError. In exact arithmetic it
     does for any valid (y, a, b); in float the ratios phi/Phi lose
-    their digits once |eta| is large, so pairs with min(a, b) below
-    about 3e-5 fail the bracket test or the |grad| <= PROBIT_TOL test.
+    their digits once |eta| is large, so a lane whose own shape is below
+    about 3e-5 fails the bracket test or the |grad| <= PROBIT_TOL test.
+
+    The Newton loop is a pure function of the checked (y, a, b) and is
+    memoised; an error is not, so every failing call raises its own message again.
     """
     a, b = float(a), float(b)  # numpy-scalar arithmetic doubles the Newton's cost, same bits
-    y, num, _ = _posterior_shapes(y, a, b)
-    c1 = num - 1.0
+    y, _, _ = _posterior_shapes(y, a, b)
+    return _probit_newton(y, a, b)  # an int and two floats: hashable whatever the caller passed
+
+
+@functools.lru_cache(maxsize=256)  # every fit at one shape pair asks for the same two modes
+def _probit_newton(y: int, a: float, b: float) -> float:
+    """``probit_mode``'s safeguarded Newton loop for a checked y and float shapes."""
+    c1 = (y + a) - 1.0
     c2 = b - y
-    with np.errstate(all="ignore"):  # a tiny min(a, b)'s wide bracket may overflow; a test fails
-        hi = float(_probit_half_width(min(a, b)))
+    with np.errstate(all="ignore"):  # a tiny shape's wide bracket may overflow; a test fails
+        hi = float(_probit_half_width(b if y else a))
         lo = -hi
         g_lo, _ = _probit_grad_hess(lo, c1, c2)
         g_hi, _ = _probit_grad_hess(hi, c1, c2)
@@ -237,7 +248,7 @@ def probit_modes(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c2 = b - y
     mode = np.full(y.shape, np.nan)
     with np.errstate(all="ignore"):  # as in probit_mode; a failed lane is NaN, not a warning
-        hi = _probit_half_width(np.minimum(a, b))
+        hi = _probit_half_width(np.where(y == 1.0, b, a))
         lo = -hi
         ok = (num > 0) & (b + 1.0 - y > 0)  # _posterior_shapes
         ok &= (_probit_grad_hess(lo, c1, c2)[0] > 0) & (0 > _probit_grad_hess(hi, c1, c2)[0])
@@ -266,7 +277,7 @@ def binary_modes(family: str, a: float, b: float) -> tuple[float, float]:
     """Latent modes (m0, m1) of a binary family at y = 0 and y = 1.
 
     y = 1 goes first: a b below about 1.1e-16 rounds its b + 1 - y to 0, which is
-    ImproperPosteriorError before the y = 0 probit Newton runs on that b's wide bracket.
+    ImproperPosteriorError for both families whatever the y = 0 mode would do.
     """
     mode = logit_mode if family == "logit" else probit_mode
     m1 = mode(1, a, b)

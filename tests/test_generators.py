@@ -51,6 +51,13 @@ def test_logistic_deterministic_in_stream():
     np.testing.assert_array_equal(y1, y2)
 
 
+def test_logistic_accepts_0d_array_shapes_with_the_same_bits():
+    X1, y1 = gen_logistic(50, np.ones(3), np.array(1.0), np.array(0.5), rng_for(3))
+    X2, y2 = gen_logistic(50, np.ones(3), 1.0, 0.5, rng_for(3))
+    assert X1.tobytes() == X2.tobytes()
+    assert y1.tobytes() == y2.tobytes()
+
+
 def test_poisson_unit_rate_under_null():
     _, y = gen_poisson(100_000, np.zeros(3), 1.0, 0.5, rng_for(4))
     se = np.sqrt(1.0 / y.size)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobiprior.errors import DimensionMismatchError, InsufficientDataError, InvalidResponseError
 from jacobiprior.rng import SeedSpec, derive_rng
@@ -145,3 +147,44 @@ class TestBootstrapMedianSe:
         rng = derive_rng(SeedSpec(3, 0), 0)
         with pytest.raises(InsufficientDataError):
             bootstrap_median_se(np.array([1.0]), rng)
+
+
+def median_se_reference(values, rng, n_boot):
+    """bootstrap_median_se with np.median's row-wise partition for every input."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    medians = np.median(values[rng.integers(0, n, size=(n_boot, n))], axis=1)
+    if n_boot < 2 or np.ptp(medians) == 0.0:
+        return 0.0
+    return float(np.std(medians, ddof=1))
+
+
+# Quarter-integers in [-2, 2] give many ties; any finite float gives few.
+sample_values = st.one_of(
+    st.integers(-8, 8).map(lambda k: k / 4.0),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+class TestBootstrapMedianSeMatchesNpMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(sample_values, min_size=2, max_size=80),
+        n_boot=st.integers(1, 300),
+        task=st.integers(0, 2**16),
+        nan_at=st.none() | st.integers(0, 79),
+    )
+    def test_bit_for_bit_on_the_same_stream(self, values, n_boot, task, nan_at):
+        if nan_at is not None:
+            values[nan_at % len(values)] = float("nan")
+        got = bootstrap_median_se(values, derive_rng(SeedSpec(4, 0), task), n_boot)
+        expected = median_se_reference(values, derive_rng(SeedSpec(4, 0), task), n_boot)
+        assert got.hex() == expected.hex()
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 51])
+    def test_odd_and_even_lengths_with_ties_and_a_nan(self, n):
+        values = np.repeat([0.25, -1.0, 3.0], n)[:n]
+        for v in (values, np.where(np.arange(n) == n // 2, np.nan, values)):
+            got = bootstrap_median_se(v, derive_rng(SeedSpec(5, 0), n), 200)
+            expected = median_se_reference(v, derive_rng(SeedSpec(5, 0), n), 200)
+            assert got.hex() == expected.hex()

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, xlogy
 
-from jacobiprior.errors import InvalidResponseError, SeparationError
-from jacobiprior.mle import fit_mle, mle_score
+from jacobiprior.errors import InvalidResponseError, RankDeficientError, SeparationError
+from jacobiprior.mle import MAX_ITER, SEPARATION_LIMIT, TOL, fit_mle, mle_score
+from jacobiprior.rng import SeedSpec, derive_rng
+from jacobiprior.simlab.generators import EXP_LOGISTIC_BETA, EXP_POISSON_BETA, gen_logistic, gen_poisson
 
 
 def test_intercept_only_balanced_logit():
@@ -106,3 +108,126 @@ def test_deviance_decreases_to_optimum():
     assert fit.deviance == pytest.approx(saturated, rel=1e-10)
     null_dev = 2.0 * float(np.sum(np.logaddexp(0.0, np.zeros(80)) - y * 0.0))
     assert fit.deviance < null_dev
+
+
+def reference_irls(X, y, family):
+    """The plain IRLS loop fit_mle must reproduce bit for bit: it recomputes X @ beta after
+    each accepted step, xlogy(y, y) in every Poisson deviance and the norm with
+    np.linalg.norm. Returns (beta, converged, iterations, deviance, step-halvings)."""
+
+    def deviance(eta):
+        if family == "logit":
+            return 2.0 * float(np.sum(np.logaddexp(0.0, eta) - y * eta))
+        return 2.0 * float(np.sum(xlogy(y, y) - y * eta - y + np.exp(eta)))
+
+    beta = np.zeros(X.shape[1])
+    eta = X @ beta
+    dev = deviance(eta)
+    converged, iterations, total_halvings = False, 0, 0
+    for iterations in range(1, MAX_ITER + 1):
+        if family == "logit":
+            mu = expit(eta)
+            w = mu * (1.0 - mu)
+            if iterations > 1 and np.max(w) < 1e-7 and dev < 1.0:
+                raise SeparationError(
+                    "all fitted probabilities saturated at 0 or 1 (perfect separation)"
+                )
+        else:
+            mu = np.exp(eta)
+            w = mu
+        score = X.T @ (y - mu)
+        if np.max(np.abs(score)) <= TOL:
+            converged = True
+            iterations -= 1
+            break
+        Xw = X * w[:, None]
+        try:
+            beta_new = np.linalg.solve(X.T @ Xw, Xw.T @ eta + score)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficientError(f"weighted normal equations singular: {exc}") from exc
+        step = beta_new - beta
+        dev_new = deviance(X @ (beta + step))
+        halvings = 0
+        while dev_new > dev + 1e-10 and halvings < 30:
+            step *= 0.5
+            dev_new = deviance(X @ (beta + step))
+            halvings += 1
+        total_halvings += halvings
+        beta = beta + step
+        if np.linalg.norm(beta) > SEPARATION_LIMIT:
+            raise SeparationError(
+                f"coefficient norm {np.linalg.norm(beta):.3e} exceeded {SEPARATION_LIMIT:.0e}"
+            )
+        eta = X @ beta
+        dev = dev_new
+    return beta, converged, iterations, dev, total_halvings
+
+
+def outcome(fit, X, y, family):
+    """(kind, value): the fit's (beta bytes, converged, iterations, deviance), or its error."""
+    try:
+        result = fit(X, y, family)
+    except (SeparationError, RankDeficientError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, tuple):
+        beta, *rest = result[:4]
+    else:
+        beta, rest = result.beta, [result.converged, result.iterations, result.deviance]
+    return "fit", (beta.tobytes(), *rest)
+
+
+class TestMatchesReferenceLoop:
+    """fit_mle's iterates, checks and messages are those of the plain loop, bit for bit."""
+
+    def test_benchmark_replications(self):
+        # The bench's exp1 designs (sigma 3, so some are separated) and its Poisson ones.
+        kinds = {"fit": 0, "SeparationError": 0}
+        for task in range(60):
+            for family, gen, beta0, sigma in (
+                ("logit", gen_logistic, EXP_LOGISTIC_BETA, 3.0),
+                ("poisson", gen_poisson, EXP_POISSON_BETA, 1.0),
+            ):
+                X, y = gen(100, beta0, sigma, 0.5, derive_rng(SeedSpec(20240501, 0), task))
+                expected = outcome(reference_irls, X, y, family)
+                assert outcome(fit_mle, X, y, family) == expected
+                kinds[expected[0]] += 1
+        assert min(kinds.values()) > 0
+
+    @pytest.mark.parametrize("seed", [36, 72, 127])
+    def test_step_halving_logit(self, seed):
+        # A heavy-tailed design: Newton overshoots and the deviance check halves the step.
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(40), rng.standard_cauchy((40, 3)) ** 3 / 10.0])
+        y = (rng.random(40) < expit(X @ np.array([0.3, -0.5, 0.8, 0.2]))).astype(float)
+        expected = outcome(reference_irls, X, y, "logit")
+        assert expected[0] == "fit" and reference_irls(X, y, "logit")[-1] > 0
+        assert outcome(fit_mle, X, y, "logit") == expected
+
+    def test_step_halving_poisson(self):
+        rng = np.random.default_rng(0)
+        X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
+        y = rng.poisson(np.exp(X @ np.array([0.5, 1.2, -0.8]))).astype(float)
+        y[0] = 60.0  # an outlying count makes the first full step overshoot
+        expected = outcome(reference_irls, X, y, "poisson")
+        assert expected[0] == "fit" and reference_irls(X, y, "poisson")[-1] > 0
+        assert outcome(fit_mle, X, y, "poisson") == expected
+
+    @pytest.mark.parametrize("scale, message", [
+        (1.0, "all fitted probabilities saturated at 0 or 1 (perfect separation)"),
+        (1e-3, "coefficient norm 1.066e+04 exceeded 1e+04"),  # a narrow gap: beta grows first
+    ])
+    def test_separated_design_raises_the_same_error(self, scale, message):
+        X = np.column_stack([np.ones(20), scale * np.arange(20.0)])
+        y = (np.arange(20) >= 10).astype(float)
+        expected = outcome(reference_irls, X, y, "logit")
+        assert expected == ("SeparationError", message)
+        assert outcome(fit_mle, X, y, "logit") == expected
+
+    def test_singular_design_raises_the_same_error(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(30)
+        X = np.column_stack([np.ones(30), x, 2.0 * x])
+        y = (rng.random(30) < 0.5).astype(float)
+        expected = outcome(reference_irls, X, y, "logit")
+        assert expected[0] == "RankDeficientError"
+        assert outcome(fit_mle, X, y, "logit") == expected

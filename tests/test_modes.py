@@ -19,6 +19,7 @@ from jacobiprior.glm import (
     PROBIT_TOL,
     _probit_grad_hess,
     _probit_half_width,
+    _probit_newton,
     binary_modes,
     logit_mode,
     poisson_mode,
@@ -91,12 +92,13 @@ class TestBinaryShapeCheck:
     @pytest.mark.parametrize("family", ["logit", "probit"])
     @pytest.mark.parametrize("a", [1e-3, 0.5, 2.0])
     def test_tiny_b_pair_is_improper_whatever_a(self, family, a):
-        # The y = 0 lane alone is proper, but a probit one would need a bracket of
-        # about +-1e9 at b = 5e-17; the pair is refused on its y = 1 shape first.
+        # The y = 0 lane alone is proper, and a probit one converges on the bracket of
+        # its own shape a; the pair is refused on its y = 1 shape first.
         with pytest.raises(ImproperPosteriorError):
             binary_modes(family, a, 5e-17)
         m0, m1, converged = probit_modes([a], [5e-17])
         assert not converged[0] and math.isnan(m1[0])
+        assert m0[0] == probit_mode(0, a, 5e-17)
 
     @pytest.mark.parametrize("y, a, b", [(0, 1e-300, 1e300), (1, 1e300, 1e-10)])
     def test_logit_ratio_outside_zero_to_inf_is_typed(self, y, a, b):
@@ -260,6 +262,45 @@ class TestProbitModeOverTheSearchRange:
         assert _probit_half_width(1 / 200) == pytest.approx(4.0 * math.sqrt(201.0))
         assert probit_mode(0, 1 / 200, 1 / 200) < -PROBIT_BRACKET  # outside the fixed bracket
 
+    @pytest.mark.parametrize("y, a, b", [(0, 0.5, 5e-17), (1, 5e-17, 0.5)])
+    def test_bracket_follows_the_lanes_own_shape(self, y, a, b):
+        # The other shape is tiny, but the y = 0 lane's bracket follows a and the y = 1
+        # lane's follows b. A half-width from min(a, b) would be +-5.7e8, where the
+        # ratios phi/Phi have no digits left, and both calls would fail its bracket test.
+        mode = probit_mode(y, a, b)
+        assert mode == pytest.approx(0.6120031808 if y else -0.6120031808, abs=1e-10)
+        m0, m1, _ = probit_modes([a], [b])
+        assert (m1 if y else m0)[0] == mode
+
     def test_empty_arrays(self):
         m0, m1, converged = probit_modes([], [])
         assert m0.shape == m1.shape == converged.shape == (0,)
+
+
+class TestProbitModeMemo:
+    """probit_mode's Newton loop is memoised on the checked (y, a, b); its errors are not."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(y=st.sampled_from([0, 1, 0.0, 1.0]), a=search_shapes, b=search_shapes)
+    def test_equals_the_unmemoised_loop(self, y, a, b):
+        expected = _probit_newton.__wrapped__(int(y), a, b)
+        assert probit_mode(y, a, b) == expected
+        assert probit_mode(y, np.float64(a), np.float64(b)) == expected  # a cache hit
+
+    def test_zero_d_arrays_are_accepted(self):
+        # The memo is keyed on the checked int y and float shapes, not on the arguments.
+        mode = probit_mode(np.array(1.0), np.array(0.5), np.array(0.5))
+        assert mode == probit_mode(1, 0.5, 0.5) == _probit_newton.__wrapped__(1, 0.5, 0.5)
+
+    @pytest.mark.parametrize("y, a, b, error", [
+        (0, 1e-5, 1e-5, NoConvergenceError),
+        (1, 2.0, 1e-17, ImproperPosteriorError),
+        (0.5, 1.0, 1.0, InvalidResponseError),
+    ])
+    def test_raises_again_on_every_failing_call(self, y, a, b, error):
+        messages = []
+        for _ in range(3):
+            with pytest.raises(error) as exc:
+                probit_mode(y, a, b)
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1
