@@ -67,7 +67,9 @@ def fit_dmr(X, Y: CountTable, hyper: JacobiHyper | None = None) -> FittedGLM:
     on (X, Y[:, k]); the shared QR only saves work, it cannot change the
     answer.
     """
-    X = as_array(X, 2, "X")  # Y was checked when it was made; only its rows are checked here
+    X = as_array(X, 2, "X")  # Y was checked when made; here only its type and rows
+    if not isinstance(Y, CountTable):
+        raise InvalidResponseError(f"Y must be a CountTable, got {type(Y).__name__}")
     if Y.n != X.shape[0]:
         raise DimensionMismatchError(f"y length {Y.n} != design rows {X.shape[0]}")
     return _fit(X, Y.counts, "poisson", hyper)

@@ -9,9 +9,10 @@ conditional mean through the kernel system.
 
 The latents and their projection come from the GLM and multinomial
 fits themselves (``fit_jacobi`` with the probit family, ``fit_dmr``);
-this module adds only the kernel system. Probability and class
-prediction build the cross-kernel once per call and no covariance;
-only ``gp_predict_latent`` returns a predictive covariance.
+this module adds only the kernel system, which LAPACK factors in the
+Gram's own buffer into the ``(c, lower)`` Cholesky pair SciPy solves with.
+Probability and class prediction build the cross-kernel once per call
+and no covariance; only ``gp_predict_latent`` returns a covariance.
 """
 
 from __future__ import annotations
@@ -19,18 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
 from .dmr import CountTable, fit_dmr, softmax_rows
-from .errors import (
-    DimensionMismatchError,
-    InvalidHyperError,
-    NotPositiveDefiniteError,
-)
-from .glm import JacobiHyper, fit_jacobi
-from .linalg import as_matrix
+from .errors import DimensionMismatchError, InvalidHyperError, NotPositiveDefiniteError
+from .glm import FittedGLM, JacobiHyper, fit_jacobi
+from .linalg import as_array, as_matrix
 
 KERNEL_KINDS = ("exponential", "squared_exponential")
 
@@ -45,10 +42,10 @@ class KernelParams:
     kind: str = "exponential"
 
     def __post_init__(self):
-        if not (self.tau > 0 and self.rho > 0):
-            raise InvalidHyperError(f"need tau > 0 and rho > 0, got {self.tau}, {self.rho}")
-        if self.sigma < 0:
-            raise InvalidHyperError(f"need sigma >= 0, got {self.sigma}")
+        for name, rule in (("tau", ">"), ("rho", ">"), ("sigma", ">=")):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and (value > 0 or rule == ">=" and value == 0)):
+                raise InvalidHyperError(f"need finite {name} {rule} 0, got {name}={value}")
         if self.kind not in KERNEL_KINDS:
             raise InvalidHyperError(f"unknown kernel kind {self.kind!r}")
 
@@ -64,6 +61,11 @@ def kernel_matrix(A, B, params: KernelParams) -> np.ndarray:
     B = as_matrix(B, "B")
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatchError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
+    return _kernel(A, B, params)
+
+
+def _kernel(A: np.ndarray, B: np.ndarray, params: KernelParams) -> np.ndarray:
+    """``kernel_matrix`` of finite matrices with equal column counts, unchecked."""
     d = cdist(A, B)  # the one n x m buffer; every step below is in place
     if params.kind == "squared_exponential":
         d *= d
@@ -79,38 +81,47 @@ class GPModel:
     beta: np.ndarray
     eta_hat: np.ndarray
     params: KernelParams
-    chol: tuple  # cho_factor of S(X, X) + sigma^2 I
+    chol: tuple  # (c, True): lower Cholesky factor of S(X, X) + sigma^2 I, c's upper part kept
     alpha: np.ndarray  # solves (S + sigma^2 I) alpha = eta_hat - X beta
 
 
-def _factor_gram(X, params: KernelParams):
-    K = kernel_matrix(X, X, params)
-    K[np.diag_indices_from(K)] += params.sigma**2
-    try:
-        return scipy.linalg.cho_factor(K, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+def _factor_gram(X: np.ndarray, params: KernelParams, fit: FittedGLM) -> tuple[tuple, np.ndarray]:
+    """(chol, alpha): S(X, X) + sigma^2 I factored in place and solved for eta_hat - X beta."""
+    K = _kernel(X, X, params)  # exactly symmetric: K.T is K in the F order potrf factors in place
+    K.flat[:: len(K) + 1] += params.sigma**2  # the diagonal, strided
+    c, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)  # clean=0 keeps K's upper triangle
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    if info > 0:
         raise NotPositiveDefiniteError(
-            f"kernel system not positive definite (sigma={params.sigma}): {exc}"
-        ) from exc
+            f"kernel system not positive definite (sigma={params.sigma}): "
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return (c, True), _solve((c, True), fit.eta_hat - X @ fit.beta)
+
+
+def _solve(chol: tuple, b: np.ndarray) -> np.ndarray:
+    """chol's solve of an n-vector or n x m b, through dpotrs."""
+    x, info = dpotrs(chol[0], b, lower=1)
+    if info:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return x
 
 
 def gp_fit_binary(
     X, y, hyper: JacobiHyper | None = None, params: KernelParams = KernelParams()
 ) -> GPModel:
     """Binary GP classifier: the probit projection fit plus a cached kernel solve."""
-    X = as_matrix(X)
+    X = as_array(X, 2, "X")  # the fit checks X's values
     fit = fit_jacobi(X, y, "probit", hyper)
-    chol = _factor_gram(X, params)
-    alpha = scipy.linalg.cho_solve(chol, fit.eta_hat - X @ fit.beta, check_finite=False)
-    return GPModel(
-        X_train=X, beta=fit.beta, eta_hat=fit.eta_hat, params=params, chol=chol, alpha=alpha
-    )
+    chol, alpha = _factor_gram(X, params, fit)
+    return GPModel(X, fit.beta, fit.eta_hat, params, chol, alpha)
 
 
 def _cross_kernel(model: GPModel, X0) -> tuple[np.ndarray, np.ndarray]:
     """Validated X0 and the cross-kernel block S(X0, X_train)."""
     X0 = as_matrix(X0, "X0", model.X_train.shape[1])
-    return X0, kernel_matrix(X0, model.X_train, model.params)
+    return X0, _kernel(X0, model.X_train, model.params)
 
 
 def _latent_mean(model: GPModel, X0: np.ndarray, Ks: np.ndarray) -> np.ndarray:
@@ -129,11 +140,8 @@ def gp_predict_latent(
     path that builds a covariance.
     """
     X0, Ks = _cross_kernel(model, X0)
-    cross = Ks @ scipy.linalg.cho_solve(model.chol, Ks.T, check_finite=False)
-    if include_prior_var:
-        cov = kernel_matrix(X0, X0, model.params) - cross
-    else:
-        cov = cross
+    cross = Ks @ _solve(model.chol, Ks.T)
+    cov = _kernel(X0, X0, model.params) - cross if include_prior_var else cross
     return _latent_mean(model, X0, Ks), cov
 
 
@@ -160,19 +168,11 @@ class GPMulticlass:
 
 
 def gp_fit_multiclass(
-    X,
-    Y: CountTable,
-    hyper: JacobiHyper | None = None,
-    params: KernelParams = KernelParams(),
+    X, Y: CountTable, hyper: JacobiHyper | None = None, params: KernelParams = KernelParams()
 ) -> GPMulticlass:
     """Per-class count-mode latents and fits from ``fit_dmr``, one shared Gram solve."""
-    X = as_matrix(X)
+    X = as_array(X, 2, "X")  # the fit checks X's values
     fit = fit_dmr(X, Y, hyper)
-    chol = _factor_gram(X, params)
-    alphas = scipy.linalg.cho_solve(chol, fit.eta_hat - X @ fit.beta, check_finite=False)
-    return GPMulticlass(
-        models=[
-            GPModel(X_train=X, beta=beta, eta_hat=eta, params=params, chol=chol, alpha=alpha)
-            for beta, eta, alpha in zip(fit.beta.T.copy(), fit.eta_hat.T.copy(), alphas.T.copy())
-        ]
-    )
+    chol, alphas = _factor_gram(X, params, fit)
+    columns = zip(fit.beta.T.copy(), fit.eta_hat.T.copy(), alphas.T.copy())
+    return GPMulticlass([GPModel(X, beta, eta, params, chol, a) for beta, eta, a in columns])

@@ -11,7 +11,8 @@ block-sized buffer and keeps only each block's R and Q'T, never an
 n x p copy; ``HouseholderQR`` keeps every block's reflectors only for
 callers that solve later right-hand sides (MC draws, grid and search
 surfaces). The symmetric positive definite kernel solve of the GP
-classifiers lives in ``gp``.
+classifiers lives in ``gp``, which likewise calls LAPACK (``dpotrf``,
+``dpotrs``) directly on a buffer it owns.
 """
 
 from __future__ import annotations

@@ -76,6 +76,11 @@ class TestFitDmr:
         with pytest.raises(DimensionMismatchError):
             fit_dmr(X[:-1], table)
 
+    def test_plain_array_response_is_a_typed_error(self):
+        X, _ = random_instance(n=20)
+        with pytest.raises(InvalidResponseError, match="^Y must be a CountTable, got ndarray$"):
+            fit_dmr(X, np.ones((20, 2)))
+
 
 class TestPrediction:
     def test_zero_betas_uniform(self):

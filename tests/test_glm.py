@@ -273,7 +273,9 @@ class TestOneResponseIntake:
         with pytest.raises(error, match=re.escape(message)):
             ENTRY_POINTS[entry](X, bad, y, family)
 
-    @pytest.mark.parametrize("entry", ["fit_jacobi", "sample_beta", "shard_stats", "run_harness", "sensitivity_grid.y_train"])
+    @pytest.mark.parametrize(
+        "entry", ["fit_jacobi", "sample_beta", "shard_stats", "run_harness", "sensitivity_grid.y_train", "gp_fit_binary"]
+    )
     @pytest.mark.parametrize("n", [100, 2 * BLOCK_ROWS + 5])
     def test_response_checked_before_design_values(self, n, entry):
         # One order for every n, streamed or not: X's shape, then y, then X's values and rank.

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +11,7 @@ from jacobiprior.dmr import CountTable
 from jacobiprior.errors import (
     DimensionMismatchError,
     InvalidHyperError,
+    InvalidResponseError,
     NotPositiveDefiniteError,
 )
 from jacobiprior.glm import JacobiHyper, latent_vector, probit_mode
@@ -79,6 +83,25 @@ class TestKernelMatrix:
         with pytest.raises(InvalidHyperError):
             KernelParams(kind="matern")
 
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("sigma", np.nan, ">="),
+            ("sigma", np.inf, ">="),
+            ("tau", np.inf, ">"),
+            ("tau", np.nan, ">"),
+            ("rho", np.inf, ">"),
+            ("rho", -np.inf, ">"),
+        ],
+    )
+    def test_non_finite_params_name_the_field(self, field, value, rule):
+        message = f"need finite {field} {rule} 0, got {field}={value}"
+        with pytest.raises(InvalidHyperError, match=f"^{re.escape(message)}$"):
+            KernelParams(**{field: value})
+
+    def test_zero_sigma_is_valid(self):
+        assert KernelParams(sigma=0.0).sigma == 0.0
+
 
 def small_fit(seed=0, n=12, sigma=0.1):
     rng = np.random.default_rng(seed)
@@ -110,7 +133,11 @@ class TestBinaryFit:
     def test_duplicate_rows_with_zero_noise_fail(self):
         X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         y = np.array([1.0, 0.0, 1.0])
-        with pytest.raises(NotPositiveDefiniteError):
+        message = (
+            "kernel system not positive definite (sigma=0.0): "
+            "2-th leading minor of the array is not positive definite"
+        )
+        with pytest.raises(NotPositiveDefiniteError, match=f"^{re.escape(message)}$"):
             gp_fit_binary(X, y, params=KernelParams(sigma=0.0))
 
     def test_single_point_alpha_formula(self):
@@ -258,3 +285,75 @@ class TestProbaAndMulticlass:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         classes = model.predict_class(X)
         np.testing.assert_array_equal(classes, np.argmax(probs, axis=1))
+
+
+def _scipy_reference(X, params):
+    """The Cholesky pair of S(X, X) + sigma^2 I from scipy's checked wrappers."""
+    K = kernel_matrix(X, X, params)
+    K[np.diag_indices_from(K)] += params.sigma**2
+    return scipy.linalg.cho_factor(K, lower=True)
+
+
+class TestLapackFactor:
+    @pytest.mark.parametrize("kind", ["exponential", "squared_exponential"])
+    @pytest.mark.parametrize("n", [3, 12, 100, 333])
+    def test_bit_identical_to_scipy_wrappers(self, n, kind):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 3))
+        y = (rng.random(n) < 0.5).astype(float)
+        table = CountTable.from_labels(rng.integers(0, 3, n), 3)
+        X0 = rng.standard_normal((11, 3))
+        params = KernelParams(tau=1.3, rho=0.7, sigma=0.2, kind=kind)
+        ref = _scipy_reference(X, params)
+
+        binary = gp_fit_binary(X, y, params=params)
+        assert binary.chol[1] is True
+        assert np.array_equal(binary.chol[0], ref[0])  # the whole array, strict upper triangle too
+        residual = binary.eta_hat - X @ binary.beta
+        assert np.array_equal(binary.alpha, scipy.linalg.cho_solve(ref, residual))
+
+        multi = gp_fit_multiclass(X, table, params=params)
+        etas = np.column_stack([m.eta_hat for m in multi.models])
+        betas = np.column_stack([m.beta for m in multi.models])
+        alphas = scipy.linalg.cho_solve(ref, etas - X @ betas)
+        for k, m in enumerate(multi.models):
+            assert np.array_equal(m.chol[0], ref[0])
+            assert np.array_equal(m.alpha, alphas[:, k])
+
+        Ks = kernel_matrix(X0, X, params)
+        cross = Ks @ scipy.linalg.cho_solve(ref, Ks.T)
+        _, cov = gp_predict_latent(binary, X0)
+        assert np.array_equal(cov, kernel_matrix(X0, X0, params) - cross)
+        _, cov_cross = gp_predict_latent(binary, X0, include_prior_var=False)
+        assert np.array_equal(cov_cross, cross)
+
+    def test_callers_design_is_unchanged(self):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((30, 2))
+        y = (rng.random(30) < 0.5).astype(float)
+        table = CountTable.from_labels(rng.integers(0, 3, 30), 3)
+        before = X.copy()
+        model = gp_fit_binary(X, y)
+        gp_fit_multiclass(X, table)
+        gp_predict_latent(model, X)
+        assert np.array_equal(X, before)
+
+    def test_fit_holds_one_gram_buffer(self):
+        # The Gram is factored where the kernel made it: no second n x n copy.
+        n = 1000
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((n, 2))
+        y = (rng.random(n) < 0.5).astype(float)
+        gp_fit_binary(X, y)  # first-call imports and memos stay out of the peak
+        tracemalloc.start()
+        try:
+            gp_fit_binary(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n * n
+
+    def test_multiclass_needs_a_count_table(self):
+        X = np.random.default_rng(23).standard_normal((20, 2))
+        with pytest.raises(InvalidResponseError, match="^Y must be a CountTable, got ndarray$"):
+            gp_fit_multiclass(X, np.ones((20, 2)))
