@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidResponseError
+from .errors import DimensionMismatchError, InvalidResponseError, is_count
 from .glm import FittedGLM, JacobiHyper, _fit, check_response, predict_linear
 from .linalg import as_array
 
@@ -45,18 +45,18 @@ class CountTable:
 
     @classmethod
     def from_labels(cls, labels, n_classes: int | None = None) -> "CountTable":
-        """One-hot table for single-label data (each row total is 1)."""
-        labels = np.asarray(labels)
-        if labels.ndim != 1 or labels.shape[0] == 0:
-            raise DimensionMismatchError(f"labels must be 1-d and non-empty, got {labels.shape}")
-        idx = labels.astype(int)
-        if np.any(idx != labels) or np.any(idx < 0):
-            raise InvalidResponseError("labels must be non-negative integers")
-        k = int(idx.max()) + 1 if n_classes is None else n_classes
-        if np.any(idx >= k):
-            raise InvalidResponseError(f"label {idx.max()} out of range for {k} classes")
+        """One-hot table for single-label data (each row total is 1), n_classes by default
+        the largest label + 1, below 2**31 (the most columns one LP64 LAPACK call takes)."""
+        labels = check_response(labels, "poisson", ndims=(1,))  # names a label that is not a count
+        if labels.shape[0] == 0:
+            raise DimensionMismatchError("labels must be non-empty")
+        k = int(labels.max()) + 1 if n_classes is None else n_classes
+        if not (is_count(k, 2) and k < 2**31):
+            raise DimensionMismatchError(f"need an integer 2 <= n_classes < 2**31, got {k!r}")
+        if labels.max() >= k:
+            raise InvalidResponseError(f"label {int(labels.max())} out of range for {k} classes")
         table = np.zeros((labels.shape[0], k))
-        table[np.arange(labels.shape[0]), idx] = 1.0
+        table[np.arange(labels.shape[0]), labels.astype(int)] = 1.0
         return cls(table)
 
 

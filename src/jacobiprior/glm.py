@@ -156,14 +156,11 @@ def _count_ratio(y, a: float, b: float):
     return ratio
 
 
-def _probit_grad_hess(eta, c1: float, c2: float):
-    """Gradient and Hessian of c1*log Phi(eta) + c2*log(1 - Phi(eta)) - eta^2/2 at a float
-    or an array eta. Only ufuncs touch eta, so each element has the same bits either way."""
+def _probit_grad_hess(eta, c1, c2):
+    """Gradient and Hessian of c1*log Phi(eta) + c2*log(1 - Phi(eta)) - eta^2/2, element-wise."""
     log_phi = -0.5 * eta * eta - _LOG_SQRT_2PI
     r1 = np.exp(log_phi - log_ndtr(eta))       # phi/Phi
     r2 = np.exp(log_phi - log_ndtr(-eta))      # phi/(1 - Phi)
-    if isinstance(eta, float):  # Python-float arithmetic costs half of numpy scalars', same bits
-        r1, r2 = float(r1), float(r2)
     grad = c1 * r1 - c2 * r2 - eta
     hess = -c1 * r1 * (eta + r1) - c2 * r2 * (r2 - eta) - 1.0
     return grad, hess
@@ -177,80 +174,20 @@ def _probit_half_width(m):
     return np.fmax(PROBIT_BRACKET, 4.0 * np.sqrt((1.0 + m) / m))
 
 
-def probit_mode(y, a: float, b: float) -> float:
-    """Posterior mode of eta for a Bernoulli observation under the probit link.
-
-    Maximizes Phi(eta)^(y+a-1) * (1-Phi(eta))^(b-y) * phi(eta) by
-    safeguarded Newton iteration started at 0 on the bracket
-    [-w, w], w = ``_probit_half_width(a if y == 0 else b)``. The gradient
-    must change sign there, or NoConvergenceError. In exact arithmetic it
-    does for any valid (y, a, b); in float the ratios phi/Phi lose
-    their digits once |eta| is large, so a lane whose own shape is below
-    about 3e-5 fails the bracket test or the |grad| <= PROBIT_TOL test.
-
-    The Newton loop is a pure function of the checked (y, a, b) and is
-    memoised; an error is not, so every failing call raises its own message again.
-    """
-    a, b = float(a), float(b)  # numpy-scalar arithmetic doubles the Newton's cost, same bits
-    y, _, _ = _posterior_shapes(y, a, b)
-    return _probit_newton(y, a, b)  # an int and two floats: hashable whatever the caller passed
-
-
-@functools.lru_cache(maxsize=256)  # every fit at one shape pair asks for the same two modes
-def _probit_newton(y: int, a: float, b: float) -> float:
-    """``probit_mode``'s safeguarded Newton loop for a checked y and float shapes."""
-    c1 = (y + a) - 1.0
-    c2 = b - y
-    with np.errstate(all="ignore"):  # a tiny shape's wide bracket may overflow; a test fails
-        hi = float(_probit_half_width(b if y else a))
-        lo = -hi
-        g_lo, _ = _probit_grad_hess(lo, c1, c2)
-        g_hi, _ = _probit_grad_hess(hi, c1, c2)
-        if not (g_lo > 0 > g_hi):
-            raise NoConvergenceError(
-                f"gradient does not bracket a maximum on [{lo}, {hi}] for y={y}, a={a}, b={b}"
-            )
-        eta = 0.0
-        for _ in range(PROBIT_MAX_ITER):
-            grad, hess = _probit_grad_hess(eta, c1, c2)
-            if abs(grad) <= PROBIT_TOL:
-                return eta
-            if grad > 0:
-                lo = eta
-            else:
-                hi = eta
-            if hess < 0:
-                step = eta - grad / hess
-            else:
-                step = math.nan
-            # Fall back to bisection whenever Newton leaves the bracket.
-            eta = step if (lo < step < hi) else 0.5 * (lo + hi)
-    raise NoConvergenceError(f"probit mode did not reach |grad| <= {PROBIT_TOL} "
-                             f"in {PROBIT_MAX_ITER} iterations")
-
-
-def probit_modes(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``binary_modes("probit", a, b)`` for arrays of shape pairs: (m0, m1, converged).
-
-    One array Newton loop runs a y = 0 and a y = 1 lane for every pair, each
-    lane with ``probit_mode``'s rule and float operations (the bracket test,
-    the Newton step, bisection when the step leaves the bracket, the stop at
-    |grad| <= PROBIT_TOL), so a converged mode equals the scalar one bit for
-    bit. A lane that fails the shape check or the bracket test, or runs out of
-    iterations, is NaN; a pair with such a lane is not converged, and
-    ``binary_modes`` gives its error.
-    """
-    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
-    y = np.repeat([0.0, 1.0], a.size)
-    a, b = np.tile(a, 2), np.tile(b, 2)
+def _probit_lanes(y, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The probit Newton loop over float arrays of lanes (y, a, b): (mode, ok), where ok
+    is the shape check (y + a > 0 and b + 1 - y > 0) and the bracket test (grad > 0 at -w,
+    < 0 at w). An ok lane steps from 0, bisects whenever a step leaves its shrinking bracket
+    and stops at |grad| <= PROBIT_TOL; mode is NaN for a lane that is not ok or, if ok, ran
+    out of iterations. Each lane's float operations are its own, whatever the others do."""
     num = y + a
     c1 = num - 1.0
     c2 = b - y
     mode = np.full(y.shape, np.nan)
-    with np.errstate(all="ignore"):  # as in probit_mode; a failed lane is NaN, not a warning
+    with np.errstate(all="ignore"):  # a tiny shape's wide bracket may overflow; a test fails
         hi = _probit_half_width(np.where(y == 1.0, b, a))
         lo = -hi
-        ok = (num > 0) & (b + 1.0 - y > 0)  # _posterior_shapes
+        ok = (num > 0) & (b + 1.0 - y > 0)
         ok &= (_probit_grad_hess(lo, c1, c2)[0] > 0) & (0 > _probit_grad_hess(hi, c1, c2)[0])
         lanes = np.flatnonzero(ok)
         eta = np.zeros(lanes.size)
@@ -269,6 +206,52 @@ def probit_modes(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             hi = np.where(up, hi, eta)
             step = np.where(hess < 0, eta - grad / hess, np.nan)
             eta = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+    return mode, ok
+
+
+def probit_mode(y, a: float, b: float) -> float:
+    """Posterior mode of eta for a Bernoulli observation under the probit link.
+
+    Maximizes Phi(eta)^(y+a-1) * (1-Phi(eta))^(b-y) * phi(eta) by
+    safeguarded Newton iteration started at 0 on the bracket
+    [-w, w], w = ``_probit_half_width(a if y == 0 else b)``. The gradient
+    must change sign there, or NoConvergenceError. In exact arithmetic it
+    does for any valid (y, a, b); in float the ratios phi/Phi lose
+    their digits once |eta| is large, so a lane whose own shape is below
+    about 3e-5 fails the bracket test or the |grad| <= PROBIT_TOL test.
+
+    The mode is one lane of ``_probit_lanes``, memoised on the checked (y, a, b);
+    an error is not, so every failing call raises its own message again.
+    """
+    a, b = float(a), float(b)  # the memo key: hashable floats whatever the caller passed
+    y, _, _ = _posterior_shapes(y, a, b)
+    return _probit_lane(y, a, b)
+
+
+@functools.lru_cache(maxsize=256)  # every fit at one shape pair asks for the same two modes
+def _probit_lane(y: int, a: float, b: float) -> float:
+    """``probit_mode`` of a checked y and float shapes: one lane, or its NoConvergenceError."""
+    (mode,), (ok,) = _probit_lanes(np.array([float(y)]), np.array([a]), np.array([b]))
+    if not ok:  # the shapes passed _posterior_shapes, so the bracket test failed
+        with np.errstate(all="ignore"):  # a tiny shape's half-width overflows to inf
+            hi = float(_probit_half_width(b if y else a))
+        raise NoConvergenceError(
+            f"gradient does not bracket a maximum on [{-hi}, {hi}] for y={y}, a={a}, b={b}"
+        )
+    if math.isnan(mode):
+        raise NoConvergenceError(f"probit mode did not reach |grad| <= {PROBIT_TOL} "
+                                 f"in {PROBIT_MAX_ITER} iterations")
+    return float(mode)
+
+
+def probit_modes(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``binary_modes("probit", a, b)`` for arrays of shape pairs: (m0, m1, converged).
+
+    Runs a y = 0 and a y = 1 lane of ``_probit_lanes`` per pair, each bit for bit ``probit_mode``'s.
+    A failed lane is NaN and its pair not converged; ``binary_modes`` gives its error.
+    """
+    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
+    mode, _ = _probit_lanes(np.repeat([0.0, 1.0], a.size), np.tile(a, 2), np.tile(b, 2))
     m0, m1 = mode.reshape(2, -1)
     return m0, m1, ~(np.isnan(m0) | np.isnan(m1))
 
@@ -284,16 +267,24 @@ def binary_modes(family: str, a: float, b: float) -> tuple[float, float]:
     return mode(0, a, b), m1
 
 
+def as_response(y) -> np.ndarray:
+    """y as a float array; an entry that is not a number is InvalidResponseError."""
+    try:
+        return np.asarray(y, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidResponseError(f"response y must be numeric: {exc}") from None
+
+
 def check_response(y, family: str, rows: int | None = None, ndims=(1, 2)) -> np.ndarray:
     """The one response intake: y as a float array, checked for family in this order.
 
-    The family; the ndim (binary families take a vector, ``poisson`` any
-    of ``ndims``); the length against the design's ``rows``, "y length k
-    != design rows n"; the values, naming the first bad (or NaN) entry
+    The family; numbers (``as_response``); the ndim (binary families take a
+    vector, ``poisson`` any of ``ndims``); the length against the design's ``rows``,
+    "y length k != design rows n"; the values, naming the first bad (or NaN) entry
     by its index, or by row and column for a count matrix.
     """
     validate_family(family)
-    y = np.asarray(y, dtype=float)
+    y = as_response(y)
     ndims = ndims if family == "poisson" else (1,)
     if y.ndim not in ndims:
         raise DimensionMismatchError(f"{family} response must have ndim in {ndims}, got {y.ndim}")

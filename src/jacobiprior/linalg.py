@@ -34,8 +34,11 @@ BLOCK_ROWS = 16384
 
 
 def as_array(a, ndim: int, name: str) -> np.ndarray:
-    """a as a float array of ``ndim`` dims; its values are not checked."""
-    a = np.asarray(a, dtype=float)
+    """a as a float array of ``ndim`` dims; its values are not checked, but must be numbers."""
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"{name} must be numeric: {exc}") from None
     if a.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-d, got ndim={a.ndim}")
     return a

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionMismatchError, InvalidHyperError, JacobiPriorError,
                      SchemaMismatchError, is_count)
-from .glm import JacobiHyper, check_response, latent_vector
+from .glm import JacobiHyper, as_response, check_response, latent_vector
 from .linalg import HouseholderQR, LeastSquaresSolver, as_array, project
 from .rng import SeedSpec, derive_rng
 
@@ -205,7 +205,7 @@ def run_harness(
     """
     X = as_array(X, 2, "X")  # each shard checks the values of its own rows
     n = X.shape[0]
-    y = np.asarray(y, dtype=float)  # each shard checks the values of its own rows
+    y = as_response(y)  # each shard checks the values of its own rows
     if y.shape != (n,):
         check_response(y, family, n, (1,))  # raises the intake's ndim or length error
     if not (is_count(n_shards) and n_shards <= n):

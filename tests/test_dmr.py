@@ -26,6 +26,8 @@ class TestCountTable:
             CountTable(np.array([[1.0, -1.0], [0.0, 2.0]]))
         with pytest.raises(InvalidResponseError):
             CountTable(np.array([[1.5, 1.0], [0.0, 2.0]]))
+        with pytest.raises(InvalidResponseError, match="^response y must be numeric: "):
+            CountTable([["a", "b"]])
 
     def test_needs_two_classes(self):
         with pytest.raises(DimensionMismatchError):
@@ -44,6 +46,22 @@ class TestCountTable:
         assert table.n_classes == 3
         np.testing.assert_array_equal(table.totals, np.ones(4))
         np.testing.assert_array_equal(table.counts[1], [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("labels, n_classes, error, message", [
+        # A NaN must not reach a cast to int: the suite turns its RuntimeWarning into an error.
+        ([0.0, np.nan, 1.0], None, InvalidResponseError, "non-negative integer; offending index 1: nan$"),
+        ([0.0, np.nan, 1.0], 3, InvalidResponseError, "non-negative integer; offending index 1: nan$"),
+        ([0.0, 1e20, 1.0], 3, InvalidResponseError, "^label 100000000000000000000 out of range for 3 classes$"),
+        # Without n_classes, a label of 1e20 implies 1e20 + 1 classes.
+        ([0.0, 1e20, 1.0], None, DimensionMismatchError, r"^need an integer 2 <= n_classes < 2\*\*31, got 1000"),
+        (["a", "b"], None, InvalidResponseError, "^response y must be numeric: "),
+        ([0, 1], 1.5, DimensionMismatchError, r"^need an integer 2 <= n_classes < 2\*\*31, got 1.5$"),
+        ([0, 1], 1, DimensionMismatchError, r"^need an integer 2 <= n_classes < 2\*\*31, got 1$"),
+        ([0, 1], True, DimensionMismatchError, r"^need an integer 2 <= n_classes < 2\*\*31, got True$"),
+    ])
+    def test_from_labels_edge_inputs_are_typed(self, labels, n_classes, error, message):
+        with pytest.raises(error, match=message):
+            CountTable.from_labels(labels, n_classes)
 
 
 class TestFitDmr:

@@ -254,13 +254,17 @@ def _bad_response(case, y):
     if case == "out_of_support":
         bad[7] = 2.0
         return bad, "logit", InvalidResponseError, "binary response must be 0 or 1; offending index 7: 2.0"
+    if case == "strings":
+        return [*y[:3], "a", *y[4:]], "logit", InvalidResponseError, "response y must be numeric: "
+    if case == "dicts":
+        return [{}] * len(y), "poisson", InvalidResponseError, "response y must be numeric: "
     return y, "gamma", InvalidResponseError, "unknown family 'gamma'"
 
 
 INTAKE_CASES = [
     (entry, case)
     for entry in sorted(ENTRY_POINTS)
-    for case in ("short", "nan", "out_of_support", "unknown_family")
+    for case in ("short", "nan", "out_of_support", "strings", "dicts", "unknown_family")
     if (entry, case) != ("gp_fit_binary", "unknown_family")  # it has no family argument
 ]
 

@@ -83,6 +83,11 @@ class TestSolveNormalEquations:
             LeastSquaresSolver(X)
         with pytest.raises(DimensionMismatchError, match="t contains a non-finite entry at index 1: nan"):
             LeastSquaresSolver(np.eye(3)).solve([0.0, np.nan, np.inf])
+        # An entry that is not a number at all is named by its argument too.
+        with pytest.raises(DimensionMismatchError, match="^X must be numeric: "):
+            LeastSquaresSolver([["a", "b"]] * 6)
+        with pytest.raises(DimensionMismatchError, match="^X must be numeric: "):
+            fit_jacobi([["a", "b"]] * 6, [0.0, 1.0] * 3, "logit")
         # The solver checks its right-hand side too, naming the global row
         # of a blocked design, never a row within its block.
         for n in (10, 2 * BLOCK_ROWS + 1):

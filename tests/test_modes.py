@@ -16,10 +16,11 @@ from jacobiprior.errors import (
 )
 from jacobiprior.glm import (
     PROBIT_BRACKET,
+    PROBIT_MAX_ITER,
     PROBIT_TOL,
+    _posterior_shapes,
     _probit_grad_hess,
     _probit_half_width,
-    _probit_newton,
     binary_modes,
     logit_mode,
     poisson_mode,
@@ -277,20 +278,95 @@ class TestProbitModeOverTheSearchRange:
         assert m0.shape == m1.shape == converged.shape == (0,)
 
 
+def reference_probit_newton(y: int, a: float, b: float) -> float:
+    """The scalar safeguarded Newton loop probit_mode must reproduce bit for bit, errors and
+    their messages included, for a checked int y and float shapes. Its gradient runs on
+    Python floats wherever numpy would give a numpy scalar."""
+
+    def grad_hess(eta):
+        log_phi = -0.5 * eta * eta - 0.5 * math.log(2.0 * math.pi)
+        r1 = float(np.exp(log_phi - log_ndtr(eta)))   # phi/Phi
+        r2 = float(np.exp(log_phi - log_ndtr(-eta)))  # phi/(1 - Phi)
+        grad = c1 * r1 - c2 * r2 - eta
+        hess = -c1 * r1 * (eta + r1) - c2 * r2 * (r2 - eta) - 1.0
+        return grad, hess
+
+    c1 = (y + a) - 1.0
+    c2 = b - y
+    with np.errstate(all="ignore"):
+        m = b if y else a
+        hi = float(np.fmax(PROBIT_BRACKET, 4.0 * np.sqrt((1.0 + m) / m)))
+        lo = -hi
+        if not (grad_hess(lo)[0] > 0 > grad_hess(hi)[0]):
+            raise NoConvergenceError(
+                f"gradient does not bracket a maximum on [{lo}, {hi}] for y={y}, a={a}, b={b}"
+            )
+        eta = 0.0
+        for _ in range(PROBIT_MAX_ITER):
+            grad, hess = grad_hess(eta)
+            if abs(grad) <= PROBIT_TOL:
+                return eta
+            if grad > 0:
+                lo = eta
+            else:
+                hi = eta
+            step = eta - grad / hess if hess < 0 else math.nan
+            eta = step if (lo < step < hi) else 0.5 * (lo + hi)
+    raise NoConvergenceError(f"probit mode did not reach |grad| <= {PROBIT_TOL} "
+                             f"in {PROBIT_MAX_ITER} iterations")
+
+
+def reference_probit_mode(y, a, b) -> float:
+    """probit_mode's checks, then the reference loop."""
+    return reference_probit_newton(_posterior_shapes(y, a, b)[0], a, b)
+
+
+def outcome(mode, y, a, b):
+    """('mode', the mode's float hex) or (error type, message)."""
+    try:
+        return "mode", float(mode(y, a, b)).hex()
+    except (InvalidHyperError, NoConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+# a and b log-uniform on [1e-8, 50]: converged, bracket-failing and capped lanes alike
+wide_shapes = st.floats(min_value=math.log(1e-8), max_value=math.log(50.0)).map(math.exp)
+
+
+class TestProbitModeAgainstTheReference:
+    """probit_mode is one lane of the array loop, bit for bit the scalar Newton loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.sampled_from([0, 1]), a=wide_shapes, b=wide_shapes)
+    def test_equals_the_reference(self, y, a, b):
+        assert outcome(probit_mode, y, a, b) == outcome(reference_probit_mode, y, a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        (0.5, 5e-17), (5e-17, 0.5), (1e-5, 1e-5), (5e-7, 5e-7), (math.nan, 1.0), (math.inf, 1.0),
+        (1 / 200, 1 / 200),
+    ])
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_fixed_cases(self, y, a, b):
+        # Every outcome: b = 5e-17 is improper at y = 1; a = 5e-17 fails the test of its
+        # +-5.7e8 bracket at y = 0; the 1e-5 and 5e-7 pairs hit the iteration cap; NaN and
+        # inf fail the bracket test on [-12, 12]; 1/200 converges outside it.
+        assert outcome(probit_mode, y, a, b) == outcome(reference_probit_mode, y, a, b)
+
+
 class TestProbitModeMemo:
     """probit_mode's Newton loop is memoised on the checked (y, a, b); its errors are not."""
 
     @settings(max_examples=100, deadline=None)
     @given(y=st.sampled_from([0, 1, 0.0, 1.0]), a=search_shapes, b=search_shapes)
     def test_equals_the_unmemoised_loop(self, y, a, b):
-        expected = _probit_newton.__wrapped__(int(y), a, b)
+        expected = reference_probit_newton(int(y), a, b)
         assert probit_mode(y, a, b) == expected
         assert probit_mode(y, np.float64(a), np.float64(b)) == expected  # a cache hit
 
     def test_zero_d_arrays_are_accepted(self):
         # The memo is keyed on the checked int y and float shapes, not on the arguments.
         mode = probit_mode(np.array(1.0), np.array(0.5), np.array(0.5))
-        assert mode == probit_mode(1, 0.5, 0.5) == _probit_newton.__wrapped__(1, 0.5, 0.5)
+        assert mode == probit_mode(1, 0.5, 0.5) == reference_probit_newton(1, 0.5, 0.5)
 
     @pytest.mark.parametrize("y, a, b, error", [
         (0, 1e-5, 1e-5, NoConvergenceError),
