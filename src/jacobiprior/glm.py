@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtr
 
 from .errors import (
     DimensionMismatchError,
@@ -25,9 +24,12 @@ from .errors import (
     InvalidResponseError,
     NoConvergenceError,
 )
-from .linalg import LeastSquaresSolver, as_array, as_matrix, project, stable_matvec
+from .linalg import LazyModule, LeastSquaresSolver, as_array, as_matrix, project, stable_matvec
 
 FAMILIES = ("logit", "probit", "poisson")
+
+_special = LazyModule("scipy.special")  # the probit link only: logit and poisson need numpy alone
+_EXP_MAX = math.log(np.finfo(float).max)  # exp(u) is finite up to here and overflows above
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 PROBIT_TOL = 1e-10  # probit_mode stops at |grad| <= PROBIT_TOL
@@ -159,8 +161,8 @@ def _count_ratio(y, a: float, b: float):
 def _probit_grad_hess(eta, c1, c2):
     """Gradient and Hessian of c1*log Phi(eta) + c2*log(1 - Phi(eta)) - eta^2/2, element-wise."""
     log_phi = -0.5 * eta * eta - _LOG_SQRT_2PI
-    r1 = np.exp(log_phi - log_ndtr(eta))       # phi/Phi
-    r2 = np.exp(log_phi - log_ndtr(-eta))      # phi/(1 - Phi)
+    r1 = np.exp(log_phi - _special.log_ndtr(eta))   # phi/Phi
+    r2 = np.exp(log_phi - _special.log_ndtr(-eta))  # phi/(1 - Phi)
     grad = c1 * r1 - c2 * r2 - eta
     hess = -c1 * r1 * (eta + r1) - c2 * r2 * (r2 - eta) - 1.0
     return grad, hess
@@ -350,12 +352,23 @@ def predict_linear(model: FittedGLM, X0) -> np.ndarray:
     return stable_matvec(as_matrix(X0, "X0", model.beta.shape[0]), model.beta)
 
 
+def logistic(eta: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-eta)) of a float array, as scipy's ``expit`` computes it, within a few ulp
+    and equal in the tails (0 where exp(-eta) overflows, 1 at the top, NaN for NaN). An
+    overflowing exp(-eta) is set to inf first: no overflow warning, and no ``np.errstate``."""
+    u = np.negative(eta)
+    u[u > _EXP_MAX] = np.inf  # NaN compares false and stays NaN
+    np.exp(u, out=u)
+    u += 1.0
+    return np.reciprocal(u, out=u)
+
+
 def inverse_link(eta: np.ndarray, family: str) -> np.ndarray:
     validate_family(family)
     if family == "logit":
-        return expit(eta)
+        return logistic(eta)
     if family == "probit":
-        return ndtr(eta)
+        return _special.ndtr(eta)
     return np.exp(eta)
 
 

@@ -13,16 +13,21 @@ callers that solve later right-hand sides (MC draws, grid and search
 surfaces). The symmetric positive definite kernel solve of the GP
 classifiers lives in ``gp``, which likewise calls LAPACK (``dpotrf``,
 ``dpotrs``) directly on a buffer it owns.
+
+LAPACK is bound on first use: the first QR imports ``scipy.linalg`` for
+its ``lapack`` and ``blas`` wrappers (through ``LazyModule``), and each
+routine is then an attribute lookup. Checking and predicting
+(``as_matrix``, ``stable_matvec``) need only numpy, so a prediction loads
+no scipy module.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import threading
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dtrcon, dtrtrs
 
 from .errors import DimensionMismatchError, RankDeficientError
 
@@ -31,23 +36,46 @@ COND_LIMIT = 1e12
 # Rows per block of a tall design, for both the QR and stable_matvec's
 # prediction sum: 1 MB at p = 8, held in L2.
 BLOCK_ROWS = 16384
+# stable_matvec forms at most this many products in one broadcast multiply (32 KB, in L1);
+# beyond about twice this, at p = 8, the column-by-column sum is faster.
+SMALL_PRODUCTS = 4096
 
 
-def as_array(a, ndim: int, name: str) -> np.ndarray:
-    """a as a float array of ``ndim`` dims; its values are not checked, but must be numbers."""
+class LazyModule:
+    """A module's attributes, the module imported on first use: each attribute is then
+    cached on this object, so a later use costs an attribute lookup, not an import."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+_lapack = LazyModule("scipy.linalg.lapack")
+_blas = LazyModule("scipy.linalg.blas")
+
+
+def as_array(a, ndim: int | None, name: str) -> np.ndarray:
+    """a as a float array of ``ndim`` dims (any, if None); its values are not checked, but
+    must be numbers."""
     try:
         a = np.asarray(a, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"{name} must be numeric: {exc}") from None
-    if a.ndim != ndim:
+    if ndim is not None and a.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-d, got ndim={a.ndim}")
     return a
 
 
-def _check_finite(a: np.ndarray, name: str, row0: int = 0) -> np.ndarray:
-    """a, unless an entry is non-finite: the first is named, its row offset by row0."""
+def _check_finite(a: np.ndarray, name: str, row0: int = 0, dot=np.vdot) -> np.ndarray:
+    """a, unless an entry is non-finite: the first is named, its row offset by row0. ``dot``
+    forms v'v without an overflow warning (v.dot and v @ v warn): np.vdot, or BLAS ddot, a
+    third of its cost at 800 entries, on the QR paths, which load LAPACK anyway."""
     # v'v < inf fails iff an entry is non-finite or v'v overflows; ravel views a contiguous a
-    fast = a.size and a.flags.forc and scipy.linalg.blas.ddot(v := a.ravel(order="K"), v) < np.inf
+    fast = a.size and a.flags.forc and dot(v := a.ravel(order="K"), v) < np.inf
     if not fast and not np.isfinite(a).all():
         idx = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
         where = f"row {row0 + idx[0]}, column {idx[1]}" if a.ndim == 2 else f"index {idx[0]}"
@@ -73,7 +101,7 @@ def as_matrix(X, name: str = "X", cols: int | None = None) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _geqrf_lwork(m: int, n: int) -> int:
     # The query is a LAPACK call, 2-3% of a 100 x 8 fit; a tall fit repeats two block shapes.
-    return max(1, int(dgeqrf_lwork(m, n)[0]))
+    return max(1, int(_lapack.dgeqrf_lwork(m, n)[0]))
 
 
 def _geqrf(A):
@@ -81,7 +109,7 @@ def _geqrf(A):
     # dgeqrf with the workspace scipy.linalg.qr queries gives its exact
     # factor without the wrapper's repeated checks and second copy of X,
     # which cost more than the factorization itself at n = 100.
-    qr, tau, _, info = dgeqrf(A, lwork=_geqrf_lwork(*A.shape), overwrite_a=1)
+    qr, tau, _, info = _lapack.dgeqrf(A, lwork=_geqrf_lwork(*A.shape), overwrite_a=1)
     if info != 0:
         raise RankDeficientError(f"dgeqrf failed with info={info}")
     return qr, tau, threading.Lock()
@@ -92,7 +120,7 @@ def _apply_qt(qr, tau, lock, c: np.ndarray) -> np.ndarray:
     # to 1 and restores it afterwards; the lock keeps concurrent calls
     # from reading the factor in between.
     with lock:
-        cq, _, info = dormqr("L", "T", qr, tau, c, 64)
+        cq, _, info = _lapack.dormqr("L", "T", qr, tau, c, 64)
     if info != 0:
         raise RankDeficientError(f"dormqr failed with info={info}")
     return cq
@@ -117,7 +145,7 @@ def _factor_blocks(X: np.ndarray, keep: bool):
         off = start * p if keep else 0
         a = buf[off : off + block.size].reshape(p, -1).T
         np.copyto(a, block)
-        _check_finite(a, "X", start)
+        _check_finite(a, "X", start, _blas.ddot)
         yield slice(start, start + len(block)), _geqrf(a)
         start += len(block)
 
@@ -161,7 +189,8 @@ class HouseholderQR:
         if _tsqr_blocks(n, p):  # one n x p buffer for all blocks; a buffer per block churns the heap
             self._blocks = [f for _, f in _factor_blocks(X, keep=True)]
             X = np.vstack([np.triu(f[:p]) for f, _, _ in self._blocks])  # p reflectors each
-        self._factor, self._tau, self._lock = _geqrf(np.array(_check_finite(X, "X"), order="F"))
+        X = np.array(_check_finite(X, "X", dot=_blas.ddot), order="F")
+        self._factor, self._tau, self._lock = _geqrf(X)
         self._qr = self._factor[:, : self._tau.shape[0]]  # the k = min(n, p) reflectors dormqr applies
 
     @property
@@ -174,12 +203,13 @@ class HouseholderQR:
 
     def qt(self, t: np.ndarray) -> np.ndarray:
         """First p entries of Q't: p values for an n-vector, p x K for n x K."""
-        t = np.asarray(t, dtype=float)
+        t = as_array(t, None, "t")
         if t.ndim not in (1, 2) or t.shape[0] != self.n:
             raise DimensionMismatchError(
                 f"rhs shape {t.shape} does not have design rows {self.n}"
             )
-        cols = _check_finite(t, "t").reshape(self.n, -1)  # names a global row, not a block's
+        # names a global row, not a block's
+        cols = _check_finite(t, "t", dot=_blas.ddot).reshape(self.n, -1)
         k = self._qr.shape[1]
         out = np.zeros((self.p, cols.shape[1]))
         for j in range(cols.shape[1]):
@@ -209,9 +239,9 @@ class LeastSquaresSolver(HouseholderQR):
         # cond(X) == cond(R) because Q has orthonormal columns; dtrcon's
         # reciprocal 1-norm estimate on the small triangular factor is
         # far cheaper than an SVD and accurate to a modest factor.
-        rcond, info = dtrcon(self._r, norm="1")
+        rcond, info = _lapack.dtrcon(self._r, norm="1")
         self.cond = float(1.0 / rcond) if rcond > 0 else float("inf")
-        if info != 0 or not np.isfinite(self.cond) or self.cond > COND_LIMIT:
+        if info != 0 or self.cond > COND_LIMIT:  # an inf cond is above it too
             raise RankDeficientError(
                 f"design condition estimate {self.cond:.3e} exceeds {COND_LIMIT:.0e}"
             )
@@ -226,7 +256,7 @@ class LeastSquaresSolver(HouseholderQR):
         c = self.qt(t)
         betas = []
         for col in c.T if c.ndim == 2 else [c]:
-            beta, info = dtrtrs(self._r, col, lower=0)
+            beta, info = _lapack.dtrtrs(self._r, col, lower=0)
             if info != 0:
                 raise RankDeficientError(f"triangular solve failed with info={info}")
             betas.append(beta)
@@ -243,24 +273,26 @@ def stable_matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     bit-identical output for equal inputs (model files round-trip,
     column order in CSVs is irrelevant), so they avoid BLAS.
 
-    A design of more than ``BLOCK_ROWS`` rows is summed one row block at a
-    time into a preallocated output, with one reused buffer for the
+    A small product (n p K <= ``SMALL_PRODUCTS``, a 100-row predict) is
+    formed whole by one broadcast multiply and summed over its p columns:
+    p ufunc calls in place of 2p - 1, where a call costs more than its
+    arithmetic. A larger one is summed one row block of ``BLOCK_ROWS`` rows
+    at a time into a preallocated output, with one reused buffer for the
     products: each block's columns are read while the block sits in L2, so
     a tall C-ordered design is read from memory once, not once per column.
-    A shorter design is one block, summed whole without that set-up (two
-    allocations and the slicing cost about a tenth of a 100-row predict).
     Every output element gets the same multiplies and adds in the same
-    column order either way, so the blocking changes no bit.
+    column order either way, so neither changes a bit.
     """
-    mul = np.multiply if beta.ndim == 1 else np.multiply.outer
     n, p = X.shape
-    if n <= BLOCK_ROWS:
-        out = mul(X[:, 0], beta[0])
-        for j in range(1, p):
-            out += mul(X[:, j], beta[j])
+    if n * beta.size <= SMALL_PRODUCTS:
+        terms = np.multiply(X.T if beta.ndim == 1 else X.T[:, :, None], beta[:, None])
+        out = terms[0] + terms[1] if p > 1 else terms[0].copy()
+        for j in range(2, p):
+            out += terms[j]
         return out
+    mul = np.multiply if beta.ndim == 1 else np.multiply.outer
     out = np.empty((n,) + beta.shape[1:])
-    scratch = np.empty((BLOCK_ROWS,) + beta.shape[1:])
+    scratch = np.empty((min(n, BLOCK_ROWS),) + beta.shape[1:])
     for start in range(0, n, BLOCK_ROWS):
         block, acc = X[start : start + BLOCK_ROWS], out[start : start + BLOCK_ROWS]
         term = scratch[: len(block)]

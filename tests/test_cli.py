@@ -709,7 +709,34 @@ class TestFreshInterpreter:
     def test_import_loads_only_what_fit_and_predict_run(self, fresh_python):
         loaded = fresh_python("-c", "import sys, jacobiprior.cli; print(*sys.modules)").split()
         unused = [f"jacobiprior.{m}" for m in ("gp", "hyper", "mc", "mle", "partition", "simlab")]
-        assert [m for m in loaded if m in unused + ["scipy.spatial"]] == []
+        assert [m for m in loaded if m in unused or m.split(".")[0] == "scipy"] == []
+
+    # Runs one CLI call, then prints the scipy modules it loaded as its last line.
+    RUN_LISTING_SCIPY = (
+        "import sys; from jacobiprior.cli import main; rc = main(sys.argv[1:]); "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(rc)"
+    )
+
+    @pytest.mark.parametrize("family", ["logit", "poisson", "multinomial"])
+    def test_predict_loads_no_scipy_and_fit_no_scipy_special(self, family, tmp_path, fresh_python, capsys):
+        kind, response = {
+            "logit": ("logistic", ["--target", "y"]),
+            "poisson": ("poisson", ["--target", "y", "--family", "poisson"]),
+            "multinomial": ("circular", ["--family", "multinomial", "--classes", "y"]),
+        }[family]
+        data, model = tmp_path / "data.csv", tmp_path / "model.json"
+        assert main(["generate", "--kind", kind, "--n", "60", "--seed", "4", "--out", str(data)]) == 0
+        printed = fresh_python("-c", self.RUN_LISTING_SCIPY, "fit", "--train", str(data), *response,
+                               "--model-out", str(model))
+        fitted = printed.splitlines()[-1].split()
+        assert "scipy.linalg" in fitted
+        assert [m for m in fitted if m.startswith("scipy.special")] == []
+        predict_args = ["predict", "--model", str(model), "--data", str(data), "--out"]
+        printed = fresh_python("-c", self.RUN_LISTING_SCIPY, *predict_args, str(tmp_path / "fresh.csv"))
+        assert printed.splitlines()[-1] == ""
+        assert main(predict_args + [str(tmp_path / "here.csv")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
     def test_generate_fit_predict_match_in_process(self, tmp_path, fresh_python, capsys):
         steps = [

@@ -1,8 +1,13 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from jacobiprior.errors import (
     DimensionMismatchError,
@@ -14,6 +19,7 @@ from jacobiprior.glm import (
     default_hyper,
     fit_jacobi,
     latent_vector,
+    logistic,
     predict,
     predict_linear,
 )
@@ -216,6 +222,44 @@ class TestPredict:
         model = fit_jacobi(np.ones((4, 1)), np.array([1.0, 0.0, 1.0, 0.0]), "logit")
         with pytest.raises(DimensionMismatchError):
             predict(model, np.ones((2, 2)))
+
+
+def ulps(a, b):
+    """Units in the last place between two arrays of floats >= 0 (the order of their bits)."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestLogistic:
+    """``glm.logistic``, the logit inverse link in numpy, against scipy's ``expit``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 40),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_within_4_ulp_of_expit(self, x):
+        assert ulps(logistic(x), expit(x)).max() <= 4
+
+    def test_within_4_ulp_of_expit_on_draws(self):
+        rng = np.random.default_rng(22)
+        for x in (rng.normal(0.0, 5.0, 200_000), rng.uniform(-720.0, 40.0, 200_000)):
+            assert ulps(logistic(x), expit(x)).max() <= 4
+
+    def test_tails_and_special_values_are_exact(self):
+        edge = math.log(np.finfo(float).max)  # exp(-x) overflows for x below -edge
+        x = np.array([-800.0, -709.79, -np.nextafter(edge, np.inf), 0.0, 800.0, np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the suite does so too; no overflow warning here
+            got = logistic(x)
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, np.nan])
+        np.testing.assert_array_equal(got, expit(x))
+        assert 0.0 < logistic(np.array([-edge]))[0] < 1e-308  # the last finite exp(-x)
+
+    def test_keeps_shape_and_input(self):
+        x = np.array([[-1.0, 0.0], [2.0, -800.0]])
+        before = x.copy()
+        got = logistic(x)
+        assert got.shape == (2, 2)
+        np.testing.assert_array_equal(x, before)
+        assert ulps(got, expit(x)).max() <= 4
 
 
 def _intake_data():

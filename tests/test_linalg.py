@@ -9,7 +9,7 @@ import scipy.linalg
 
 from jacobiprior.errors import DimensionMismatchError, RankDeficientError
 from jacobiprior.glm import fit_jacobi, latent_vector
-from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver, stable_matvec
+from jacobiprior.linalg import BLOCK_ROWS, SMALL_PRODUCTS, LeastSquaresSolver, as_finite, stable_matvec
 from jacobiprior.partition import shard_stats
 
 
@@ -88,6 +88,14 @@ class TestSolveNormalEquations:
             LeastSquaresSolver([["a", "b"]] * 6)
         with pytest.raises(DimensionMismatchError, match="^X must be numeric: "):
             fit_jacobi([["a", "b"]] * 6, [0.0, 1.0] * 3, "logit")
+        # A right-hand side, 1-d or 2-d, goes through the same conversion rule.
+        solver = LeastSquaresSolver(np.eye(3))
+        for rhs in ([0.0, {}, 1.0], [[0.0], ["a"], [1.0]]):
+            with pytest.raises(DimensionMismatchError, match="^t must be numeric: "):
+                solver.solve(rhs)
+            with pytest.raises(DimensionMismatchError, match="^t must be numeric: "):
+                solver.qt(rhs)
+        np.testing.assert_array_equal(solver.solve([[1.0], [2.0], [3.0]]), [[1.0], [2.0], [3.0]])
         # The solver checks its right-hand side too, naming the global row
         # of a blocked design, never a row within its block.
         for n in (10, 2 * BLOCK_ROWS + 1):
@@ -104,6 +112,19 @@ class TestSolveNormalEquations:
             X[n - 3, 2] = np.nan  # in the last block when blocked
             with pytest.raises(DimensionMismatchError, match=f"X contains a non-finite entry at row {n - 3}, column 2: nan"):
                 LeastSquaresSolver(X)
+
+    def test_overflowing_sum_of_squares_takes_the_slow_path(self):
+        # v'v of finite entries can overflow; the check then scans the entries, warning of
+        # nothing (the suite turns warnings into errors), and still names the first bad one.
+        big = np.full((4, 2), 1e200)
+        assert as_finite(big, 2, "X") is big
+        np.testing.assert_array_equal(LeastSquaresSolver(np.eye(3) * 1e200).solve([1e200, 0.0, 2e200]),
+                                      [1.0, 0.0, 2.0])
+        with pytest.raises(DimensionMismatchError, match="^v contains a non-finite entry at index 2: nan$"):
+            as_finite([1e200, 1e200, np.nan, np.inf], 1, "v")
+        big[3, 0] = -np.inf
+        with pytest.raises(DimensionMismatchError, match="^X contains a non-finite entry at row 3, column 0: -inf$"):
+            as_finite(big, 2, "X")
 
     def test_solver_reuse_matches_single_shot(self):
         rng = np.random.default_rng(3)
@@ -277,7 +298,9 @@ LAYOUTS = {
 
 class TestStableMatvec:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+    # SMALL_PRODUCTS // 6 rows: the vector sum in one broadcast multiply, the matrix sum not.
+    @pytest.mark.parametrize("n", [1, 100, SMALL_PRODUCTS // 6, SMALL_PRODUCTS // 6 + 1, BLOCK_ROWS - 1,
+                                   BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
     def test_matches_column_loop_bit_for_bit(self, n, layout):
         rng = np.random.default_rng(n)
         p, k = 6, 3
