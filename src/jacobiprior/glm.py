@@ -353,10 +353,12 @@ def predict_linear(model: FittedGLM, X0) -> np.ndarray:
 
 
 def logistic(eta: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-eta)) of a float array, as scipy's ``expit`` computes it, within a few ulp
+    """1 / (1 + exp(-eta)) as a float array, as scipy's ``expit`` computes it, within a few ulp
     and equal in the tails (0 where exp(-eta) overflows, 1 at the top, NaN for NaN). An
     overflowing exp(-eta) is set to inf first: no overflow warning, and no ``np.errstate``."""
-    u = np.negative(eta)
+    u = np.negative(eta, dtype=float)  # ints and bools too
+    if not u.ndim:  # a scalar's negative is a numpy scalar, which takes no masked assignment
+        u = np.array(u)
     u[u > _EXP_MAX] = np.inf  # NaN compares false and stays NaN
     np.exp(u, out=u)
     u += 1.0

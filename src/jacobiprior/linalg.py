@@ -15,8 +15,8 @@ classifiers lives in ``gp``, which likewise calls LAPACK (``dpotrf``,
 ``dpotrs``) directly on a buffer it owns.
 
 LAPACK is bound on first use: the first QR imports ``scipy.linalg`` for
-its ``lapack`` and ``blas`` wrappers (through ``LazyModule``), and each
-routine is then an attribute lookup. Checking and predicting
+its ``lapack`` wrappers (through ``LazyModule``), and each routine is
+then an attribute lookup. Checking and predicting
 (``as_matrix``, ``stable_matvec``) need only numpy, so a prediction loads
 no scipy module.
 """
@@ -55,7 +55,6 @@ class LazyModule:
 
 
 _lapack = LazyModule("scipy.linalg.lapack")
-_blas = LazyModule("scipy.linalg.blas")
 
 
 def as_array(a, ndim: int | None, name: str) -> np.ndarray:
@@ -70,12 +69,11 @@ def as_array(a, ndim: int | None, name: str) -> np.ndarray:
     return a
 
 
-def _check_finite(a: np.ndarray, name: str, row0: int = 0, dot=np.vdot) -> np.ndarray:
-    """a, unless an entry is non-finite: the first is named, its row offset by row0. ``dot``
-    forms v'v without an overflow warning (v.dot and v @ v warn): np.vdot, or BLAS ddot, a
-    third of its cost at 800 entries, on the QR paths, which load LAPACK anyway."""
-    # v'v < inf fails iff an entry is non-finite or v'v overflows; ravel views a contiguous a
-    fast = a.size and a.flags.forc and dot(v := a.ravel(order="K"), v) < np.inf
+def _check_finite(a: np.ndarray, name: str, row0: int = 0) -> np.ndarray:
+    """a, unless an entry is non-finite: the first is named, its row offset by row0."""
+    # v'v < inf fails iff an entry is non-finite or v'v overflows; ravel views a contiguous a.
+    # np.vdot, since v.dot(v) and v @ v warn when v'v overflows.
+    fast = a.size and a.flags.forc and np.vdot(v := a.ravel(order="K"), v) < np.inf
     if not fast and not np.isfinite(a).all():
         idx = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
         where = f"row {row0 + idx[0]}, column {idx[1]}" if a.ndim == 2 else f"index {idx[0]}"
@@ -145,7 +143,7 @@ def _factor_blocks(X: np.ndarray, keep: bool):
         off = start * p if keep else 0
         a = buf[off : off + block.size].reshape(p, -1).T
         np.copyto(a, block)
-        _check_finite(a, "X", start, _blas.ddot)
+        _check_finite(a, "X", start)
         yield slice(start, start + len(block)), _geqrf(a)
         start += len(block)
 
@@ -189,8 +187,7 @@ class HouseholderQR:
         if _tsqr_blocks(n, p):  # one n x p buffer for all blocks; a buffer per block churns the heap
             self._blocks = [f for _, f in _factor_blocks(X, keep=True)]
             X = np.vstack([np.triu(f[:p]) for f, _, _ in self._blocks])  # p reflectors each
-        X = np.array(_check_finite(X, "X", dot=_blas.ddot), order="F")
-        self._factor, self._tau, self._lock = _geqrf(X)
+        self._factor, self._tau, self._lock = _geqrf(np.array(_check_finite(X, "X"), order="F"))
         self._qr = self._factor[:, : self._tau.shape[0]]  # the k = min(n, p) reflectors dormqr applies
 
     @property
@@ -208,8 +205,7 @@ class HouseholderQR:
             raise DimensionMismatchError(
                 f"rhs shape {t.shape} does not have design rows {self.n}"
             )
-        # names a global row, not a block's
-        cols = _check_finite(t, "t", dot=_blas.ddot).reshape(self.n, -1)
+        cols = _check_finite(t, "t").reshape(self.n, -1)  # names a global row, not a block's
         k = self._qr.shape[1]
         out = np.zeros((self.p, cols.shape[1]))
         for j in range(cols.shape[1]):
@@ -241,7 +237,7 @@ class LeastSquaresSolver(HouseholderQR):
         # far cheaper than an SVD and accurate to a modest factor.
         rcond, info = _lapack.dtrcon(self._r, norm="1")
         self.cond = float(1.0 / rcond) if rcond > 0 else float("inf")
-        if info != 0 or self.cond > COND_LIMIT:  # an inf cond is above it too
+        if info != 0 or not np.isfinite(self.cond) or self.cond > COND_LIMIT:
             raise RankDeficientError(
                 f"design condition estimate {self.cond:.3e} exceeds {COND_LIMIT:.0e}"
             )

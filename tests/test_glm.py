@@ -18,6 +18,7 @@ from jacobiprior.glm import (
     JacobiHyper,
     default_hyper,
     fit_jacobi,
+    inverse_link,
     latent_vector,
     logistic,
     predict,
@@ -260,6 +261,13 @@ class TestLogistic:
         assert got.shape == (2, 2)
         np.testing.assert_array_equal(x, before)
         assert ulps(got, expit(x)).max() <= 4
+
+    @pytest.mark.parametrize("eta", [0.0, -800.0, 3, np.array(2.5), np.array([0, 1, -1000]),
+                                     np.array([True, False]), [[-1.0, 700.0]]])
+    def test_takes_scalars_ints_and_lists(self, eta):
+        got = inverse_link(eta, "logit")
+        assert got.dtype == np.float64 and got.shape == np.shape(eta)
+        assert ulps(got, expit(np.asarray(eta, dtype=float))).max() <= 4
 
 
 def _intake_data():
