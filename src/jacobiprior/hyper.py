@@ -4,7 +4,7 @@ The projection is linear in eta and the modes depend on (a, b) only
 through scalars. With u = X_eval solve(1), logit and probit give
 X_eval beta(a, b) = m0 u + (m1 - m0) X_eval solve(y) for the modes m0, m1
 at y = 0, 1, and poisson X_eval solve(log(y + a)) - log(1 + b) u. So a
-grid or a search costs one QR plus two solves (binary) or one solve per
+grid or a search costs one QR plus two solves (binary) or one solve per p
 distinct a plus one (poisson); each pair is then mode work and an O(n_eval)
 combination. The probit modes of all pairs come from one array Newton loop
 (``glm.probit_modes``); logit and poisson pairs take their closed forms one by
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidHyperError, is_count
+from .errors import DimensionMismatchError, InvalidHyperError, is_count
 from .glm import binary_modes, check_response, inverse_link, probit_modes, valid_shape
 from .linalg import BLOCK_ROWS, LeastSquaresSolver, as_array, as_matrix, stable_matvec
 from .modelio import csv_text
@@ -72,9 +72,11 @@ def _surface(X_train, y_train, X_eval, y_eval, family: str):
     u, *v = (stable_matvec(X_eval, beta) for beta in solver.solve(np.column_stack(basis)).T)
     step = max(1, BLOCK_ROWS // max(1, u.shape[0]))  # cells a batch: at most BLOCK_ROWS predictions
 
+    coef = {}  # a -> the p coefficients of log(y + a), poisson
+
     @functools.lru_cache(maxsize=1)  # a grid visits each a in one run of cells
     def count_part(a):
-        return stable_matvec(X_eval, solver.solve(np.log(y + a)))
+        return stable_matvec(X_eval, coef[a])
 
     def modes(pairs):
         """(kept, cells): the indices of the pairs whose shapes and modes are valid, in
@@ -100,6 +102,11 @@ def _surface(X_train, y_train, X_eval, y_eval, family: str):
 
     def score_pairs(pairs, score):
         kept, cells = modes(pairs)
+        distinct = list(dict.fromkeys(a for a, _ in cells)) if poisson else []
+        for i in range(0, len(distinct), solver.p):  # one solve, one walk of X, per p values
+            group = distinct[i : i + solver.p]
+            T = np.add.outer(group, y).T  # F-ordered, column j a_j + y: its log as for one a
+            coef.update(zip(group, solver.solve(np.log(T, out=T)).T))
         scores = []
         for i in range(0, len(cells), step):
             m = np.array(cells[i : i + step])
@@ -131,8 +138,11 @@ def sensitivity_grid(
     as NaN instead of aborting the grid. Evaluation order has no
     effect on the scores.
     """
-    a_values = np.sort(np.asarray(a_values, dtype=float))
-    b_values = np.sort(np.asarray(b_values, dtype=float))
+    try:
+        a_values = np.sort(as_array(a_values, 1, "a_values"))
+        b_values = np.sort(as_array(b_values, 1, "b_values"))
+    except DimensionMismatchError as exc:
+        raise InvalidHyperError(str(exc)) from None
     scores = np.full((a_values.shape[0], b_values.shape[0]), np.nan)
     score_pairs, y_test = _surface(X_train, y_train, X_test, y_test, family)
     pairs = list(itertools.product(a_values.tolist(), b_values.tolist()))

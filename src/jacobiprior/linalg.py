@@ -5,14 +5,13 @@ the column space of the design, via QR, never via an explicit
 normal-equations inverse. ``HouseholderQR`` is the only QR code;
 ``LeastSquaresSolver`` adds the rank check, and its ``solve`` is the one
 projection call for a latent vector or an n x K matrix. A tall design is
-reduced by row blocks (TSQR) in one block walker. A fit has one set of
-right-hand sides, so ``project`` streams the design through one
-block-sized buffer and keeps only each block's R and Q'T, never an
-n x p copy; ``HouseholderQR`` keeps every block's reflectors only for
-callers that solve later right-hand sides (MC draws, grid and search
-surfaces). The symmetric positive definite kernel solve of the GP
-classifiers lives in ``gp``, which likewise calls LAPACK (``dpotrf``,
-``dpotrs``) directly on a buffer it owns.
+reduced by row blocks (TSQR) in one block walker, ``project``, which
+streams it through one block-sized buffer: no n x p copy, no Q. A fit
+projects its latents in the walk that factors X; a tall solver walks X
+again for each ``solve``, so callers with many right-hand sides batch
+them. The symmetric positive definite kernel solve of the GP classifiers
+lives in ``gp``, which likewise calls LAPACK (``dpotrf``, ``dpotrs``)
+directly on a buffer it owns.
 
 LAPACK is bound on first use: the first QR imports ``scipy.linalg`` for
 its ``lapack`` wrappers (through ``LazyModule``), and each routine is
@@ -103,67 +102,52 @@ def _geqrf_lwork(m: int, n: int) -> int:
 
 
 def _geqrf(A):
-    """(factor, tau, lock) of F-ordered A, overwritten: R on and above the diagonal."""
+    """(factor, tau) of F-ordered A, overwritten: R on and above the diagonal."""
     # dgeqrf with the workspace scipy.linalg.qr queries gives its exact
     # factor without the wrapper's repeated checks and second copy of X,
     # which cost more than the factorization itself at n = 100.
     qr, tau, _, info = _lapack.dgeqrf(A, lwork=_geqrf_lwork(*A.shape), overwrite_a=1)
     if info != 0:
         raise RankDeficientError(f"dgeqrf failed with info={info}")
-    return qr, tau, threading.Lock()
+    return qr, tau
 
 
-def _apply_qt(qr, tau, lock, c: np.ndarray) -> np.ndarray:
-    # dormqr sets each reflector's diagonal entry in the stored factor
-    # to 1 and restores it afterwards; the lock keeps concurrent calls
-    # from reading the factor in between.
-    with lock:
-        cq, _, info = _lapack.dormqr("L", "T", qr, tau, c, 64)
+def _apply_qt(qr, tau, c: np.ndarray) -> np.ndarray:
+    # dormqr sets each reflector's diagonal entry in the stored factor to 1
+    # and restores it afterwards: a factor shared across threads needs a lock.
+    cq, _, info = _lapack.dormqr("L", "T", qr, tau, c, 64)
     if info != 0:
         raise RankDeficientError(f"dormqr failed with info={info}")
     return cq
 
 
-def _tsqr_blocks(n: int, p: int) -> int:
-    """TSQR row blocks of an n x p design, n // max(BLOCK_ROWS, 8 p); 0 below two."""
-    k = n // max(BLOCK_ROWS, 8 * p) if n >= 2 * BLOCK_ROWS and p >= 1 else 0  # max() costs a small fit
-    return k if k >= 2 else 0
-
-
-def _factor_blocks(X: np.ndarray, keep: bool):
-    """Yield (rows, factor) of each TSQR row block of X: copied F-ordered into a buffer,
-    checked finite there while in cache (naming a global row), factored in place. With
-    ``keep`` each block has its own slot of one n x p buffer; without, all blocks share
-    one block-sized buffer, so a factor is valid only until the next block."""
-    n, p = X.shape
-    blocks = np.array_split(X, _tsqr_blocks(n, p))
-    buf = np.empty(X.size if keep else blocks[0].size)  # the first block is a largest one
-    start = 0
-    for block in blocks:
-        off = start * p if keep else 0
-        a = buf[off : off + block.size].reshape(p, -1).T
-        np.copyto(a, block)
-        _check_finite(a, "X", start)
-        yield slice(start, start + len(block)), _geqrf(a)
-        start += len(block)
-
-
 def project(X: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S, C) such that ``HouseholderQR(S).qt(C)`` is ``HouseholderQR(X).qt(T)``, bit for bit.
 
-    T is a finite n-vector or n x K. A design below two TSQR blocks comes back as it is
-    (its solver checks it); a taller one streams through one block buffer, S stacking each
-    block's triu(R_b) and C the first p entries of Q_b'T_b: no n x p copy, no Q kept.
+    T is a finite n-vector or n x K (K = 0: S alone). Below two TSQR row blocks (of
+    n // max(BLOCK_ROWS, 8 p) rows) X comes back as it is; else each block is copied
+    F-ordered into one buffer, checked finite there (naming a global row), factored in
+    place, and S stacks its triu(R_b) and C the first p entries of its Q_b'T_b.
     """
     n, p = X.shape
-    if not _tsqr_blocks(n, p):
+    k = n // max(BLOCK_ROWS, 8 * p) if n >= 2 * BLOCK_ROWS and p >= 1 else 0  # max() costs a small fit
+    if k < 2:
         return X, T
-    cols = T.reshape(n, -1)
-    R, C = [], []
-    for rows, f in _factor_blocks(X, keep=False):
-        R.append(np.triu(f[0][:p]))
-        C.append(np.column_stack([_apply_qt(*f, cols[rows, j])[:p] for j in range(cols.shape[1])]))
-    return np.vstack(R), np.vstack(C).reshape((-1,) + T.shape[1:])
+    cols = T if T.ndim == 2 else T[:, None]
+    S, C = np.empty((k * p, p)), np.empty((k * p, cols.shape[1]))
+    blocks = np.array_split(X, k)
+    buf = np.empty(blocks[0].size)  # the first block is a largest one
+    start = 0
+    for b, block in enumerate(blocks):
+        a = buf[: block.size].reshape(p, -1).T
+        np.copyto(a, block)
+        qr, tau = _geqrf(_check_finite(a, "X", start))
+        top = slice(b * p, (b + 1) * p)
+        S[top] = np.triu(qr[:p])
+        for j, t in enumerate(cols.T):
+            C[top, j] = _apply_qt(qr, tau, t[start : start + len(block)])[:p]
+        start += len(block)
+    return S, C.reshape(k * p, *T.shape[1:])
 
 
 class HouseholderQR:
@@ -172,9 +156,10 @@ class HouseholderQR:
     ``R`` (p x p) and ``qt(t)`` (first p entries of Q't) are zero-padded
     to p rows when n < p; R'R = X'X and R' qt(t) = X't. Q is never
     formed, and concurrent ``qt`` calls return what each returns alone.
-    A design of two or more TSQR row blocks keeps every block's factor,
-    for later right-hand sides, plus one QR of their stacked R factors;
-    fewer rows take one dgeqrf, bit for bit.
+    A design below two TSQR row blocks takes one dgeqrf; a taller one, one
+    dgeqrf of the R factors one ``project`` pass stacks, and ``qt`` walks X
+    again (``project(X, t)``). It keeps a reference to X, not a copy: X
+    must not change while the solver is in use.
     """
 
     def __init__(self, X):
@@ -183,11 +168,10 @@ class HouseholderQR:
         if n < 1 or p < 1:
             raise RankDeficientError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
         self.n, self.p = n, p
-        self._blocks = []
-        if _tsqr_blocks(n, p):  # one n x p buffer for all blocks; a buffer per block churns the heap
-            self._blocks = [f for _, f in _factor_blocks(X, keep=True)]
-            X = np.vstack([np.triu(f[:p]) for f, _, _ in self._blocks])  # p reflectors each
-        self._factor, self._tau, self._lock = _geqrf(np.array(_check_finite(X, "X"), order="F"))
+        S = project(X, np.empty((n, 0)))[0]
+        self._X = X if S is not X else None  # a tall X, walked again by each qt
+        self._factor, self._tau = _geqrf(np.array(_check_finite(S, "X"), order="F"))
+        self._lock = threading.Lock()  # for dormqr on the shared factor; see _apply_qt
         self._qr = self._factor[:, : self._tau.shape[0]]  # the k = min(n, p) reflectors dormqr applies
 
     @property
@@ -206,23 +190,22 @@ class HouseholderQR:
                 f"rhs shape {t.shape} does not have design rows {self.n}"
             )
         cols = _check_finite(t, "t").reshape(self.n, -1)  # names a global row, not a block's
+        if self._X is not None:  # one walk of X for all K columns
+            cols = project(self._X, cols)[1]
         k = self._qr.shape[1]
         out = np.zeros((self.p, cols.shape[1]))
         for j in range(cols.shape[1]):
-            c = cols[:, j]
-            if self._blocks:  # stack each block's first p entries as its R rows are stacked
-                parts = zip(self._blocks, np.array_split(c, len(self._blocks)))
-                c = np.concatenate([_apply_qt(*b, cb)[: self.p] for b, cb in parts])
-            out[:k, j] = _apply_qt(self._qr, self._tau, self._lock, c)[:k]
+            with self._lock:
+                out[:k, j] = _apply_qt(self._qr, self._tau, cols[:, j])[:k]
         return out[:, 0] if t.ndim == 1 else out
 
 
 class LeastSquaresSolver(HouseholderQR):
     """QR of a full-rank design (n >= p, condition estimate <= COND_LIMIT).
 
-    Each further right-hand side costs one reflector application and
-    one small triangular solve, which keeps the Monte Carlo sampler and
-    the multinomial fits cheap.
+    Each further right-hand side costs one reflector application and one
+    small triangular solve (and a tall X one walk per call, for all its
+    columns), which keeps the Monte Carlo sampler and multinomial fits cheap.
     """
 
     def __init__(self, X):

@@ -76,7 +76,8 @@ def sample_beta(
     The conjugate posterior is Beta(y + a, 1 - y + b) for the binary
     families (log-odds or probit inverse-CDF applied to the draw) and
     Gamma(y + a, rate 1 + b) for counts (log applied). The projection
-    reuses one QR factorization across all draws.
+    reuses one QR factorization across all draws; each of at most ``n_draws``
+    workers solves ceil(p / workers) draws a call.
     """
     if not is_count(n_draws):
         raise InsufficientDrawsError(f"n_draws must be an integer >= 1, got {n_draws!r}")
@@ -87,11 +88,16 @@ def sample_beta(
     solver = LeastSquaresSolver(X)
     a, b = (hyper or default_hyper(family)).resolve(solver.n)
     out = np.empty((n_draws, solver.p))
+    workers = min(workers, n_draws)
+    batch = -(-solver.p // workers)  # draws a solve: a tall X is walked once per batch
 
     def run_range(lo, hi):
-        for r in range(lo, hi):
-            rng = derive_rng(seed, r)
-            out[r] = solver.solve(_draw_eta(rng, y, family, a, b))
+        etas = np.empty((solver.n, min(batch, hi - lo)), order="F")
+        for r0 in range(lo, hi, batch):
+            r1 = min(r0 + batch, hi)
+            for j, r in enumerate(range(r0, r1)):
+                etas[:, j] = _draw_eta(derive_rng(seed, r), y, family, a, b)
+            out[r0:r1] = solver.solve(etas[:, : r1 - r0]).T  # column k: its own solve's bits
 
     if workers == 1:
         run_range(0, n_draws)

@@ -72,16 +72,14 @@ def shard_stats(
     the one_over_n schedule resolves against it and raises
     InvalidHyperError without it, since a shard cannot know it.
     """
-    X_m = np.asarray(X_m, dtype=float)  # its values are checked after y, once per row
-    if X_m.ndim != 2 or X_m.shape[0] == 0:
-        raise DimensionMismatchError(f"shard {shard_id}: need a non-empty matrix, got {X_m.shape}")
-    if hyper is not None and hyper.schedule == "one_over_n":
-        if n_total is None:
-            raise InvalidHyperError(
-                f"shard {shard_id}: the one_over_n schedule needs n_total, the global row count"
-            )
-        hyper = JacobiHyper(*hyper.resolve(n_total), "fixed")
     try:
+        X_m = as_array(X_m, None, "X")  # its values are checked after y, once per row
+        if X_m.ndim != 2 or X_m.shape[0] == 0:
+            raise DimensionMismatchError(f"need a non-empty matrix, got {X_m.shape}")
+        if hyper is not None and hyper.schedule == "one_over_n":
+            if n_total is None:
+                raise InvalidHyperError("the one_over_n schedule needs n_total, the global row count")
+            hyper = JacobiHyper(*hyper.resolve(n_total), "fixed")
         eta = latent_vector(y_m, family, hyper, X_m.shape[0], ndims=(1,))  # a shard's eta is a vector
         S, c = project(X_m, eta)
         qr = HouseholderQR(S)

@@ -59,6 +59,13 @@ class TestSensitivityGrid:
         j = list(report.b_values).index(b)
         assert report.scores[i, j] == score
 
+    @pytest.mark.parametrize("name", ["a_values", "b_values"])
+    def test_non_numeric_axis_is_typed(self, name):
+        Xtr, ytr, Xte, yte = split_data()
+        axes = {"a_values": [0.5], "b_values": [0.5], name: ["x"]}
+        with pytest.raises(InvalidHyperError, match=f"^{name} must be numeric"):
+            sensitivity_grid(Xtr, ytr, Xte, yte, "logit", **axes)
+
     def test_grid_shape_and_csv(self):
         Xtr, ytr, Xte, yte = split_data(seed=2)
         report = sensitivity_grid(Xtr, ytr, Xte, yte, "logit", [0.2, 0.8], [0.3, 0.6, 1.2])
@@ -239,7 +246,8 @@ class TestClosedFormSurface:
 
 
 class TestSolveCounts:
-    @pytest.mark.parametrize("family, solves", [("logit", 1), ("probit", 1), ("poisson", 1 + 3)])
+    # No solve per cell: the basis in one solve, and poisson's 3 distinct a in one solve per p = 3.
+    @pytest.mark.parametrize("family, solves", [("logit", 1), ("probit", 1), ("poisson", 1 + math.ceil(3 / 3))])
     def test_grid_solves(self, family, solves, monkeypatch):
         calls = []
 
@@ -463,6 +471,19 @@ class TestBatchBoundaries:
         assert result.trace == want
         assert result.skipped == 0
         assert (result.best_a, result.best_b, result.best_score) == min(want, key=lambda t: t[2])
+
+    def test_tall_poisson_grid_and_search_equal_cell_at_a_time(self):
+        # 2 BLOCK_ROWS + 1 training rows, walked once per solve; 4 and 5 distinct a
+        # make one full solve of p = 3 columns and one ragged one.
+        Xtr, ytr, Xev, yev = family_data("poisson", seed=4, n=2 * (2 * BLOCK_ROWS + 1), n_eval=50)
+        predict, score = cell_at_a_time(Xtr, ytr, Xev, yev, "poisson")
+        a_values, b_values = [0.2, 0.7, 1.1, 1.9], [0.3, 1.4]
+        report = sensitivity_grid(Xtr, ytr, Xev, yev, "poisson", a_values, b_values)
+        assert np.array_equal(report.scores, [[score("rmse", predict(a, b)) for b in b_values] for a in a_values])
+        seed = SeedSpec(9, 5)
+        result = stochastic_search(Xtr, ytr, Xev, yev, "poisson", 5, seed=seed, lo=0.05)
+        candidates = np.exp(derive_rng(seed, 0).uniform(np.log(0.05), np.log(2.0), size=(5, 2)))
+        assert result.trace == [(float(a), float(b), score("rmse", predict(a, b))) for a, b in candidates]
 
     @pytest.mark.parametrize("family", ["logit", "probit", "poisson"])
     def test_prefix_property_across_a_batch(self, family):

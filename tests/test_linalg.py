@@ -168,8 +168,9 @@ class TestSolveNormalEquations:
         # LAPACK's reflector application writes to the stored factor and
         # restores it; unguarded, this loop saw one or two of its 160,000
         # solves differ from the sequential result. The blocked solver
-        # (n = 2 BLOCK_ROWS) has one such factor per block plus the top one,
-        # and each of its solves takes about 0.3 ms, hence fewer of them.
+        # (n = 2 BLOCK_ROWS) shares only its top factor: each solve walks X
+        # through its own block buffer, re-factoring every block, and takes
+        # about 0.3 ms, hence fewer of them.
         n_threads = 8
         rng = np.random.default_rng(5)
         for n, n_pool, per_thread in ((40, 512, 20_000), (2 * BLOCK_ROWS, 16, 150)):
@@ -220,7 +221,6 @@ class TestBlockedFactor:
         before = X.copy()
         T = np.random.default_rng(n + 1).standard_normal((n, 3))
         solver = LeastSquaresSolver(X)
-        assert len(solver._blocks) == (n // BLOCK_ROWS if n >= 2 * BLOCK_ROWS else 0)
         B = solver.solve(T)
         assert rel_err(B, np.linalg.lstsq(X, T, rcond=None)[0]) <= 1e-12
         assert rel_err(solver.R.T @ solver.R, X.T @ X) <= 1e-12
@@ -231,8 +231,9 @@ class TestBlockedFactor:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", TALL_ROWS)
     def test_streamed_fit_equals_retained_solver(self, n, order):
-        # fit_jacobi streams a tall X through one block buffer and keeps no Q;
-        # LeastSquaresSolver keeps every block's factor. Same bits either way.
+        # fit_jacobi projects the latents in the walk that factors X;
+        # LeastSquaresSolver factors X in one walk and walks it again to solve.
+        # Same bits either way.
         X = np.array(tall_design(n, seed=n + 2), order=order)
         before = X.copy()
         y, counts, table = responses(X, n)
@@ -268,6 +269,19 @@ class TestBlockedFactor:
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes / 2, f"fit allocated {peak} bytes at peak for a {X.nbytes}-byte design"
+
+    def test_solver_copies_no_design(self):
+        X = tall_design(5 * BLOCK_ROWS + 7, seed=8)
+        LeastSquaresSolver(X)
+        tracemalloc.start()
+        try:
+            solver = LeastSquaresSolver(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2, f"solver allocated {peak} bytes at peak for a {X.nbytes}-byte design"
+        t = np.random.default_rng(9).standard_normal(len(X))
+        assert rel_err(solver.solve(t), np.linalg.lstsq(X, t, rcond=None)[0]) <= 1e-12
 
     def test_column_zero_throughout_first_block_fits(self):
         n = 3 * BLOCK_ROWS

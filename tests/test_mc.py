@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import jacobiprior.mc as mc_module
 from jacobiprior.errors import ConfigError, InsufficientDrawsError
-from jacobiprior.glm import JacobiHyper
-from jacobiprior.linalg import BLOCK_ROWS
+from jacobiprior.glm import JacobiHyper, default_hyper
+from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver
 from jacobiprior.mc import _draw_eta, sample_beta, summarize
 from jacobiprior.rng import SeedSpec, derive_rng
 
@@ -46,6 +47,44 @@ def test_worker_count_independence():
         serial = sample_beta(X, y, "poisson", n_draws=64, seed=seed, workers=1)
         wide = sample_beta(X, y, "poisson", n_draws=64, seed=seed, workers=8)
         np.testing.assert_array_equal(serial.draws, wide.draws)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_tall_design_draws_equal_per_draw_solves(workers):
+    # p = 3: draws are solved 3, 2 or 1 at a time, one walk of the row blocks a batch;
+    # 7 draws leave a ragged last batch.
+    X, y = small_problem(seed=5, n=2 * BLOCK_ROWS + 1)
+    seed = SeedSpec(31, 2)
+    draws = sample_beta(X, y, "logit", n_draws=7, seed=seed, workers=workers).draws
+    solver = LeastSquaresSolver(X)
+    a, b = default_hyper("logit").resolve(len(y))
+    for r in range(7):
+        eta = _draw_eta(derive_rng(seed, r), y, "logit", a, b)
+        np.testing.assert_array_equal(draws[r], solver.solve(eta))
+
+
+def test_workers_capped_at_draw_count(monkeypatch):
+    opened = []
+
+    class RecordingPool:  # records its size and runs the ranges in the calling thread
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(mc_module, "ThreadPoolExecutor", RecordingPool)
+    X, y = small_problem(seed=6)
+    seed = SeedSpec(3, 3)
+    capped = sample_beta(X, y, "logit", n_draws=3, seed=seed, workers=64)
+    assert opened == [3]
+    np.testing.assert_array_equal(capped.draws, sample_beta(X, y, "logit", n_draws=3, seed=seed).draws)
 
 
 def test_poisson_worker_input_validation():

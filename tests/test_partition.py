@@ -68,6 +68,11 @@ class TestShardStats:
         with pytest.raises(DimensionMismatchError):
             shard_stats(np.empty((0, 2)), np.empty(0), "logit")
 
+    def test_non_numeric_shard_names_shard(self):
+        message = "shard 2: X must be numeric: could not convert string to float: 'a'"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            shard_stats([["a", "b"]] * 5, [0, 1, 0, 1, 0], "logit", shard_id=2)
+
     def test_response_length_mismatch_rejected(self):
         X, y = logit_data(seed=16, n=10)
         with pytest.raises(DimensionMismatchError, match="shard 4: y length 9"):
