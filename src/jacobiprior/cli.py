@@ -32,12 +32,21 @@ def _hyper_from_args(args, family: str) -> JacobiHyper:
     return JacobiHyper(args.a, args.b, schedule)
 
 
-def count(text: str) -> int:
-    """argparse type for counts: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
-    return value
+def _bounded(name: str, convert, ok, need: str):
+    """An argparse type: convert(text), a usage error unless ok(value), which says ``need``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
+        return value
+
+    parse.__name__ = name  # argparse reports a failed conversion as "invalid <name> value"
+    return parse
+
+
+count = _bounded("count", int, lambda v: v >= 1, "an integer >= 1")
+draw_count = _bounded("draw_count", int, lambda v: v >= 2, "an integer >= 2")  # an interval's fewest
+level = _bounded("level", float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 
 
 def floats(text: str) -> list:
@@ -311,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--family", choices=FAMILIES, default="logit")
-    p.add_argument("--draws", type=count, default=1000)
-    p.add_argument("--level", type=float, default=0.9)
+    p.add_argument("--draws", type=draw_count, default=1000)
+    p.add_argument("--level", type=level, default=0.9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_uncertainty)
 

@@ -24,7 +24,7 @@ from .errors import (
     InvalidResponseError,
     NoConvergenceError,
 )
-from .linalg import LazyModule, LeastSquaresSolver, as_array, as_matrix, project, stable_matvec
+from .linalg import LazyModule, as_array, as_matrix, lstsq, stable_matvec
 
 FAMILIES = ("logit", "probit", "poisson")
 
@@ -342,8 +342,7 @@ def _fit(X: np.ndarray, y: np.ndarray, family: str, hyper: JacobiHyper | None) -
     """``fit_jacobi`` on a 2-d X and its checked y: one latent map, one projection."""
     hyper = hyper or default_hyper(family)
     eta_hat = _latents(y, family, hyper)
-    S, c = project(X, eta_hat)  # a tall X streams through one block buffer
-    beta = LeastSquaresSolver(S).solve(c)
+    beta = lstsq(X, eta_hat)  # a tall X streams through one block buffer
     return FittedGLM(beta=beta, family=family, hyper=hyper, eta_hat=eta_hat, n_train=X.shape[0])
 
 

@@ -4,8 +4,8 @@ The projection is linear in eta and the modes depend on (a, b) only
 through scalars. With u = X_eval solve(1), logit and probit give
 X_eval beta(a, b) = m0 u + (m1 - m0) X_eval solve(y) for the modes m0, m1
 at y = 0, 1, and poisson X_eval solve(log(y + a)) - log(1 + b) u. So a
-grid or a search costs one QR plus two solves (binary) or one solve per p
-distinct a plus one (poisson); each pair is then mode work and an O(n_eval)
+grid or a search costs one ``lstsq`` (binary), or one plus one per max(p, BLOCK_ROWS p
+// n) distinct a (poisson); each pair is then mode work and an O(n_eval)
 combination. The probit modes of all pairs come from one array Newton loop
 (``glm.probit_modes``); logit and poisson pairs take their closed forms one by
 one. A cell whose score is not finite (a poisson rate past 1e308) is NaN in a
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidHyperError, is_count
 from .glm import binary_modes, check_response, inverse_link, probit_modes, valid_shape
-from .linalg import BLOCK_ROWS, LeastSquaresSolver, as_array, as_matrix, stable_matvec
+from .linalg import BLOCK_ROWS, as_array, as_matrix, lstsq, stable_matvec
 from .modelio import csv_text
 from .rng import SeedSpec, derive_rng
 from .simlab.metrics import accuracy, check_disbursement, surrogate_rmse, utility_total
@@ -57,19 +57,19 @@ class GridReport:
 
 
 def _surface(X_train, y_train, X_eval, y_eval, family: str):
-    """(score_pairs, checked y_eval) from one QR of X_train; inputs are checked before any cell.
+    """(score_pairs, checked y_eval) from ``lstsq`` calls on X_train; inputs are checked first.
     score_pairs(pairs, score): (indices, scores) of the pairs whose shapes and modes are
     valid and whose score is finite, in order. Every mode is found before the first
     batch is scored, so the first error is that of a pair-at-a-time loop; then score
     reduces each batch's rows of predictions."""
     X_train = as_array(X_train, 2, "X")
     y = check_response(y_train, family, X_train.shape[0], (1,))
-    solver = LeastSquaresSolver(X_train)
-    X_eval = as_matrix(X_eval, "X_eval", solver.p)
-    y_eval = check_response(y_eval, family, X_eval.shape[0], (1,))
+    n, p = X_train.shape
     poisson = family == "poisson"
-    basis = [np.ones(solver.n)] + ([] if poisson else [y])
-    u, *v = (stable_matvec(X_eval, beta) for beta in solver.solve(np.column_stack(basis)).T)
+    basis = lstsq(X_train, np.column_stack([np.ones(n)] + ([] if poisson else [y])))
+    X_eval = as_matrix(X_eval, "X_eval", p)
+    y_eval = check_response(y_eval, family, X_eval.shape[0], (1,))
+    u, *v = (stable_matvec(X_eval, beta) for beta in basis.T)
     step = max(1, BLOCK_ROWS // max(1, u.shape[0]))  # cells a batch: at most BLOCK_ROWS predictions
 
     coef = {}  # a -> the p coefficients of log(y + a), poisson
@@ -103,10 +103,11 @@ def _surface(X_train, y_train, X_eval, y_eval, family: str):
     def score_pairs(pairs, score):
         kept, cells = modes(pairs)
         distinct = list(dict.fromkeys(a for a, _ in cells)) if poisson else []
-        for i in range(0, len(distinct), solver.p):  # one solve, one walk of X, per p values
-            group = distinct[i : i + solver.p]
+        width = max(p, BLOCK_ROWS * p // n)  # values of a per lstsq: one QR, one walk of X
+        for i in range(0, len(distinct), width):
+            group = distinct[i : i + width]
             T = np.add.outer(group, y).T  # F-ordered, column j a_j + y: its log as for one a
-            coef.update(zip(group, solver.solve(np.log(T, out=T)).T))
+            coef.update(zip(group, lstsq(X_train, np.log(T, out=T)).T))
         scores = []
         for i in range(0, len(cells), step):
             m = np.array(cells[i : i + step])

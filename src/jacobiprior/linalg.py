@@ -2,16 +2,16 @@
 
 Every estimator in this library has one projection: latent values onto
 the column space of the design, via QR, never via an explicit
-normal-equations inverse. ``HouseholderQR`` is the only QR code;
-``LeastSquaresSolver`` adds the rank check, and its ``solve`` is the one
-projection call for a latent vector or an n x K matrix. A tall design is
-reduced by row blocks (TSQR) in one block walker, ``project``, which
-streams it through one block-sized buffer: no n x p copy, no Q. A fit
-projects its latents in the walk that factors X; a tall solver walks X
-again for each ``solve``, so callers with many right-hand sides batch
-them. The symmetric positive definite kernel solve of the GP classifiers
-lives in ``gp``, which likewise calls LAPACK (``dpotrf``, ``dpotrs``)
-directly on a buffer it owns.
+normal-equations inverse. ``project(X, T)``, the only QR code, reduces X
+and T to the p x p triangular R and the first p rows of Q'T at every n:
+a tall X streams through one block buffer (TSQR), and no Q is kept. A
+fit, and the pooled fit of the shards' stacked pairs, is ``lstsq``:
+``project``, the rank check, the back solve. ``LeastSquaresSolver`` keeps
+R, the condition estimate and a reference to X, and projects X again on
+each ``solve``, so callers with many right-hand sides batch them; no
+factor outlives its call, so no state is shared between threads. The GP
+kernel solve lives in ``gp``, which likewise calls LAPACK (``dpotrf``,
+``dpotrs``) directly on a buffer it owns.
 
 LAPACK is bound on first use: the first QR imports ``scipy.linalg`` for
 its ``lapack`` wrappers (through ``LazyModule``), and each routine is
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import importlib
-import threading
 
 import numpy as np
 
@@ -112,9 +111,14 @@ def _geqrf(A):
     return qr, tau
 
 
+@functools.lru_cache(maxsize=16)
+def _upper(p: int) -> np.ndarray:  # R's mask in a factor: np.triu costs more than a 100 x 8 dgeqrf
+    return np.triu(np.ones((p, p), dtype=bool))
+
+
 def _apply_qt(qr, tau, c: np.ndarray) -> np.ndarray:
-    # dormqr sets each reflector's diagonal entry in the stored factor to 1
-    # and restores it afterwards: a factor shared across threads needs a lock.
+    # dormqr sets each reflector's diagonal entry in qr to 1 and restores it
+    # afterwards; every factor is local to one ``project`` call, so none is shared.
     cq, _, info = _lapack.dormqr("L", "T", qr, tau, c, 64)
     if info != 0:
         raise RankDeficientError(f"dormqr failed with info={info}")
@@ -122,19 +126,31 @@ def _apply_qt(qr, tau, c: np.ndarray) -> np.ndarray:
 
 
 def project(X: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, C) such that ``HouseholderQR(S).qt(C)`` is ``HouseholderQR(X).qt(T)``, bit for bit.
+    """(R, C): the p x p triangular R of X = QR (R'R = X'X) and the first p rows of Q'T.
 
-    T is a finite n-vector or n x K (K = 0: S alone). Below two TSQR row blocks (of
-    n // max(BLOCK_ROWS, 8 p) rows) X comes back as it is; else each block is copied
-    F-ordered into one buffer, checked finite there (naming a global row), factored in
-    place, and S stacks its triu(R_b) and C the first p entries of its Q_b'T_b.
+    X is a float matrix, n, p >= 1; T a finite n-vector or n x K (K = 0: R alone). R is
+    F-ordered and zero below row min(n, p); C, a p-vector or p x K, is padded likewise.
+    Each column of T gets its own dormqr, since one multi-column call rounds differently.
+    Below two TSQR row blocks (of n // max(BLOCK_ROWS, 8 p) rows) X is copied, checked
+    finite and factored whole. A taller X streams through one block buffer: each block
+    is checked finite there (naming a global row) and reduced to triu(R_b) and the top
+    p rows of Q_b'T_b, and the stacked pairs are projected again. No n x p copy is made.
     """
     n, p = X.shape
-    k = n // max(BLOCK_ROWS, 8 * p) if n >= 2 * BLOCK_ROWS and p >= 1 else 0  # max() costs a small fit
-    if k < 2:
-        return X, T
+    if n < 1 or p < 1:
+        raise RankDeficientError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    k = n // max(BLOCK_ROWS, 8 * p) if n >= 2 * BLOCK_ROWS else 0  # max() costs a small fit
     cols = T if T.ndim == 2 else T[:, None]
-    S, C = np.empty((k * p, p)), np.empty((k * p, cols.shape[1]))
+    if k < 2:
+        qr, tau = _geqrf(_check_finite(np.array(X, order="F"), "X"))
+        m = tau.shape[0]  # min(n, p) reflectors
+        R, C = np.zeros((p, p), order="F"), np.zeros((p, cols.shape[1]))
+        np.copyto(R[:m], qr[:m], where=_upper(p)[:m])
+        qr = qr[:, :m]
+        for j, t in enumerate(cols.T):
+            C[:m, j] = _apply_qt(qr, tau, t)[:m]
+        return R, C if T.ndim == 2 else C[:, 0]
+    S, C = np.zeros((k * p, p)), np.empty((k * p, cols.shape[1]))
     blocks = np.array_split(X, k)
     buf = np.empty(blocks[0].size)  # the first block is a largest one
     start = 0
@@ -143,103 +159,68 @@ def project(X: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.copyto(a, block)
         qr, tau = _geqrf(_check_finite(a, "X", start))
         top = slice(b * p, (b + 1) * p)
-        S[top] = np.triu(qr[:p])
+        np.copyto(S[top], qr[:p], where=_upper(p))
         for j, t in enumerate(cols.T):
             C[top, j] = _apply_qt(qr, tau, t[start : start + len(block)])[:p]
         start += len(block)
-    return S, C.reshape(k * p, *T.shape[1:])
+    return project(S, C.reshape(k * p, *T.shape[1:]))
 
 
-class HouseholderQR:
-    """Householder QR of any matrix with n >= 1 rows, with no rank check.
+def _check_rank(n: int, R: np.ndarray) -> float:
+    """The condition estimate of X = QR, once it has n >= p rows and cond <= COND_LIMIT."""
+    p = R.shape[0]
+    if n < p:
+        raise RankDeficientError(f"need n >= p, got n={n}, p={p}")
+    # cond(X) == cond(R) because Q has orthonormal columns; dtrcon's
+    # reciprocal 1-norm estimate on the small triangular factor is
+    # far cheaper than an SVD and accurate to a modest factor.
+    rcond, info = _lapack.dtrcon(R, norm="1")
+    cond = float(1.0 / rcond) if rcond > 0 else float("inf")
+    if info != 0 or not np.isfinite(cond) or cond > COND_LIMIT:
+        raise RankDeficientError(f"design condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    return cond
 
-    ``R`` (p x p) and ``qt(t)`` (first p entries of Q't) are zero-padded
-    to p rows when n < p; R'R = X'X and R' qt(t) = X't. Q is never
-    formed, and concurrent ``qt`` calls return what each returns alone.
-    A design below two TSQR row blocks takes one dgeqrf; a taller one, one
-    dgeqrf of the R factors one ``project`` pass stacks, and ``qt`` walks X
-    again (``project(X, t)``). It keeps a reference to X, not a copy: X
-    must not change while the solver is in use.
+
+def _back_solve(R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """R^-1 C, one dtrtrs per column of a p x K C, so each column keeps its own bits."""
+    betas = []
+    for col in C.T if C.ndim == 2 else [C]:
+        beta, info = _lapack.dtrtrs(R, col, lower=0)
+        if info != 0:
+            raise RankDeficientError(f"triangular solve failed with info={info}")
+        betas.append(beta)
+    return betas[0] if C.ndim == 1 else np.column_stack(betas)
+
+
+def lstsq(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """argmin over beta of ||X beta - T||_2 for a float matrix X of full rank and a finite
+    n-vector or n x K T: ``project``, the rank rule, the back solve."""
+    R, C = project(X, T)
+    _check_rank(X.shape[0], R)
+    return _back_solve(R, C)
+
+
+class LeastSquaresSolver:
+    """A full-rank design X (n >= p, ``cond`` <= COND_LIMIT) and its p x p ``R``.
+
+    It keeps a reference to X, not a copy: X must not change while the solver is in
+    use. Each ``solve`` projects X again, a QR a call, so callers with many right-hand
+    sides pass them as one n x K matrix; calls share no factor and take no lock.
     """
 
     def __init__(self, X):
         X = as_array(X, 2, "X")
-        n, p = X.shape
-        if n < 1 or p < 1:
-            raise RankDeficientError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-        self.n, self.p = n, p
-        S = project(X, np.empty((n, 0)))[0]
-        self._X = X if S is not X else None  # a tall X, walked again by each qt
-        self._factor, self._tau = _geqrf(np.array(_check_finite(S, "X"), order="F"))
-        self._lock = threading.Lock()  # for dormqr on the shared factor; see _apply_qt
-        self._qr = self._factor[:, : self._tau.shape[0]]  # the k = min(n, p) reflectors dormqr applies
+        self.n, self.p = X.shape
+        self.R = project(X, np.empty((self.n, 0)))[0]
+        self.cond = _check_rank(self.n, self.R)
+        self._X = X
 
-    @property
-    def R(self) -> np.ndarray:
-        k = self._qr.shape[1]
-        R = np.zeros((self.p, self.p))
-        with self._lock:  # a concurrent qt may have a diagonal entry set to 1
-            R[:k] = np.triu(self._factor[:k])
-        return R
-
-    def qt(self, t: np.ndarray) -> np.ndarray:
-        """First p entries of Q't: p values for an n-vector, p x K for n x K."""
+    def solve(self, t) -> np.ndarray:
+        """argmin ||X beta - t||_2 for an n-vector or n x K t; column k is ``solve(t[:, k])``."""
         t = as_array(t, None, "t")
         if t.ndim not in (1, 2) or t.shape[0] != self.n:
-            raise DimensionMismatchError(
-                f"rhs shape {t.shape} does not have design rows {self.n}"
-            )
-        cols = _check_finite(t, "t").reshape(self.n, -1)  # names a global row, not a block's
-        if self._X is not None:  # one walk of X for all K columns
-            cols = project(self._X, cols)[1]
-        k = self._qr.shape[1]
-        out = np.zeros((self.p, cols.shape[1]))
-        for j in range(cols.shape[1]):
-            with self._lock:
-                out[:k, j] = _apply_qt(self._qr, self._tau, cols[:, j])[:k]
-        return out[:, 0] if t.ndim == 1 else out
-
-
-class LeastSquaresSolver(HouseholderQR):
-    """QR of a full-rank design (n >= p, condition estimate <= COND_LIMIT).
-
-    Each further right-hand side costs one reflector application and one
-    small triangular solve (and a tall X one walk per call, for all its
-    columns), which keeps the Monte Carlo sampler and multinomial fits cheap.
-    """
-
-    def __init__(self, X):
-        super().__init__(X)
-        if self.n < self.p:
-            raise RankDeficientError(f"need n >= p, got n={self.n}, p={self.p}")
-        # dtrcon and dtrtrs read only the upper triangle of these rows. They
-        # are a private copy: dormqr rewrites the factor's diagonal under the lock.
-        self._r = self._qr[: self.p].copy(order="F")
-        # cond(X) == cond(R) because Q has orthonormal columns; dtrcon's
-        # reciprocal 1-norm estimate on the small triangular factor is
-        # far cheaper than an SVD and accurate to a modest factor.
-        rcond, info = _lapack.dtrcon(self._r, norm="1")
-        self.cond = float(1.0 / rcond) if rcond > 0 else float("inf")
-        if info != 0 or not np.isfinite(self.cond) or self.cond > COND_LIMIT:
-            raise RankDeficientError(
-                f"design condition estimate {self.cond:.3e} exceeds {COND_LIMIT:.0e}"
-            )
-
-    def solve(self, t: np.ndarray) -> np.ndarray:
-        """argmin over beta of ||X beta - t||_2 for an n-vector or n x K matrix t.
-
-        Column k of a matrix result is bit-identical to ``solve(t[:, k])``:
-        each column gets its own ``qt`` and triangular solve, because one
-        blocked multi-column LAPACK call rounds differently.
-        """
-        c = self.qt(t)
-        betas = []
-        for col in c.T if c.ndim == 2 else [c]:
-            beta, info = _lapack.dtrtrs(self._r, col, lower=0)
-            if info != 0:
-                raise RankDeficientError(f"triangular solve failed with info={info}")
-            betas.append(beta)
-        return betas[0] if c.ndim == 1 else np.column_stack(betas)
+            raise DimensionMismatchError(f"rhs shape {t.shape} does not have design rows {self.n}")
+        return _back_solve(self.R, project(self._X, _check_finite(t, "t"))[1])
 
 
 def stable_matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -2,14 +2,14 @@
 
 Each draw samples the natural parameters from their per-observation
 conjugate posteriors, maps them through the link, and projects the
-resulting latent vector with a factorization of the design computed
-once. Draw r uses its own counter-based stream derived from
-(seed, r), so any partition of the draw range across workers produces
-byte-identical output.
+resulting latent vectors in batches, one QR of the design a batch.
+Draw r uses its own counter-based stream derived from (seed, r), so any
+partition of the draw range across workers produces byte-identical output.
 """
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, InsufficientDrawsError, is_count
 from .glm import JacobiHyper, check_response, default_hyper
-from .linalg import LeastSquaresSolver, as_array
+from .linalg import BLOCK_ROWS, LeastSquaresSolver, as_array
 from .rng import SeedSpec, derive_rng
 
 # Keep sampled probabilities strictly inside (0, 1) so links stay finite.
@@ -75,9 +75,9 @@ def sample_beta(
 
     The conjugate posterior is Beta(y + a, 1 - y + b) for the binary
     families (log-odds or probit inverse-CDF applied to the draw) and
-    Gamma(y + a, rate 1 + b) for counts (log applied). The projection
-    reuses one QR factorization across all draws; each of at most ``n_draws``
-    workers solves ceil(p / workers) draws a call.
+    Gamma(y + a, rate 1 + b) for counts (log applied). Each of at most
+    ``n_draws`` workers solves max(ceil(p / workers), BLOCK_ROWS p // n) draws
+    a call, each call one QR of X: about one block of draws at a short X.
     """
     if not is_count(n_draws):
         raise InsufficientDrawsError(f"n_draws must be an integer >= 1, got {n_draws!r}")
@@ -89,7 +89,7 @@ def sample_beta(
     a, b = (hyper or default_hyper(family)).resolve(solver.n)
     out = np.empty((n_draws, solver.p))
     workers = min(workers, n_draws)
-    batch = -(-solver.p // workers)  # draws a solve: a tall X is walked once per batch
+    batch = max(-(-solver.p // workers), BLOCK_ROWS * solver.p // solver.n)  # draws a solve
 
     def run_range(lo, hi):
         etas = np.empty((solver.n, min(batch, hi - lo)), order="F")
@@ -110,8 +110,8 @@ def sample_beta(
 
 def summarize(draws: BetaDraws, level: float = 0.9) -> DrawSummary:
     """Per-coefficient mean, SD, and equal-tailed interval at the given level."""
-    if not 0.0 < level < 1.0:
-        raise InsufficientDrawsError(f"level must be in (0, 1), got {level}")
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise InsufficientDrawsError(f"level must be a number in (0, 1), got {level!r}")
     if draws.n_draws < 2:
         raise InsufficientDrawsError("need at least 2 draws to summarize")
     d = draws.draws

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .errors import InvalidResponseError, RankDeficientError, SeparationError
+from .errors import DimensionMismatchError, InvalidResponseError, RankDeficientError, SeparationError
 from .glm import check_response
-from .linalg import as_matrix
+from .linalg import as_array, as_matrix
 
 TOL = 1e-8  # IRLS has converged when the score's max-abs is <= TOL
 MAX_ITER = 100  # IRLS steps before fit_mle returns converged=False
@@ -47,6 +47,14 @@ def _deviance(y, family: str):
     return lambda eta: 2.0 * float((ylogy - y * eta - y + np.exp(eta)).sum())
 
 
+def _intake(X, y, family: str, caller: str):  # X, then y against its rows, then the family
+    X = as_matrix(X)
+    y = check_response(y, family, X.shape[0], (1,))
+    if family not in ("logit", "poisson"):
+        raise InvalidResponseError(f"{caller} supports logit and poisson, got {family!r}")
+    return X, y
+
+
 def fit_mle(X, y, family: str) -> MleFit:
     """IRLS until the score's max-abs is <= TOL or MAX_ITER is hit.
 
@@ -54,11 +62,8 @@ def fit_mle(X, y, family: str) -> MleFit:
     ``SEPARATION_LIMIT`` during iteration (perfect separation for the
     logit family, or a wildly misspecified Poisson fit).
     """
-    X = as_matrix(X)
+    X, y = _intake(X, y, family, "fit_mle")
     n, p = X.shape
-    y = check_response(y, family, n, (1,))
-    if family not in ("logit", "poisson"):
-        raise InvalidResponseError(f"fit_mle supports logit and poisson, got {family!r}")
     if n < p:
         raise RankDeficientError(f"need n >= p, got n={n} < p={p}")
     deviance = _deviance(y, family)
@@ -119,8 +124,12 @@ def fit_mle(X, y, family: str) -> MleFit:
 
 
 def mle_score(X, y, beta, family: str) -> np.ndarray:
-    """Gradient of the log-likelihood at beta; zero at the optimum."""
-    X = as_matrix(X)
-    eta = X @ np.asarray(beta, dtype=float)
+    """Gradient of the log-likelihood at beta; zero at the optimum. X, y and the family are
+    checked as ``fit_mle`` checks them, then beta's length against X's columns."""
+    X, y = _intake(X, y, family, "mle_score")
+    beta = as_array(beta, 1, "beta")
+    if beta.shape[0] != X.shape[1]:
+        raise DimensionMismatchError(f"beta length {beta.shape[0]} != design columns {X.shape[1]}")
+    eta = X @ beta
     mu = expit(eta) if family == "logit" else np.exp(eta)
-    return X.T @ (np.asarray(y, dtype=float) - mu)
+    return X.T @ (y - mu)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionMismatchError, InvalidHyperError, JacobiPriorError,
                      SchemaMismatchError, is_count)
-from .glm import JacobiHyper, as_response, check_response, latent_vector
-from .linalg import HouseholderQR, LeastSquaresSolver, as_array, project
+from .glm import JacobiHyper, as_response, check_response, latent_vector, validate_family
+from .linalg import as_array, lstsq, project
 from .rng import SeedSpec, derive_rng
 
 SCHEMA_VERSION = 2
@@ -40,8 +40,8 @@ class PartialStats:
     qteta: np.ndarray
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.qteta = np.asarray(self.qteta, dtype=float)
+        self.r = as_array(self.r, None, "r")
+        self.qteta = as_array(self.qteta, None, "qteta")
         p = self.qteta.shape[0] if self.qteta.ndim == 1 else 0
         if p < 1 or self.r.shape != (p, p) or self.n_shard < 1:
             raise DimensionMismatchError(
@@ -66,7 +66,7 @@ def shard_stats(
     n_total: int | None = None,
     shard_id: int = 0,
 ) -> PartialStats:
-    """R factor and Q'eta of one shard: the latent map plus one Householder QR.
+    """R factor and Q'eta of one shard: the latent map plus ``project``.
 
     ``n_total`` is the global row count broadcast by the coordinator;
     the one_over_n schedule resolves against it and raises
@@ -81,9 +81,7 @@ def shard_stats(
                 raise InvalidHyperError("the one_over_n schedule needs n_total, the global row count")
             hyper = JacobiHyper(*hyper.resolve(n_total), "fixed")
         eta = latent_vector(y_m, family, hyper, X_m.shape[0], ndims=(1,))  # a shard's eta is a vector
-        S, c = project(X_m, eta)
-        qr = HouseholderQR(S)
-        return PartialStats(shard_id=shard_id, n_shard=X_m.shape[0], r=qr.R, qteta=qr.qt(c))
+        return PartialStats(shard_id, X_m.shape[0], *project(X_m, eta))
     except JacobiPriorError as exc:  # rows and indices in the message are shard-local
         raise type(exc)(f"shard {shard_id}: {exc}") from None
 
@@ -147,7 +145,7 @@ def aggregate_and_solve(stats: list[PartialStats]) -> np.ndarray:
     ordered = sorted(stats, key=lambda s: s.shard_id)
     r = np.vstack([s.r for s in ordered])
     c = np.concatenate([s.qteta for s in ordered])
-    return LeastSquaresSolver(r).solve(c)
+    return lstsq(r, c)
 
 
 def aggregate_messages(frames: list[bytes]) -> tuple[np.ndarray, int, int]:
@@ -203,6 +201,7 @@ def run_harness(
     """
     X = as_array(X, 2, "X")  # each shard checks the values of its own rows
     n = X.shape[0]
+    validate_family(family)  # not shard-local: no shard starts with an unknown one
     y = as_response(y)  # each shard checks the values of its own rows
     if y.shape != (n,):
         check_response(y, family, n, (1,))  # raises the intake's ndim or length error

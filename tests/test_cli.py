@@ -291,6 +291,11 @@ class TestUsageErrors:
         ["shards", "--data", "d.csv", "--target", "y", "--shards", "0"],
         ["uncertainty", "--data", "d.csv", "--target", "y", "--threads", "-3"],
         ["uncertainty", "--data", "d.csv", "--target", "y", "--draws", "0"],
+        ["uncertainty", "--data", "d.csv", "--target", "y", "--draws", "1"],
+        ["uncertainty", "--data", "d.csv", "--target", "y", "--level", "1.5"],
+        ["uncertainty", "--data", "d.csv", "--target", "y", "--level", "0"],
+        ["uncertainty", "--data", "d.csv", "--target", "y", "--level", "nan"],
+        ["uncertainty", "--data", "d.csv", "--target", "y", "--level", "high"],
         ["sensitivity", "--train", "t.csv", "--test", "t.csv", "--target", "y",
          "--grid-steps", "0"],
         ["sensitivity", "--train", "t.csv", "--test", "t.csv", "--target", "y",

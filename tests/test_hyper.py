@@ -21,7 +21,7 @@ from jacobiprior.glm import (
     probit_modes,
 )
 from jacobiprior.hyper import SEARCH_LO, sensitivity_grid, stochastic_search
-from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver, stable_matvec
+from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver, lstsq, stable_matvec
 from jacobiprior.rng import SeedSpec, derive_rng
 from jacobiprior.simlab import (
     EXP_POISSON_BETA,
@@ -228,35 +228,27 @@ class TestClosedFormSurface:
         assert large.best_score <= small.best_score
 
     def test_one_solver_per_call_and_no_per_cell_fit(self, monkeypatch):
-        built = []
-
-        class CountingSolver(LeastSquaresSolver):
-            def __init__(self, X):
-                built.append(1)
-                super().__init__(X)
-
-        monkeypatch.setattr(hyper_module, "LeastSquaresSolver", CountingSolver)
+        widths = []  # right-hand sides of each least-squares call
+        monkeypatch.setattr(hyper_module, "lstsq", lambda X, T: widths.append(T.shape[1]) or lstsq(X, T))
         assert not hasattr(hyper_module, "fit_jacobi")
         assert not hasattr(hyper_module, "predict")
         for family in ("logit", "probit", "poisson"):
             Xtr, ytr, Xte, yte = family_data(family)
             sensitivity_grid(Xtr, ytr, Xte, yte, family, [0.3, 0.6, 1.2], [0.4, 0.9])
             stochastic_search(Xtr, ytr, Xte, yte, family, budget=6, lo=0.05)
-        assert len(built) == 6
+        # A binary call solves its basis (1, y) once; a poisson call its 1, then every
+        # distinct a in one call (40 rows: up to BLOCK_ROWS p // 40 values of a a call).
+        assert widths == [2, 2, 2, 2, 1, 3, 1, 6]
 
 
 class TestSolveCounts:
-    # No solve per cell: the basis in one solve, and poisson's 3 distinct a in one solve per p = 3.
-    @pytest.mark.parametrize("family, solves", [("logit", 1), ("probit", 1), ("poisson", 1 + math.ceil(3 / 3))])
+    # No solve per cell: the basis in one solve, and poisson's 3 distinct a in one solve per
+    # max(p, BLOCK_ROWS p // n) values of a, at p = 3 and n = 40.
+    @pytest.mark.parametrize("family, solves", [("logit", 1), ("probit", 1),
+                                                ("poisson", 1 + math.ceil(3 / max(3, BLOCK_ROWS * 3 // 40)))])
     def test_grid_solves(self, family, solves, monkeypatch):
         calls = []
-
-        class CountingSolver(LeastSquaresSolver):
-            def solve(self, t):
-                calls.append(np.shape(t))
-                return super().solve(t)
-
-        monkeypatch.setattr(hyper_module, "LeastSquaresSolver", CountingSolver)
+        monkeypatch.setattr(hyper_module, "lstsq", lambda X, T: calls.append(T.shape) or lstsq(X, T))
         Xtr, ytr, Xte, yte = family_data(family)
         report = sensitivity_grid(Xtr, ytr, Xte, yte, family, [1.2, 0.3, 0.6], [0.4, 0.9, 2.0])
         assert not np.isnan(report.scores).any()
@@ -347,13 +339,7 @@ class TestDisbursementChecked:
     )
     def test_before_the_qr_and_any_cell(self, bad, error, match, monkeypatch):
         work = []
-
-        class CountingSolver(LeastSquaresSolver):
-            def __init__(self, X):
-                work.append("qr")
-                super().__init__(X)
-
-        monkeypatch.setattr(hyper_module, "LeastSquaresSolver", CountingSolver)
+        monkeypatch.setattr(hyper_module, "lstsq", lambda X, T: work.append("qr") or lstsq(X, T))
         monkeypatch.setattr(hyper_module, "binary_modes", lambda *args: work.append("cell"))
         Xtr, ytr, Xv, yv = family_data("logit")
         disb = bad(np.linspace(50.0, 150.0, yv.shape[0]))
@@ -473,8 +459,8 @@ class TestBatchBoundaries:
         assert (result.best_a, result.best_b, result.best_score) == min(want, key=lambda t: t[2])
 
     def test_tall_poisson_grid_and_search_equal_cell_at_a_time(self):
-        # 2 BLOCK_ROWS + 1 training rows, walked once per solve; 4 and 5 distinct a
-        # make one full solve of p = 3 columns and one ragged one.
+        # 2 BLOCK_ROWS + 1 training rows, walked once per lstsq call; 4 and 5 distinct a
+        # make one full call of p = 3 columns and one ragged one.
         Xtr, ytr, Xev, yev = family_data("poisson", seed=4, n=2 * (2 * BLOCK_ROWS + 1), n_eval=50)
         predict, score = cell_at_a_time(Xtr, ytr, Xev, yev, "poisson")
         a_values, b_values = [0.2, 0.7, 1.1, 1.9], [0.3, 1.4]

@@ -63,6 +63,20 @@ def test_tall_design_draws_equal_per_draw_solves(workers):
         np.testing.assert_array_equal(draws[r], solver.solve(eta))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_short_design_draws_equal_per_draw_solves(workers):
+    # n = 1,000, p = 3: draws are solved BLOCK_ROWS p // n = 49 at a time; 150 draws make
+    # full and ragged batches for every worker count.
+    X, y = small_problem(seed=6, n=1000)
+    seed = SeedSpec(32, 1)
+    draws = sample_beta(X, y, "probit", n_draws=150, seed=seed, workers=workers).draws
+    solver = LeastSquaresSolver(X)
+    a, b = default_hyper("probit").resolve(len(y))
+    for r in range(150):
+        eta = _draw_eta(derive_rng(seed, r), y, "probit", a, b)
+        np.testing.assert_array_equal(draws[r], solver.solve(eta))
+
+
 def test_workers_capped_at_draw_count(monkeypatch):
     opened = []
 
@@ -202,3 +216,8 @@ class TestSummarize:
         draws2 = sample_beta(X, y, "logit", n_draws=5, seed=SeedSpec(1, 0))
         with pytest.raises(InsufficientDrawsError):
             summarize(draws2, level=1.5)
+        # A level that is not a real number gets the same typed error, not a raw TypeError.
+        for bad in ("0.9", None, [0.9], float("nan")):
+            with pytest.raises(InsufficientDrawsError, match=re.escape(f"level must be a number in (0, 1), got {bad!r}")):
+                summarize(draws2, level=bad)
+        assert summarize(draws2, level=np.float64(0.5)).level == 0.5

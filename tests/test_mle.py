@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, xlogy
 
-from jacobiprior.errors import InvalidResponseError, RankDeficientError, SeparationError
+from jacobiprior.errors import DimensionMismatchError, InvalidResponseError, RankDeficientError, SeparationError
 from jacobiprior.mle import MAX_ITER, SEPARATION_LIMIT, TOL, fit_mle, mle_score
 from jacobiprior.rng import SeedSpec, derive_rng
 from jacobiprior.simlab.generators import EXP_LOGISTIC_BETA, EXP_POISSON_BETA, gen_logistic, gen_poisson
@@ -96,6 +96,26 @@ def test_invalid_family_and_response():
         fit_mle(np.ones((3, 1)), np.array([0.0, 1.0, 0.0]), "probit")
     with pytest.raises(InvalidResponseError):
         fit_mle(np.ones((3, 1)), np.array([0.0, 2.0, 0.0]), "logit")
+    # mle_score checks what fit_mle checks: it once returned the Poisson score for any
+    # family other than logit, and raised raw errors on a bad y or beta.
+    X, y, beta = np.ones((3, 1)), np.array([0.0, 1.0, 0.0]), np.zeros(1)
+    with pytest.raises(InvalidResponseError, match="mle_score supports logit and poisson, got 'probit'"):
+        mle_score(X, y, beta, "probit")
+    with pytest.raises(InvalidResponseError, match="unknown family 'gaussian'"):
+        mle_score(X, y, beta, "gaussian")
+    with pytest.raises(InvalidResponseError, match="offending index 1: 2.0"):
+        mle_score(X, np.array([0.0, 2.0, 0.0]), beta, "logit")
+    with pytest.raises(InvalidResponseError, match="^response y must be numeric: "):
+        mle_score(X, ["a", "b", "c"], beta, "logit")
+    with pytest.raises(DimensionMismatchError, match=r"^y length 2 != design rows 3$"):
+        mle_score(X, y[:2], beta, "poisson")
+    with pytest.raises(DimensionMismatchError, match=r"^beta length 2 != design columns 1$"):
+        mle_score(X, y, np.zeros(2), "logit")
+    with pytest.raises(DimensionMismatchError, match="^beta must be numeric: "):
+        mle_score(X, y, ["a"], "logit")
+    with pytest.raises(DimensionMismatchError, match="^beta must be 1-d, got ndim=2"):
+        mle_score(X, y, np.zeros((1, 1)), "logit")
+    np.testing.assert_array_equal(mle_score(X, y, beta, "logit"), [-0.5])
 
 
 def test_deviance_decreases_to_optimum():

@@ -177,6 +177,12 @@ class TestAggregate:
         with pytest.raises(DimensionMismatchError, match="upper triangular"):
             PartialStats(0, 2, np.ones((2, 2)), np.ones(2))
 
+    def test_non_numeric_factor_names_its_field(self):
+        with pytest.raises(DimensionMismatchError, match="^r must be numeric: "):
+            PartialStats(0, 5, [["a"]], ["b"])
+        with pytest.raises(DimensionMismatchError, match="^qteta must be numeric: "):
+            PartialStats(0, 5, [[1.0]], ["b"])
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
@@ -296,6 +302,14 @@ class TestHarness:
         X[25, 2], y[31] = 0.0, 2.0
         with pytest.raises(InvalidResponseError, match="shard 3: binary response must be 0 or 1; offending index 1: 2.0"):
             run_harness(X, y, n_shards=4, family="logit")
+
+    def test_unknown_family_raised_before_any_shard(self):
+        X, y = logit_data(seed=10, n=10, p=2)
+        with pytest.raises(InvalidResponseError, match=r"^unknown family 'gaussian', expected one of "):
+            run_harness(X, y, 2, "gaussian")
+        # Before the response intake too, as check_response orders its checks.
+        with pytest.raises(InvalidResponseError, match=r"^unknown family 'gaussian'"):
+            run_harness(X, y[:-1], 2, "gaussian")
 
     def test_partition_counts_validated(self):
         X, y = logit_data(seed=10, n=10, p=2)
