@@ -11,7 +11,27 @@ from . import errors
 
 __version__ = "0.1.0"
 
-_HOMES = {  # home module -> the names the package exports from it
+
+def _lazy_exports(namespace: dict, homes: dict, *also: str) -> None:
+    """Install PEP 562 exports in a package's ``namespace``: ``_EXPORTS`` (name -> home module,
+    from ``homes``), ``__all__`` (plus ``also``), ``__dir__`` and a first-use ``__getattr__``."""
+    exports = {name: module for module, names in homes.items() for name in names.split()}
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(f".{exports[name]}", package), name)
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *exports, *also})
+
+    namespace.update(_EXPORTS=exports, __all__=[*also, *exports], __getattr__=__getattr__,
+                     __dir__=__dir__)
+
+
+_lazy_exports(globals(), {  # home module -> the names the package exports from it
     "glm": "FAMILIES FittedGLM JacobiHyper default_hyper fit_jacobi latent_vector "
            "logit_mode poisson_mode predict probit_mode",
     "dmr": "CountTable fit_dmr predict_class predict_proba",
@@ -23,18 +43,4 @@ _HOMES = {  # home module -> the names the package exports from it
     "mle": "MleFit fit_mle",
     "partition": "PartialStats aggregate_and_solve run_harness shard_stats",
     "rng": "SeedSpec derive_rng",
-}
-_EXPORTS = {name: module for module, names in _HOMES.items() for name in names.split()}
-
-__all__ = ["errors", *_EXPORTS, "__version__"]
-
-
-def __getattr__(name):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+}, "errors", "__version__")

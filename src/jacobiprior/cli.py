@@ -44,8 +44,10 @@ def _bounded(name: str, convert, ok, need: str):
     return parse
 
 
+index = _bounded("index", int, lambda v: v >= 0, "an integer >= 0")
 count = _bounded("count", int, lambda v: v >= 1, "an integer >= 1")
-draw_count = _bounded("draw_count", int, lambda v: v >= 2, "an integer >= 2")  # an interval's fewest
+two_or_more = _bounded("two_or_more", int, lambda v: v >= 2, "an integer >= 2")
+scale = _bounded("scale", float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
 level = _bounded("level", float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 
 
@@ -233,7 +235,7 @@ def cmd_generate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     seed_flags = argparse.ArgumentParser(add_help=False)
     seed_flags.add_argument("--seed", type=int, default=0, help="root seed")
-    seed_flags.add_argument("--stream", type=int, default=0, help="seed stream id")
+    seed_flags.add_argument("--stream", type=index, default=0, help="seed stream id")
 
     threads_flag = argparse.ArgumentParser(add_help=False)
     threads_flag.add_argument("--threads", type=count, default=1, help="worker threads")
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--family", choices=FAMILIES, default="logit")
-    p.add_argument("--budget", type=int, default=50)
+    p.add_argument("--budget", type=count, default=50)
     p.add_argument("--objective", choices=("rmse", "accuracy", "utility"), default="rmse")
     p.add_argument("--disbursement", default=None, help="loan amount column (utility)")
     p.add_argument("--out", required=True)
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--family", choices=FAMILIES, default="logit")
-    p.add_argument("--draws", type=draw_count, default=1000)
+    p.add_argument("--draws", type=two_or_more, default=1000)  # an interval needs two
     p.add_argument("--level", type=level, default=0.9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_uncertainty)
@@ -332,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--n", type=count, required=True)
-    p.add_argument("--noise-sd", type=float, default=0.1)
+    p.add_argument("--noise-sd", type=scale, default=0.1)
     p.add_argument("--n-features", type=count, default=3)
-    p.add_argument("--n-classes", type=count, default=4)
+    p.add_argument("--n-classes", type=two_or_more, default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -39,7 +39,10 @@ PROBIT_BRACKET = 12.0  # the least bracket half-width; see _probit_half_width
 
 def valid_shape(x) -> bool:
     """True for a prior shape parameter in (0, inf): ``JacobiHyper``'s test of a and b."""
-    return 0 < x < math.inf
+    try:
+        return 0 < x < math.inf
+    except TypeError:  # not a number
+        return False
 
 
 def validate_family(family: str) -> str:
@@ -65,9 +68,13 @@ class JacobiHyper:
     def __post_init__(self):
         if self.schedule not in ("fixed", "one_over_n"):
             raise InvalidHyperError(f"unknown schedule {self.schedule!r}")
-        if not (0 < self.a < math.inf and 0 < self.b < math.inf):  # valid_shape, inlined for speed
-            name, value = ("b", self.b) if valid_shape(self.a) else ("a", self.a)
-            raise InvalidHyperError(f"need finite {name} > 0, got {name}={value}")
+        try:
+            if 0 < self.a < math.inf and 0 < self.b < math.inf:  # valid_shape, inlined for speed
+                return
+        except TypeError:  # a or b is not a number
+            pass
+        name, value = ("b", self.b) if valid_shape(self.a) else ("a", self.a)
+        raise InvalidHyperError(f"need finite {name} > 0, got {name}={value}")
 
     def resolve(self, n: int) -> tuple[float, float]:
         """Effective (a, b) for a training set of size n."""
@@ -342,7 +349,7 @@ def _fit(X: np.ndarray, y: np.ndarray, family: str, hyper: JacobiHyper | None) -
     """``fit_jacobi`` on a 2-d X and its checked y: one latent map, one projection."""
     hyper = hyper or default_hyper(family)
     eta_hat = _latents(y, family, hyper)
-    beta = lstsq(X, eta_hat)  # a tall X streams through one block buffer
+    beta = lstsq(X, eta_hat)  # a tall X is reduced block by block (TSQR)
     return FittedGLM(beta=beta, family=family, hyper=hyper, eta_hat=eta_hat, n_train=X.shape[0])
 
 

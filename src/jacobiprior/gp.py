@@ -44,7 +44,11 @@ class KernelParams:
     def __post_init__(self):
         for name, rule in (("tau", ">"), ("rho", ">"), ("sigma", ">=")):
             value = getattr(self, name)
-            if not (np.isfinite(value) and (value > 0 or rule == ">=" and value == 0)):
+            try:
+                ok = np.isfinite(value) and (value > 0 or rule == ">=" and value == 0)
+            except TypeError:  # not a number
+                ok = False
+            if not ok:
                 raise InvalidHyperError(f"need finite {name} {rule} 0, got {name}={value}")
         if self.kind not in KERNEL_KINDS:
             raise InvalidHyperError(f"unknown kernel kind {self.kind!r}")

@@ -2,16 +2,17 @@
 
 Every estimator in this library has one projection: latent values onto
 the column space of the design, via QR, never via an explicit
-normal-equations inverse. ``project(X, T)``, the only QR code, reduces X
-and T to the p x p triangular R and the first p rows of Q'T at every n:
-a tall X streams through one block buffer (TSQR), and no Q is kept. A
-fit, and the pooled fit of the shards' stacked pairs, is ``lstsq``:
-``project``, the rank check, the back solve. ``LeastSquaresSolver`` keeps
-R, the condition estimate and a reference to X, and projects X again on
-each ``solve``, so callers with many right-hand sides batch them; no
-factor outlives its call, so no state is shared between threads. The GP
-kernel solve lives in ``gp``, which likewise calls LAPACK (``dpotrf``,
-``dpotrs``) directly on a buffer it owns.
+normal-equations inverse. ``project(X, T)`` reduces X and T to the p x p
+triangular R and the first p rows of Q'T at every n, and keeps no Q. Its
+one QR body factors a copy of X whole; a tall X is TSQR, that body on
+each row block and ``project`` again on the stacked (R_b, Q_b'T_b)
+pairs, as the shards' pooled fit is. ``lstsq`` is the one solve:
+``project``, the rank check, the back solve. ``LeastSquaresSolver``
+keeps R, the condition estimate and a reference to X, and each
+``solve`` is an ``lstsq`` of X, so callers with many right-hand sides
+batch them; no factor outlives its call, so no state is shared between
+threads. The GP kernel solve lives in ``gp``, which likewise calls
+LAPACK (``dpotrf``, ``dpotrs``) directly on a buffer it owns.
 
 LAPACK is bound on first use: the first QR imports ``scipy.linalg`` for
 its ``lapack`` wrappers (through ``LazyModule``), and each routine is
@@ -130,40 +131,37 @@ def project(X: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     X is a float matrix, n, p >= 1; T a finite n-vector or n x K (K = 0: R alone). R is
     F-ordered and zero below row min(n, p); C, a p-vector or p x K, is padded likewise.
-    Each column of T gets its own dormqr, since one multi-column call rounds differently.
-    Below two TSQR row blocks (of n // max(BLOCK_ROWS, 8 p) rows) X is copied, checked
-    finite and factored whole. A taller X streams through one block buffer: each block
-    is checked finite there (naming a global row) and reduced to triu(R_b) and the top
-    p rows of Q_b'T_b, and the stacked pairs are projected again. No n x p copy is made.
+    Below two TSQR row blocks (of n // max(BLOCK_ROWS, 8 p) rows) X is reduced whole. A
+    taller X is TSQR: each row block is reduced alone, a non-finite cell named by its
+    global row, and the stacked (R_b, C_b) pairs are projected again. Only one block's
+    copy is alive at a time; no n x p copy is made.
     """
     n, p = X.shape
     if n < 1 or p < 1:
         raise RankDeficientError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     k = n // max(BLOCK_ROWS, 8 * p) if n >= 2 * BLOCK_ROWS else 0  # max() costs a small fit
-    cols = T if T.ndim == 2 else T[:, None]
     if k < 2:
-        qr, tau = _geqrf(_check_finite(np.array(X, order="F"), "X"))
-        m = tau.shape[0]  # min(n, p) reflectors
-        R, C = np.zeros((p, p), order="F"), np.zeros((p, cols.shape[1]))
-        np.copyto(R[:m], qr[:m], where=_upper(p)[:m])
-        qr = qr[:, :m]
-        for j, t in enumerate(cols.T):
-            C[:m, j] = _apply_qt(qr, tau, t)[:m]
-        return R, C if T.ndim == 2 else C[:, 0]
-    S, C = np.zeros((k * p, p)), np.empty((k * p, cols.shape[1]))
-    blocks = np.array_split(X, k)
-    buf = np.empty(blocks[0].size)  # the first block is a largest one
-    start = 0
-    for b, block in enumerate(blocks):
-        a = buf[: block.size].reshape(p, -1).T
-        np.copyto(a, block)
-        qr, tau = _geqrf(_check_finite(a, "X", start))
-        top = slice(b * p, (b + 1) * p)
-        np.copyto(S[top], qr[:p], where=_upper(p))
-        for j, t in enumerate(cols.T):
-            C[top, j] = _apply_qt(qr, tau, t[start : start + len(block)])[:p]
-        start += len(block)
-    return project(S, C.reshape(k * p, *T.shape[1:]))
+        return _reduce(X, T)
+    pairs, row0 = [], 0
+    for block, t in zip(np.array_split(X, k), np.array_split(T, k)):
+        pairs.append(_reduce(block, t, row0))
+        row0 += len(block)
+    return project(np.vstack([R for R, _ in pairs]), np.concatenate([C for _, C in pairs]))
+
+
+def _reduce(X: np.ndarray, T: np.ndarray, row0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``project`` of X whole: an F-ordered copy, checked finite (row0 is its first row's
+    index in the design), factored in place. Each column of T gets its own dormqr, since
+    one multi-column call rounds differently."""
+    qr, tau = _geqrf(_check_finite(np.array(X, order="F"), "X", row0))
+    m, p = tau.shape[0], X.shape[1]  # min(n, p) reflectors
+    cols = T if T.ndim == 2 else T[:, None]
+    R, C = np.zeros((p, p), order="F"), np.zeros((p, cols.shape[1]))
+    np.copyto(R[:m], qr[:m], where=_upper(p)[:m])
+    qr = qr[:, :m]
+    for j, t in enumerate(cols.T):
+        C[:m, j] = _apply_qt(qr, tau, t)[:m]
+    return R, C if T.ndim == 2 else C[:, 0]
 
 
 def _check_rank(n: int, R: np.ndarray) -> float:
@@ -181,9 +179,12 @@ def _check_rank(n: int, R: np.ndarray) -> float:
     return cond
 
 
-def _back_solve(R: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """R^-1 C, one dtrtrs per column of a p x K C, so each column keeps its own bits."""
-    betas = []
+def lstsq(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """argmin over beta of ||X beta - T||_2 for a float matrix X of full rank and a finite
+    n-vector or n x K T: ``project``, the rank rule, the back solve."""
+    R, C = project(X, T)
+    _check_rank(X.shape[0], R)
+    betas = []  # one dtrtrs per column of a p x K C, so each column keeps its own bits
     for col in C.T if C.ndim == 2 else [C]:
         beta, info = _lapack.dtrtrs(R, col, lower=0)
         if info != 0:
@@ -192,19 +193,11 @@ def _back_solve(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     return betas[0] if C.ndim == 1 else np.column_stack(betas)
 
 
-def lstsq(X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """argmin over beta of ||X beta - T||_2 for a float matrix X of full rank and a finite
-    n-vector or n x K T: ``project``, the rank rule, the back solve."""
-    R, C = project(X, T)
-    _check_rank(X.shape[0], R)
-    return _back_solve(R, C)
-
-
 class LeastSquaresSolver:
     """A full-rank design X (n >= p, ``cond`` <= COND_LIMIT) and its p x p ``R``.
 
     It keeps a reference to X, not a copy: X must not change while the solver is in
-    use. Each ``solve`` projects X again, a QR a call, so callers with many right-hand
+    use. Each ``solve`` is ``lstsq(X, t)``, a QR a call, so callers with many right-hand
     sides pass them as one n x K matrix; calls share no factor and take no lock.
     """
 
@@ -220,7 +213,7 @@ class LeastSquaresSolver:
         t = as_array(t, None, "t")
         if t.ndim not in (1, 2) or t.shape[0] != self.n:
             raise DimensionMismatchError(f"rhs shape {t.shape} does not have design rows {self.n}")
-        return _back_solve(self.R, project(self._X, _check_finite(t, "t"))[1])
+        return lstsq(self._X, _check_finite(t, "t"))
 
 
 def stable_matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -239,7 +239,7 @@ class StoredModel(FittedGLM):
             for name in ("a", "b", "schedule"):  # each key alone through JacobiHyper's check
                 try:
                     JacobiHyper(**{name: doc[name]})
-                except (TypeError, InvalidHyperError) as exc:
+                except InvalidHyperError as exc:
                     raise ConfigError(f"key {name!r}: {exc}") from None
             hyper = JacobiHyper(doc["a"], doc["b"], doc["schedule"])
             n_train = _take(doc, "n_train", is_count, "an integer >= 1")

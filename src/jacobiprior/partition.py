@@ -6,7 +6,7 @@ Q_m' eta_m. One more QR of the stacked pairs, with the same code and
 condition check as ``fit_jacobi``, gives the monolithic fit (bit for
 bit for one shard) without squaring the condition number as X'X would.
 A tall shard, like a tall monolithic fit, runs the same reduction over
-row blocks of its rows, streamed through one block buffer (``project``).
+row blocks of its rows (``project``): shards of a shard.
 The harness runs shards concurrently, serializes their factors, and
 aggregates them independently of arrival order.
 """
@@ -197,7 +197,7 @@ def run_harness(
     to exercise arrival-order independence; the pooled solve equals
     the monolithic fit regardless. Shards are row-slice views of X, so
     a shard's rows are copied only into its QR: whole for a short
-    shard, one block buffer at a time for a tall one.
+    shard, one row block at a time for a tall one.
     """
     X = as_array(X, 2, "X")  # each shard checks the values of its own rows
     n = X.shape[0]

@@ -300,6 +300,12 @@ class TestUsageErrors:
          "--grid-steps", "0"],
         ["sensitivity", "--train", "t.csv", "--test", "t.csv", "--target", "y",
          "--a-values", "0.5,x"],
+        ["generate", "--kind", "poisson", "--n", "5", "--stream", "-1"],
+        ["search", "--train", "t.csv", "--val", "t.csv", "--target", "y", "--stream", "-1"],
+        ["generate", "--kind", "sinc", "--n", "5", "--noise-sd", "-1"],
+        ["generate", "--kind", "sinc", "--n", "5", "--noise-sd", "nan"],
+        ["generate", "--kind", "dmr", "--n", "10", "--n-classes", "1"],
+        ["search", "--train", "t.csv", "--val", "t.csv", "--target", "y", "--budget", "0"],
     ], ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}")
     def test_bad_number_exits_2_naming_its_flag(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:

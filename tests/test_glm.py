@@ -47,6 +47,14 @@ class TestJacobiHyper:
         with pytest.raises(InvalidHyperError):
             JacobiHyper(1.0, 1.0, "sqrt_n")
 
+    @pytest.mark.parametrize("a, b, shown", [
+        ("0.5", 0.5, "a=0.5"), (None, 0.5, "a=None"), (0.5, [1.0], "b=[1.0]"), ("x", "y", "a=x"),
+    ])
+    def test_non_number_names_its_field(self, a, b, shown):
+        name = shown.split("=")[0]
+        with pytest.raises(InvalidHyperError, match=f"^need finite {name} > 0, got {re.escape(shown)}$"):
+            JacobiHyper(a, b)
+
     def test_defaults_per_family(self):
         assert default_hyper("logit") == JacobiHyper(0.5, 0.5)
         assert default_hyper("probit") == JacobiHyper(0.5, 0.5)

@@ -99,6 +99,14 @@ class TestKernelMatrix:
         with pytest.raises(InvalidHyperError, match=f"^{re.escape(message)}$"):
             KernelParams(**{field: value})
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("tau", "1", ">"), ("rho", None, ">"), ("sigma", "0.1", ">="), ("tau", [1.0], ">"),
+    ])
+    def test_non_number_params_name_the_field(self, field, value, rule):
+        message = f"need finite {field} {rule} 0, got {field}={value}"
+        with pytest.raises(InvalidHyperError, match=f"^{re.escape(message)}$"):
+            KernelParams(**{field: value})
+
     def test_zero_sigma_is_valid(self):
         assert KernelParams(sigma=0.0).sigma == 0.0
 

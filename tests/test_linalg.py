@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jacobiprior.linalg as linalg_module
 from jacobiprior.errors import DimensionMismatchError, RankDeficientError
@@ -294,6 +296,32 @@ class TestBlockedFactor:
         assert rel_err(B, np.linalg.lstsq(X, T, rcond=None)[0]) <= 1e-12
         for k in range(3):
             np.testing.assert_array_equal(B[:, k], linalg_module.lstsq(X, T[:, k]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 400), p=st.integers(1, 6), K=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_composed_reduction_at_four_row_blocks(self, n, p, K, seed, data):
+        # 4-row blocks: 8p-row blocks from n = 8 on, stacks of k p rows blocked again.
+        # Set here, not by monkeypatch, which hypothesis refuses for a function scope.
+        linalg_module.BLOCK_ROWS, block_rows = 4, linalg_module.BLOCK_ROWS
+        try:
+            rng = np.random.default_rng(seed)
+            X, T = rng.standard_normal((n, p)), rng.standard_normal((n, K))
+            R, C = linalg_module.project(X, T)
+            assert R.shape == (p, p) and C.shape == (p, K) and not np.tril(R, -1).any()
+            assert rel_err(R.T @ R, X.T @ X) <= 1e-12
+            # X'T = R'Q'T, and Q'T below row p does not reach it.
+            scale = np.abs(X).sum() * np.abs(T).max(initial=0)
+            assert np.abs(R.T @ C - X.T @ T).max(initial=0) <= 1e-12 * scale
+            for k in range(K):
+                np.testing.assert_array_equal(C[:, k], linalg_module.project(X, T[:, k])[1])
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, p - 1))
+            X[i, j] = np.nan
+            message = f"X contains a non-finite entry at row {i}, column {j}: nan"
+            with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+                linalg_module.project(X, T)
+        finally:
+            linalg_module.BLOCK_ROWS = block_rows
 
     def test_column_zero_throughout_first_block_fits(self):
         n = 3 * BLOCK_ROWS
