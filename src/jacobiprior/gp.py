@@ -20,14 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
 from .dmr import CountTable, fit_dmr, softmax_rows
 from .errors import DimensionMismatchError, InvalidHyperError, NotPositiveDefiniteError
 from .glm import FittedGLM, JacobiHyper, fit_jacobi
-from .linalg import as_array, as_matrix
+from .linalg import as_array, as_matrix, lapack
 
 KERNEL_KINDS = ("exponential", "squared_exponential")
 
@@ -93,7 +92,7 @@ def _factor_gram(X: np.ndarray, params: KernelParams, fit: FittedGLM) -> tuple[t
     """(chol, alpha): S(X, X) + sigma^2 I factored in place and solved for eta_hat - X beta."""
     K = _kernel(X, X, params)  # exactly symmetric: K.T is K in the F order potrf factors in place
     K.flat[:: len(K) + 1] += params.sigma**2  # the diagonal, strided
-    c, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)  # clean=0 keeps K's upper triangle
+    c, info = lapack.dpotrf(K.T, lower=1, clean=0, overwrite_a=1)  # clean=0 keeps K's upper triangle
     if info < 0:
         raise ValueError(f"dpotrf: illegal value in argument {-info}")
     if info > 0:
@@ -106,7 +105,7 @@ def _factor_gram(X: np.ndarray, params: KernelParams, fit: FittedGLM) -> tuple[t
 
 def _solve(chol: tuple, b: np.ndarray) -> np.ndarray:
     """chol's solve of an n-vector or n x m b, through dpotrs."""
-    x, info = dpotrs(chol[0], b, lower=1)
+    x, info = lapack.dpotrs(chol[0], b, lower=1)
     if info:
         raise ValueError(f"dpotrs: illegal value in argument {-info}")
     return x

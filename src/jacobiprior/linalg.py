@@ -12,19 +12,24 @@ keeps R, the condition estimate and a reference to X, and each
 ``solve`` is an ``lstsq`` of X, so callers with many right-hand sides
 batch them; no factor outlives its call, so no state is shared between
 threads. The GP kernel solve lives in ``gp``, which likewise calls
-LAPACK (``dpotrf``, ``dpotrs``) directly on a buffer it owns.
+LAPACK (``dpotrf``, ``dpotrs``), through ``lapack``, on a buffer it owns.
 
-LAPACK is bound on first use: the first QR imports ``scipy.linalg`` for
-its ``lapack`` wrappers (through ``LazyModule``), and each routine is
-then an attribute lookup. Checking and predicting
-(``as_matrix``, ``stable_matvec``) need only numpy, so a prediction loads
-no scipy module.
+``lapack`` is the one LAPACK binding, made on first use: the first call
+loads scipy's compiled wrappers, ``scipy.linalg._flapack``, from their
+file without running the ``scipy`` or ``scipy.linalg`` ``__init__``, and
+each routine is then an attribute lookup. The routines are the objects
+``scipy.linalg.lapack`` exports. Checking and predicting (``as_matrix``,
+``stable_matvec``) need only numpy, so a prediction loads no scipy
+module, and a QR one extension module and no scipy package.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
 
@@ -41,19 +46,40 @@ SMALL_PRODUCTS = 4096
 
 
 class LazyModule:
-    """A module's attributes, the module imported on first use: each attribute is then
-    cached on this object, so a later use costs an attribute lookup, not an import."""
+    """A module's attributes, the module loaded on first use by ``load`` (an import, by
+    default): each attribute is then cached on this object, so a later use costs an
+    attribute lookup, not an import."""
 
-    def __init__(self, name: str):
-        self._name = name
+    def __init__(self, name: str, load=importlib.import_module):
+        self._name, self._load = name, load
 
     def __getattr__(self, attr):
-        value = getattr(importlib.import_module(self._name), attr)
+        value = getattr(self._load(self._name), attr)
         setattr(self, attr, value)
         return value
 
 
-_lapack = LazyModule("scipy.linalg.lapack")
+def _load_extension(name: str):
+    """The compiled module ``name`` (``package.sub._ext``), loaded from its file with no
+    package ``__init__`` run, and registered so that a later import reuses it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    top, *subdirs, _ = name.split(".")
+    package = importlib.util.find_spec(top)  # locates the package, imports nothing
+    if package is None:
+        raise ImportError(f"package {top} not found, for {name}", name=name)
+    where = os.path.join(os.path.dirname(package.origin), *subdirs)
+    spec = importlib.machinery.PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(f"extension module {name} not found in {where}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+# scipy's LAPACK wrappers, without the ~100 ms of ``import scipy.linalg``.
+lapack = LazyModule("scipy.linalg._flapack", _load_extension)
 
 
 def as_array(a, ndim: int | None, name: str) -> np.ndarray:
@@ -98,7 +124,7 @@ def as_matrix(X, name: str = "X", cols: int | None = None) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _geqrf_lwork(m: int, n: int) -> int:
     # The query is a LAPACK call, 2-3% of a 100 x 8 fit; a tall fit repeats two block shapes.
-    return max(1, int(_lapack.dgeqrf_lwork(m, n)[0]))
+    return max(1, int(lapack.dgeqrf_lwork(m, n)[0]))
 
 
 def _geqrf(A):
@@ -106,7 +132,7 @@ def _geqrf(A):
     # dgeqrf with the workspace scipy.linalg.qr queries gives its exact
     # factor without the wrapper's repeated checks and second copy of X,
     # which cost more than the factorization itself at n = 100.
-    qr, tau, _, info = _lapack.dgeqrf(A, lwork=_geqrf_lwork(*A.shape), overwrite_a=1)
+    qr, tau, _, info = lapack.dgeqrf(A, lwork=_geqrf_lwork(*A.shape), overwrite_a=1)
     if info != 0:
         raise RankDeficientError(f"dgeqrf failed with info={info}")
     return qr, tau
@@ -120,7 +146,7 @@ def _upper(p: int) -> np.ndarray:  # R's mask in a factor: np.triu costs more th
 def _apply_qt(qr, tau, c: np.ndarray) -> np.ndarray:
     # dormqr sets each reflector's diagonal entry in qr to 1 and restores it
     # afterwards; every factor is local to one ``project`` call, so none is shared.
-    cq, _, info = _lapack.dormqr("L", "T", qr, tau, c, 64)
+    cq, _, info = lapack.dormqr("L", "T", qr, tau, c, 64)
     if info != 0:
         raise RankDeficientError(f"dormqr failed with info={info}")
     return cq
@@ -172,7 +198,7 @@ def _check_rank(n: int, R: np.ndarray) -> float:
     # cond(X) == cond(R) because Q has orthonormal columns; dtrcon's
     # reciprocal 1-norm estimate on the small triangular factor is
     # far cheaper than an SVD and accurate to a modest factor.
-    rcond, info = _lapack.dtrcon(R, norm="1")
+    rcond, info = lapack.dtrcon(R, norm="1")
     cond = float(1.0 / rcond) if rcond > 0 else float("inf")
     if info != 0 or not np.isfinite(cond) or cond > COND_LIMIT:
         raise RankDeficientError(f"design condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}")
@@ -184,13 +210,19 @@ def lstsq(X: np.ndarray, T: np.ndarray) -> np.ndarray:
     n-vector or n x K T: ``project``, the rank rule, the back solve."""
     R, C = project(X, T)
     _check_rank(X.shape[0], R)
-    betas = []  # one dtrtrs per column of a p x K C, so each column keeps its own bits
-    for col in C.T if C.ndim == 2 else [C]:
-        beta, info = _lapack.dtrtrs(R, col, lower=0)
-        if info != 0:
-            raise RankDeficientError(f"triangular solve failed with info={info}")
-        betas.append(beta)
-    return betas[0] if C.ndim == 1 else np.column_stack(betas)
+    if C.ndim == 1:
+        return _back_solve(R, C)
+    beta = np.empty(C.shape)  # one dtrtrs per column of a p x K C, so each keeps its own bits
+    for j in range(C.shape[1]):
+        beta[:, j] = _back_solve(R, C[:, j])
+    return beta
+
+
+def _back_solve(R: np.ndarray, c: np.ndarray) -> np.ndarray:
+    beta, info = lapack.dtrtrs(R, c, lower=0)
+    if info != 0:
+        raise RankDeficientError(f"triangular solve failed with info={info}")
+    return beta
 
 
 class LeastSquaresSolver:

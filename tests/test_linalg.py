@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import jacobiprior.linalg as linalg_module
 from jacobiprior.errors import DimensionMismatchError, RankDeficientError
 from jacobiprior.glm import fit_jacobi, latent_vector
-from jacobiprior.linalg import BLOCK_ROWS, SMALL_PRODUCTS, LeastSquaresSolver, as_finite, stable_matvec
+from jacobiprior.linalg import BLOCK_ROWS, SMALL_PRODUCTS, LeastSquaresSolver, as_finite, lstsq, stable_matvec
 from jacobiprior.partition import shard_stats
 
 
@@ -158,6 +158,16 @@ class TestSolveNormalEquations:
         assert B.shape == (4, 6)
         for k in range(6):
             np.testing.assert_array_equal(B[:, k], solver.solve(T[:, k]))
+
+    def test_zero_column_rhs_solves_to_p_by_zero(self):
+        # n x 0 right-hand sides, whole and row-blocked: a p x 0 answer, after the rank check.
+        for n in (30, 2 * BLOCK_ROWS):
+            X = tall_design(n, p=4, seed=n)
+            assert lstsq(X, np.zeros((n, 0))).shape == (4, 0)
+            assert LeastSquaresSolver(X).solve(np.zeros((n, 0))).shape == (4, 0)
+            X[:, 3] = 2.0 * X[:, 1] - X[:, 2]
+            with pytest.raises(RankDeficientError):
+                lstsq(X, np.zeros((n, 0)))
 
     def test_matrix_rhs_row_mismatch_raises(self):
         solver = LeastSquaresSolver(np.eye(3))
@@ -400,3 +410,44 @@ def test_fits_repeat_at_a_fixed_blas_thread_count(fresh_python):
     for b1, b1_again, b2 in zip(one, again, two):
         assert np.array_equal(b1, b1_again)
         assert rel_err(b2, b1) <= 1e-12
+
+
+# Fits a tall logit with scipy.linalg.lapack imported before (argv[1] == "before") or
+# after the first fit, checks linalg binds the routines scipy.linalg.lapack exports, and
+# prints the coefficients' hex bytes.
+BINDING_ORDER = """
+import sys
+import numpy as np
+from jacobiprior import linalg
+from jacobiprior.glm import fit_jacobi
+if sys.argv[1] == "before":
+    import scipy.linalg.lapack
+rng = np.random.default_rng(12)
+X = rng.standard_normal((50_000, 8))
+X[:, 0] = 1.0
+beta = fit_jacobi(X, (rng.random(50_000) < 0.5).astype(float), "logit").beta
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert sys.argv[1] == "before" or loaded == ["scipy.linalg._flapack"], loaded
+import scipy.linalg.lapack
+for name in ("dgeqrf", "dgeqrf_lwork", "dormqr", "dtrcon", "dtrtrs", "dpotrf", "dpotrs"):
+    assert getattr(linalg.lapack, name) is getattr(scipy.linalg.lapack, name), name
+print(beta.tobytes().hex())
+"""
+
+
+def test_missing_extension_raises_import_error_naming_it():
+    for name in ("scipy.linalg._no_such_extension", "no_such_package.sub._ext"):
+        with pytest.raises(ImportError, match=re.escape(name)):
+            linalg_module._load_extension(name)
+        assert name not in sys.modules
+
+
+def test_lapack_binding_is_scipys_in_either_import_order(fresh_python):
+    """linalg loads scipy's LAPACK extension without importing scipy.linalg: a later
+    import reuses it, an earlier one is reused, and a fit keeps its bits either way."""
+    before, after = (fresh_python("-W", "error", "-c", BINDING_ORDER, order) for order in ("before", "after"))
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((50_000, 8))
+    X[:, 0] = 1.0
+    here = fit_jacobi(X, (rng.random(50_000) < 0.5).astype(float), "logit").beta
+    assert before == after == here.tobytes().hex() + "\n"
