@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ def valid_shape(x) -> bool:
         return False
 
 
+def shown(value) -> str:
+    """value as a message shows it: a real number by its str, anything else by its repr."""
+    return str(value) if isinstance(value, numbers.Real) else repr(value)
+
+
 def validate_family(family: str) -> str:
     if family not in FAMILIES:
         raise InvalidResponseError(f"unknown family {family!r}, expected one of {FAMILIES}")
@@ -74,7 +80,7 @@ class JacobiHyper:
         except TypeError:  # a or b is not a number
             pass
         name, value = ("b", self.b) if valid_shape(self.a) else ("a", self.a)
-        raise InvalidHyperError(f"need finite {name} > 0, got {name}={value}")
+        raise InvalidHyperError(f"need finite {name} > 0, got {name}={shown(value)}")
 
     def resolve(self, n: int) -> tuple[float, float]:
         """Effective (a, b) for a training set of size n."""

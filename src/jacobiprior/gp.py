@@ -25,7 +25,7 @@ from scipy.special import ndtr
 
 from .dmr import CountTable, fit_dmr, softmax_rows
 from .errors import DimensionMismatchError, InvalidHyperError, NotPositiveDefiniteError
-from .glm import FittedGLM, JacobiHyper, fit_jacobi
+from .glm import FittedGLM, JacobiHyper, fit_jacobi, shown
 from .linalg import as_array, as_matrix, lapack
 
 KERNEL_KINDS = ("exponential", "squared_exponential")
@@ -48,7 +48,7 @@ class KernelParams:
             except TypeError:  # not a number
                 ok = False
             if not ok:
-                raise InvalidHyperError(f"need finite {name} {rule} 0, got {name}={value}")
+                raise InvalidHyperError(f"need finite {name} {rule} 0, got {name}={shown(value)}")
         if self.kind not in KERNEL_KINDS:
             raise InvalidHyperError(f"unknown kernel kind {self.kind!r}")
 

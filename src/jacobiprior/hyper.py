@@ -4,8 +4,8 @@ The projection is linear in eta and the modes depend on (a, b) only
 through scalars. With u = X_eval solve(1), logit and probit give
 X_eval beta(a, b) = m0 u + (m1 - m0) X_eval solve(y) for the modes m0, m1
 at y = 0, 1, and poisson X_eval solve(log(y + a)) - log(1 + b) u. So a
-grid or a search costs one ``lstsq`` (binary), or one plus one per max(p, BLOCK_ROWS p
-// n) distinct a (poisson); each pair is then mode work and an O(n_eval)
+grid or a search costs one ``lstsq`` (binary), or one plus one per ``rhs_width(n, p)``
+distinct a (poisson); each pair is then mode work and an O(n_eval)
 combination. The probit modes of all pairs come from one array Newton loop
 (``glm.probit_modes``); logit and poisson pairs take their closed forms one by
 one. A cell whose score is not finite (a poisson rate past 1e308) is NaN in a
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidHyperError, is_count
 from .glm import binary_modes, check_response, inverse_link, probit_modes, valid_shape
-from .linalg import BLOCK_ROWS, as_array, as_matrix, lstsq, stable_matvec
+from .linalg import BLOCK_ROWS, as_array, as_matrix, lstsq, rhs_width, stable_matvec
 from .modelio import csv_text
 from .rng import SeedSpec, derive_rng
 from .simlab.metrics import accuracy, check_disbursement, surrogate_rmse, utility_total
@@ -103,7 +103,7 @@ def _surface(X_train, y_train, X_eval, y_eval, family: str):
     def score_pairs(pairs, score):
         kept, cells = modes(pairs)
         distinct = list(dict.fromkeys(a for a, _ in cells)) if poisson else []
-        width = max(p, BLOCK_ROWS * p // n)  # values of a per lstsq: one QR, one walk of X
+        width = rhs_width(n, p)  # values of a per lstsq: one QR, one walk of X
         for i in range(0, len(distinct), width):
             group = distinct[i : i + width]
             T = np.add.outer(group, y).T  # F-ordered, column j a_j + y: its log as for one a

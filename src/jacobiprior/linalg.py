@@ -7,12 +7,12 @@ triangular R and the first p rows of Q'T at every n, and keeps no Q. Its
 one QR body factors a copy of X whole; a tall X is TSQR, that body on
 each row block and ``project`` again on the stacked (R_b, Q_b'T_b)
 pairs, as the shards' pooled fit is. ``lstsq`` is the one solve:
-``project``, the rank check, the back solve. ``LeastSquaresSolver``
-keeps R, the condition estimate and a reference to X, and each
-``solve`` is an ``lstsq`` of X, so callers with many right-hand sides
-batch them; no factor outlives its call, so no state is shared between
-threads. The GP kernel solve lives in ``gp``, which likewise calls
-LAPACK (``dpotrf``, ``dpotrs``), through ``lapack``, on a buffer it owns.
+``project``, the rank check, the back solve; it reduces X again on each
+call, so a caller passes max(p, BLOCK_ROWS p // n) right-hand sides a
+call (``rhs_width``): the Monte Carlo's draw blocks, the poisson grid's
+values of a. No factor outlives its call, so threads share no state. The
+solver class is kept only for perfbench. The GP kernel solve lives in
+``gp``, which calls LAPACK (``dpotrf``, ``dpotrs``) through ``lapack``.
 
 ``lapack`` is the one LAPACK binding, made on first use: the first call
 loads scipy's compiled wrappers, ``scipy.linalg._flapack``, from their
@@ -121,6 +121,11 @@ def as_matrix(X, name: str = "X", cols: int | None = None) -> np.ndarray:
     return X
 
 
+def rhs_width(n: int, p: int) -> int:
+    """Right-hand sides per ``lstsq`` call of an n x p X: about one row block of values, >= p."""
+    return max(1, p, BLOCK_ROWS * p // max(1, n))  # an empty X reaches lstsq and its error
+
+
 @functools.lru_cache(maxsize=128)
 def _geqrf_lwork(m: int, n: int) -> int:
     # The query is a LAPACK call, 2-3% of a 100 x 8 fit; a tall fit repeats two block shapes.
@@ -226,12 +231,9 @@ def _back_solve(R: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 class LeastSquaresSolver:
-    """A full-rank design X (n >= p, ``cond`` <= COND_LIMIT) and its p x p ``R``.
-
-    It keeps a reference to X, not a copy: X must not change while the solver is in
-    use. Each ``solve`` is ``lstsq(X, t)``, a QR a call, so callers with many right-hand
-    sides pass them as one n x K matrix; calls share no factor and take no lock.
-    """
+    """A full-rank design X (n >= p, ``cond`` <= COND_LIMIT) and its p x p ``R``; no library
+    code uses it, and it is kept only until perfbench stops building one. It keeps a
+    reference to X, which must not change while it is in use; ``solve`` is ``lstsq``."""
 
     def __init__(self, X):
         X = as_array(X, 2, "X")

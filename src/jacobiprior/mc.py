@@ -1,10 +1,9 @@
 """Parallelizable Monte Carlo sampling of the coefficient vector.
 
-Each draw samples the natural parameters from their per-observation
-conjugate posteriors, maps them through the link, and projects the
-resulting latent vectors in batches, one QR of the design a batch.
-Draw r uses its own counter-based stream derived from (seed, r), so any
-partition of the draw range across workers produces byte-identical output.
+Each draw samples the natural parameters from their per-observation conjugate
+posteriors, maps them through the link, and projects the latent vectors in fixed
+blocks of draws, one ``lstsq`` a block. Draw r uses its own counter-based stream
+from (seed, r) and keeps its bits in any block, so any worker count gives the same bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, InsufficientDrawsError, is_count
 from .glm import JacobiHyper, check_response, default_hyper
-from .linalg import BLOCK_ROWS, LeastSquaresSolver, as_array
+from .linalg import as_array, lstsq, rhs_width
 from .rng import SeedSpec, derive_rng
 
 # Keep sampled probabilities strictly inside (0, 1) so links stay finite.
@@ -75,9 +74,9 @@ def sample_beta(
 
     The conjugate posterior is Beta(y + a, 1 - y + b) for the binary
     families (log-odds or probit inverse-CDF applied to the draw) and
-    Gamma(y + a, rate 1 + b) for counts (log applied). Each of at most
-    ``n_draws`` workers solves max(ceil(p / workers), BLOCK_ROWS p // n) draws
-    a call, each call one QR of X: about one block of draws at a short X.
+    Gamma(y + a, rate 1 + b) for counts (log applied). ``workers`` threads map fixed,
+    near-equal blocks of draw indices, a multiple of ``workers`` of them cut before any
+    draw; a block is one ``lstsq`` of at most ``linalg.rhs_width(n, p)`` draws.
     """
     if not is_count(n_draws):
         raise InsufficientDrawsError(f"n_draws must be an integer >= 1, got {n_draws!r}")
@@ -85,27 +84,19 @@ def sample_beta(
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     X = as_array(X, 2, "X")
     y = check_response(y, family, X.shape[0], (1,))
-    solver = LeastSquaresSolver(X)
-    a, b = (hyper or default_hyper(family)).resolve(solver.n)
-    out = np.empty((n_draws, solver.p))
+    a, b = (hyper or default_hyper(family)).resolve(len(y))
     workers = min(workers, n_draws)
-    batch = max(-(-solver.p // workers), BLOCK_ROWS * solver.p // solver.n)  # draws a solve
+    per_worker = -(-n_draws // (workers * rhs_width(*X.shape)))  # blocks a worker
+    blocks = np.array_split(range(n_draws), min(n_draws, workers * per_worker))
 
-    def run_range(lo, hi):
-        etas = np.empty((solver.n, min(batch, hi - lo)), order="F")
-        for r0 in range(lo, hi, batch):
-            r1 = min(r0 + batch, hi)
-            for j, r in enumerate(range(r0, r1)):
-                etas[:, j] = _draw_eta(derive_rng(seed, r), y, family, a, b)
-            out[r0:r1] = solver.solve(etas[:, : r1 - r0]).T  # column k: its own solve's bits
+    def solve_block(block):
+        etas = np.empty((len(y), len(block)), order="F")
+        for j, r in enumerate(block.tolist()):
+            etas[:, j] = _draw_eta(derive_rng(seed, r), y, family, a, b)
+        return lstsq(X, etas).T  # column k: its own dormqr and dtrtrs, so its own bits
 
-    if workers == 1:
-        run_range(0, n_draws)
-    else:
-        bounds = np.linspace(0, n_draws, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_range, bounds[:-1], bounds[1:]))  # re-raises a worker's error
-    return BetaDraws(draws=out, seed=seed, family=family)
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # the map re-raises a block's error
+        return BetaDraws(np.vstack(list(pool.map(solve_block, blocks))), seed, family)
 
 
 def summarize(draws: BetaDraws, level: float = 0.9) -> DrawSummary:

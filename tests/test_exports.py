@@ -1,7 +1,9 @@
 """Every public export resolves, is listed once, and loads its module only when first used."""
 
+import ast
 import collections
 import importlib
+import pathlib
 
 import pytest
 
@@ -65,3 +67,41 @@ def test_hyper_loads_no_experiment_harness(fresh_python):
     assert "jacobiprior.simlab.metrics" in loaded
     assert [m for m in ("jacobiprior.mle", "jacobiprior.simlab.experiments",
                         "jacobiprior.simlab.generators") if m in loaded] == []
+
+
+def perfbench_alias_uses(package_dir):
+    """(file, line) of each place in the package's source that names ``LeastSquaresSolver``
+    (an identifier, an import or any string, docstrings included) or reads an attribute
+    ``.betas``. Its class definition in ``linalg`` and its entry in the export table are
+    not counted. Both names are kept only for perfbench; library code must not use them."""
+    uses = []
+    for path in sorted(pathlib.Path(package_dir).rglob("*.py")):
+        where = path.relative_to(package_dir).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), where)):
+            texts = [getattr(node, f, None) for f in ("id", "attr", "name", "asname", "arg", "value")]
+            if not any(isinstance(t, str) and "LeastSquaresSolver" in t for t in texts):
+                if isinstance(node, ast.Attribute) and node.attr == "betas":
+                    uses.append((where, node.lineno))
+            elif not (where == "linalg.py" and isinstance(node, ast.ClassDef)
+                      or where == "__init__.py" and isinstance(node, ast.Constant)
+                      and "LeastSquaresSolver" in node.value.split()):
+                uses.append((where, node.lineno))
+    return uses
+
+
+def test_library_uses_no_perfbench_alias():
+    assert perfbench_alias_uses(pathlib.Path(jacobiprior.__file__).parent) == []
+
+
+def test_alias_guard_flags_each_kind_of_use(tmp_path):
+    (tmp_path / "linalg.py").write_text("class LeastSquaresSolver:\n    pass\n")
+    (tmp_path / "__init__.py").write_text('HOMES = {"linalg": "LeastSquaresSolver"}\n')
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "mod.py").write_text(
+        '"""Uses ``LeastSquaresSolver``."""\n'
+        "from .linalg import LeastSquaresSolver\n"
+        "import linalg\n"
+        "s = linalg.LeastSquaresSolver\n"
+        "b = fit.betas\n"
+    )
+    assert sorted(perfbench_alias_uses(tmp_path)) == [("sub/mod.py", k) for k in (1, 2, 4, 5)]

@@ -48,7 +48,7 @@ class TestJacobiHyper:
             JacobiHyper(1.0, 1.0, "sqrt_n")
 
     @pytest.mark.parametrize("a, b, shown", [
-        ("0.5", 0.5, "a=0.5"), (None, 0.5, "a=None"), (0.5, [1.0], "b=[1.0]"), ("x", "y", "a=x"),
+        ("0.5", 0.5, "a='0.5'"), (None, 0.5, "a=None"), (0.5, [1.0], "b=[1.0]"), ("x", "y", "a='x'"),
     ])
     def test_non_number_names_its_field(self, a, b, shown):
         name = shown.split("=")[0]

@@ -103,7 +103,7 @@ class TestKernelMatrix:
         ("tau", "1", ">"), ("rho", None, ">"), ("sigma", "0.1", ">="), ("tau", [1.0], ">"),
     ])
     def test_non_number_params_name_the_field(self, field, value, rule):
-        message = f"need finite {field} {rule} 0, got {field}={value}"
+        message = f"need finite {field} {rule} 0, got {field}={value!r}"  # '1', not 1
         with pytest.raises(InvalidHyperError, match=f"^{re.escape(message)}$"):
             KernelParams(**{field: value})
 

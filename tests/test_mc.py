@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import jacobiprior.linalg as linalg_module
 import jacobiprior.mc as mc_module
 from jacobiprior.errors import ConfigError, InsufficientDrawsError
 from jacobiprior.glm import JacobiHyper, default_hyper
-from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver
+from jacobiprior.linalg import BLOCK_ROWS, lstsq
 from jacobiprior.mc import _draw_eta, sample_beta, summarize
 from jacobiprior.rng import SeedSpec, derive_rng
 
@@ -51,30 +52,62 @@ def test_worker_count_independence():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_tall_design_draws_equal_per_draw_solves(workers):
-    # p = 3: draws are solved 3, 2 or 1 at a time, one walk of the row blocks a batch;
-    # 7 draws leave a ragged last batch.
+    # p = 3: 7 draws are cut into blocks of 3, 2 and 2 for 1 and 3 workers, and 2, 2, 2
+    # and 1 for 2 workers; one walk of the row blocks a draw block.
     X, y = small_problem(seed=5, n=2 * BLOCK_ROWS + 1)
     seed = SeedSpec(31, 2)
     draws = sample_beta(X, y, "logit", n_draws=7, seed=seed, workers=workers).draws
-    solver = LeastSquaresSolver(X)
     a, b = default_hyper("logit").resolve(len(y))
     for r in range(7):
         eta = _draw_eta(derive_rng(seed, r), y, "logit", a, b)
-        np.testing.assert_array_equal(draws[r], solver.solve(eta))
+        np.testing.assert_array_equal(draws[r], lstsq(X, eta))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_short_design_draws_equal_per_draw_solves(workers):
-    # n = 1,000, p = 3: draws are solved BLOCK_ROWS p // n = 49 at a time; 150 draws make
-    # full and ragged batches for every worker count.
+    # n = 1,000, p = 3: blocks of at most BLOCK_ROWS p // n = 49 draws; 150 draws make 4
+    # blocks of 38 or 37 for 1 and 2 workers, 6 of 25 for 3.
     X, y = small_problem(seed=6, n=1000)
     seed = SeedSpec(32, 1)
     draws = sample_beta(X, y, "probit", n_draws=150, seed=seed, workers=workers).draws
-    solver = LeastSquaresSolver(X)
     a, b = default_hyper("probit").resolve(len(y))
     for r in range(150):
         eta = _draw_eta(derive_rng(seed, r), y, "probit", a, b)
-        np.testing.assert_array_equal(draws[r], solver.solve(eta))
+        np.testing.assert_array_equal(draws[r], lstsq(X, eta))
+
+
+@pytest.mark.parametrize("workers, widths", [(1, [38, 38, 37, 37]), (2, [38, 38, 37, 37]),
+                                             (3, [25] * 6)])
+def test_one_factorization_per_draw_block(monkeypatch, workers, widths):
+    # Each block is one lstsq, so one project and one dgeqrf of X, and nothing factors X
+    # before the first block.
+    projected, factored = [], []
+    project, geqrf = linalg_module.project, linalg_module._geqrf
+    monkeypatch.setattr(linalg_module, "project", lambda X, T: projected.append(T.shape) or project(X, T))
+    monkeypatch.setattr(linalg_module, "_geqrf", lambda A: factored.append(A.shape) or geqrf(A))
+    X, y = small_problem(seed=6, n=1000)
+    sample_beta(X, y, "logit", n_draws=150, seed=SeedSpec(32, 1), workers=workers)
+    assert sorted(projected, reverse=True) == [(1000, k) for k in widths]
+    assert factored == [(1000, 3)] * len(widths)
+    if workers == 1:  # blocks in order, the first one first
+        assert projected == [(1000, k) for k in widths]
+
+
+def _collinear():
+    X = small_problem(seed=8)[0]
+    return np.column_stack([X, X[:, 0] + X[:, 1]])
+
+
+@pytest.mark.parametrize("X", [np.zeros((0, 3)), np.ones((30, 0)), np.ones((2, 3)), _collinear(),
+                               np.where(np.arange(90).reshape(30, 3) == 40, np.inf, 1.0)],
+                         ids=["empty", "no_columns", "n_below_p", "collinear", "non_finite"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_design_errors_are_lstsq_errors(X, workers):
+    y = np.zeros(X.shape[0])
+    with pytest.raises(Exception) as expected:
+        lstsq(X, y)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        sample_beta(X, y, "logit", n_draws=40, workers=workers)
 
 
 def test_workers_capped_at_draw_count(monkeypatch):
