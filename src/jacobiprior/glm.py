@@ -74,13 +74,9 @@ class JacobiHyper:
     def __post_init__(self):
         if self.schedule not in ("fixed", "one_over_n"):
             raise InvalidHyperError(f"unknown schedule {self.schedule!r}")
-        try:
-            if 0 < self.a < math.inf and 0 < self.b < math.inf:  # valid_shape, inlined for speed
-                return
-        except TypeError:  # a or b is not a number
-            pass
-        name, value = ("b", self.b) if valid_shape(self.a) else ("a", self.a)
-        raise InvalidHyperError(f"need finite {name} > 0, got {name}={shown(value)}")
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not valid_shape(value):
+                raise InvalidHyperError(f"need finite {name} > 0, got {name}={shown(value)}")
 
     def resolve(self, n: int) -> tuple[float, float]:
         """Effective (a, b) for a training set of size n."""
@@ -91,12 +87,13 @@ class JacobiHyper:
         return (self.a, self.b)
 
 
+_DEFAULT_HYPERS = dict(logit=JacobiHyper(0.5, 0.5), probit=JacobiHyper(0.5, 0.5),
+                      poisson=JacobiHyper(1.0, 1.0))
+
+
 def default_hyper(family: str) -> JacobiHyper:
-    """Library defaults: (1/2, 1/2) for binary families, (1, 1) for counts."""
-    validate_family(family)
-    if family == "poisson":
-        return JacobiHyper(1.0, 1.0)
-    return JacobiHyper(0.5, 0.5)
+    """Library defaults, one shared constant a family: (1/2, 1/2) binary, (1, 1) counts."""
+    return _DEFAULT_HYPERS[validate_family(family)]
 
 
 @dataclass
@@ -227,25 +224,16 @@ def _probit_lanes(y, a, b) -> tuple[np.ndarray, np.ndarray]:
 def probit_mode(y, a: float, b: float) -> float:
     """Posterior mode of eta for a Bernoulli observation under the probit link.
 
-    Maximizes Phi(eta)^(y+a-1) * (1-Phi(eta))^(b-y) * phi(eta) by
-    safeguarded Newton iteration started at 0 on the bracket
+    Maximizes Phi(eta)^(y+a-1) * (1-Phi(eta))^(b-y) * phi(eta) by one lane of
+    ``_probit_lanes``: safeguarded Newton iteration started at 0 on the bracket
     [-w, w], w = ``_probit_half_width(a if y == 0 else b)``. The gradient
     must change sign there, or NoConvergenceError. In exact arithmetic it
     does for any valid (y, a, b); in float the ratios phi/Phi lose
     their digits once |eta| is large, so a lane whose own shape is below
     about 3e-5 fails the bracket test or the |grad| <= PROBIT_TOL test.
-
-    The mode is one lane of ``_probit_lanes``, memoised on the checked (y, a, b);
-    an error is not, so every failing call raises its own message again.
     """
-    a, b = float(a), float(b)  # the memo key: hashable floats whatever the caller passed
+    a, b = float(a), float(b)  # a message shows floats, whatever type the caller passed
     y, _, _ = _posterior_shapes(y, a, b)
-    return _probit_lane(y, a, b)
-
-
-@functools.lru_cache(maxsize=256)  # every fit at one shape pair asks for the same two modes
-def _probit_lane(y: int, a: float, b: float) -> float:
-    """``probit_mode`` of a checked y and float shapes: one lane, or its NoConvergenceError."""
     (mode,), (ok,) = _probit_lanes(np.array([float(y)]), np.array([a]), np.array([b]))
     if not ok:  # the shapes passed _posterior_shapes, so the bracket test failed
         with np.errstate(all="ignore"):  # a tiny shape's half-width overflows to inf
@@ -280,6 +268,13 @@ def binary_modes(family: str, a: float, b: float) -> tuple[float, float]:
     mode = logit_mode if family == "logit" else probit_mode
     m1 = mode(1, a, b)
     return mode(0, a, b), m1
+
+
+@functools.lru_cache(maxsize=256)  # every fit at one shape pair asks for the same two modes
+def _fit_modes(family: str, a: float, b: float) -> tuple[float, float]:
+    """``binary_modes`` for fits, on float shapes; an error is not cached. Grids and searches
+    call ``binary_modes`` themselves: their many pairs would push the fits' pairs out."""
+    return binary_modes(family, a, b)
 
 
 def as_response(y) -> np.ndarray:
@@ -338,7 +333,7 @@ def _latents(y: np.ndarray, family: str, hyper: JacobiHyper) -> np.ndarray:
     a, b = hyper.resolve(y.shape[0])
     if family == "poisson":
         return np.log(_count_ratio(y, a, b))
-    mode0, mode1 = binary_modes(family, a, b)
+    mode0, mode1 = _fit_modes(family, float(a), float(b))
     return np.where(y == 1.0, mode1, mode0)
 
 

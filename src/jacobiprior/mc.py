@@ -84,6 +84,7 @@ def sample_beta(
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     X = as_array(X, 2, "X")
     y = check_response(y, family, X.shape[0], (1,))
+    lstsq(X, np.empty((len(y), 0)))  # a design lstsq rejects raises here, before any draw
     a, b = (hyper or default_hyper(family)).resolve(len(y))
     workers = min(workers, n_draws)
     per_worker = -(-n_draws // (workers * rhs_width(*X.shape)))  # blocks a worker

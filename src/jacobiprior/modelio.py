@@ -1,13 +1,13 @@
 """CSV reading and writing, and JSON model persistence, for the CLI.
 
 This is the one module that knows the CSV dialect. Input is strict:
-comma-separated, UTF-8, '.' decimal point, a header row of distinct
-names, no missing values. Output is written by ``csv_text`` and
-``write_csv`` alone: csv-module quoting, LF line ends. Model files are
-JSON; coefficient values survive a save/load round trip bit-exactly
-because Python renders floats with shortest-exact repr. A stored
-``FittedGLM`` keeps its p-vector ``beta`` under the key ``beta`` (kind
-``glm``), or its multinomial p x K ``beta`` under ``betas`` (kind ``dmr``).
+comma-separated, UTF-8 (a leading byte-order mark is skipped), '.' decimal
+point, a header row of distinct names, no missing values. Output is written by
+``csv_text`` and ``write_csv`` alone: csv-module quoting, LF line ends. Model
+files are JSON; coefficient values survive a save/load round trip bit-exactly
+because Python renders floats with shortest-exact repr. A stored ``FittedGLM``
+keeps its p-vector ``beta`` under the key ``beta`` (kind ``glm``), or its
+multinomial p x K ``beta`` under ``betas`` (kind ``dmr``).
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def load_csv_dataset(
     the offending row index and column. ``X``, ``y`` and ``disbursement``
     are column blocks of one float matrix, filled one row at a time.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -165,8 +165,10 @@ def _take(doc: dict, key: str, test, need: str):
     return value
 
 
-_NAMES = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v) and len(set(v)) == len(v),
-          "a list of distinct strings")
+def _names(least: int):
+    """``_take``'s test and need for a list of ``least`` or more distinct strings."""
+    return (lambda v: isinstance(v, list) and len(v) >= least and len(set(v)) == len(v)
+            and all(isinstance(x, str) for x in v)), f"a list of {least} or more distinct strings"
 
 
 @dataclass
@@ -224,8 +226,8 @@ class StoredModel(FittedGLM):
                 raise ConfigError(f"model kind {kind!r} does not match family {family!r}")
             key = "beta" if kind == "glm" else "betas"
             coef = np.asarray(doc[key], dtype=float)
-            feature_names = _take(doc, "feature_names", *_NAMES)
-            class_names = _take(doc, "class_names", *_NAMES) if kind == "dmr" else []
+            feature_names = _take(doc, "feature_names", *_names(1))  # as a fit writes them
+            class_names = _take(doc, "class_names", *_names(2)) if kind == "dmr" else []
             shape = (len(feature_names), len(class_names)) if kind == "dmr" else (len(feature_names),)
             if coef.shape != shape:
                 raise ConfigError(

@@ -377,7 +377,7 @@ class TestPredictBadModelFile:
         ("feature_names", "x1"), ("feature_names", [1, 2]), ("feature_names", ["x1", "x1"]),
         ("n_train", 2.7), ("n_train", -5),
         ("a_effective", "x"), ("a_effective", None), ("a_effective", True), ("b_effective", -3.0),
-        ("b_effective", 0.25),
+        ("b_effective", 0.25), ("feature_names", []),
     ])
     def test_bad_field_names_its_key(self, tmp_path, train_csv, model_doc, capsys, key, value):
         model_doc[key] = value
@@ -386,6 +386,18 @@ class TestPredictBadModelFile:
         assert rc == 2
         assert err.startswith("error: ") and "broken.json" in err and f"key '{key}'" in err, err
         assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("classes", [[], ["blue"]])
+    def test_multinomial_needs_two_class_names(self, tmp_path, train_csv, capsys, classes):
+        # No fit writes such a file: with no class predict_proba fails, with one every
+        # probability is 1.
+        names = [f"x{j}" for j in range(1, 9)]
+        doc = StoredModel(np.zeros((8, len(classes))), "poisson", JacobiHyper(1.0, 1.0),
+                          np.empty(0), 60, names, classes).to_json()
+        rc = self.predict_with(tmp_path, train_csv, json.dumps(doc))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "broken.json" in err and "key 'class_names'" in err
 
     def test_non_finite_coefficient_names_its_index(self, tmp_path, train_csv, model_doc, capsys):
         model_doc["beta"][1] = float("nan")  # json writes NaN, which json.load reads back
@@ -712,6 +724,16 @@ def test_write_then_load_round_trips_exactly(tmp_path_factory, M):
     data = load_csv_dataset(path)
     assert data.feature_names == names
     assert np.array_equal(data.X, M) and np.array_equal(np.signbit(data.X), np.signbit(M))
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # A spreadsheet's "CSV UTF-8" export starts with a BOM, here before the target column.
+    path = tmp_path / "bom.csv"
+    path.write_bytes("y,x1,x2\n1,0.5,-1.0\n0,2.0,0.25\n".encode("utf-8-sig"))
+    data = load_csv_dataset(path, target="y")
+    assert data.feature_names == ["x1", "x2"]
+    np.testing.assert_array_equal(data.y, [1.0, 0.0])
+    np.testing.assert_array_equal(data.X, [[0.5, -1.0], [2.0, 0.25]])
 
 
 class TestFreshInterpreter:

@@ -6,7 +6,7 @@ from scipy.special import ndtr
 
 import jacobiprior.linalg as linalg_module
 import jacobiprior.mc as mc_module
-from jacobiprior.errors import ConfigError, InsufficientDrawsError
+from jacobiprior.errors import ConfigError, InsufficientDrawsError, RankDeficientError
 from jacobiprior.glm import JacobiHyper, default_hyper
 from jacobiprior.linalg import BLOCK_ROWS, lstsq
 from jacobiprior.mc import _draw_eta, sample_beta, summarize
@@ -79,18 +79,29 @@ def test_short_design_draws_equal_per_draw_solves(workers):
 @pytest.mark.parametrize("workers, widths", [(1, [38, 38, 37, 37]), (2, [38, 38, 37, 37]),
                                              (3, [25] * 6)])
 def test_one_factorization_per_draw_block(monkeypatch, workers, widths):
-    # Each block is one lstsq, so one project and one dgeqrf of X, and nothing factors X
-    # before the first block.
+    # One leading n x 0 projection checks X before any draw; then each block is one lstsq,
+    # so one project and one dgeqrf of X.
     projected, factored = [], []
     project, geqrf = linalg_module.project, linalg_module._geqrf
     monkeypatch.setattr(linalg_module, "project", lambda X, T: projected.append(T.shape) or project(X, T))
     monkeypatch.setattr(linalg_module, "_geqrf", lambda A: factored.append(A.shape) or geqrf(A))
     X, y = small_problem(seed=6, n=1000)
     sample_beta(X, y, "logit", n_draws=150, seed=SeedSpec(32, 1), workers=workers)
-    assert sorted(projected, reverse=True) == [(1000, k) for k in widths]
-    assert factored == [(1000, 3)] * len(widths)
+    assert projected[0] == (1000, 0)
+    assert sorted(projected[1:], reverse=True) == [(1000, k) for k in widths]
+    assert factored == [(1000, 3)] * (1 + len(widths))
     if workers == 1:  # blocks in order, the first one first
-        assert projected == [(1000, k) for k in widths]
+        assert projected[1:] == [(1000, k) for k in widths]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_rejected_design_makes_no_draw(monkeypatch, workers):
+    calls = []
+    monkeypatch.setattr(mc_module, "_draw_eta", lambda *args: calls.append(args) or _draw_eta(*args))
+    X = np.column_stack([np.ones(1000), np.arange(1000.0), np.arange(1000.0)])  # collinear
+    with pytest.raises(RankDeficientError):
+        sample_beta(X, np.zeros(1000), "logit", n_draws=1000, workers=workers)
+    assert calls == []
 
 
 def _collinear():

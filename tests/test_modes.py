@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
+import jacobiprior.glm as glm_module
 from jacobiprior.errors import (
     ImproperPosteriorError,
     InvalidHyperError,
@@ -21,13 +22,18 @@ from jacobiprior.glm import (
     _posterior_shapes,
     _probit_grad_hess,
     _probit_half_width,
+    JacobiHyper,
+    _fit_modes,
     binary_modes,
+    fit_jacobi,
+    latent_vector,
     logit_mode,
     poisson_mode,
     probit_mode,
     probit_modes,
 )
-from jacobiprior.hyper import SEARCH_HI, SEARCH_LO
+from jacobiprior.hyper import SEARCH_HI, SEARCH_LO, sensitivity_grid, stochastic_search
+from jacobiprior.rng import SeedSpec
 
 shapes = st.floats(min_value=0.01, max_value=50.0, allow_nan=False)
 
@@ -354,19 +360,28 @@ class TestProbitModeAgainstTheReference:
 
 
 class TestProbitModeMemo:
-    """probit_mode's Newton loop is memoised on the checked (y, a, b); its errors are not."""
+    """Fits look up their mode pair (m0, m1) in one memo over binary_modes, keyed by
+    (family, float(a), float(b)), logit and probit alike; its errors are not cached."""
 
     @settings(max_examples=100, deadline=None)
-    @given(y=st.sampled_from([0, 1, 0.0, 1.0]), a=search_shapes, b=search_shapes)
-    def test_equals_the_unmemoised_loop(self, y, a, b):
-        expected = reference_probit_newton(int(y), a, b)
-        assert probit_mode(y, a, b) == expected
-        assert probit_mode(y, np.float64(a), np.float64(b)) == expected  # a cache hit
+    @given(a=search_shapes, b=search_shapes)
+    def test_equals_the_unmemoised_loop(self, a, b):
+        expected = (reference_probit_newton(0, a, b), reference_probit_newton(1, a, b))
+        assert _fit_modes("probit", a, b) == expected
+        assert _fit_modes("probit", a, b) == expected  # a cache hit
+        eta = latent_vector([0.0, 1.0], "probit", JacobiHyper(np.float64(a), np.float64(b)))
+        assert tuple(eta) == expected
+        assert _fit_modes("logit", a, b) == binary_modes("logit", a, b)
 
     def test_zero_d_arrays_are_accepted(self):
-        # The memo is keyed on the checked int y and float shapes, not on the arguments.
-        mode = probit_mode(np.array(1.0), np.array(0.5), np.array(0.5))
-        assert mode == probit_mode(1, 0.5, 0.5) == reference_probit_newton(1, 0.5, 0.5)
+        # The memo is keyed on float shapes, not on the hyper's own values.
+        eta = latent_vector([0.0, 1.0], "probit", JacobiHyper(np.array(0.5), np.array(0.5)))
+        info = _fit_modes.cache_info()
+        eta_again = latent_vector([0.0, 1.0], "probit", JacobiHyper(0.5, 0.5))
+        assert _fit_modes.cache_info().hits == info.hits + 1
+        expected = [reference_probit_newton(0, 0.5, 0.5), reference_probit_newton(1, 0.5, 0.5)]
+        assert eta.tolist() == eta_again.tolist() == expected
+        assert probit_mode(np.array(1.0), np.array(0.5), np.array(0.5)) == expected[1]
 
     @pytest.mark.parametrize("y, a, b, error", [
         (0, 1e-5, 1e-5, NoConvergenceError),
@@ -374,9 +389,56 @@ class TestProbitModeMemo:
         (0.5, 1.0, 1.0, InvalidResponseError),
     ])
     def test_raises_again_on_every_failing_call(self, y, a, b, error):
+        X = np.column_stack([np.ones(4), np.arange(4.0)])
+        messages = []
+        for _ in range(3):
+            size = _fit_modes.cache_info().currsize
+            with pytest.raises(error) as exc:
+                fit_jacobi(X, [y, 1.0, 0.0, 1.0], "probit", JacobiHyper(a, b))
+            assert _fit_modes.cache_info().currsize == size
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+
+    @pytest.mark.parametrize("a, b, error", [
+        (1e-300, 1e300, InvalidHyperError), (2.0, 1e-17, ImproperPosteriorError),
+    ])
+    def test_a_failing_logit_pair_raises_on_every_fit(self, monkeypatch, a, b, error):
+        calls = []
+        monkeypatch.setattr(glm_module, "binary_modes",
+                            lambda *args: calls.append(args) or binary_modes(*args))
+        X = np.column_stack([np.ones(4), np.arange(4.0)])
         messages = []
         for _ in range(3):
             with pytest.raises(error) as exc:
-                probit_mode(y, a, b)
+                fit_jacobi(X, [0.0, 1.0, 0.0, 1.0], "logit", JacobiHyper(a, b))
             messages.append(str(exc.value))
-        assert len(set(messages)) == 1
+        assert len(set(messages)) == 1 and calls == [("logit", a, b)] * 3
+
+    @pytest.mark.parametrize("family", ["logit", "probit"])
+    def test_one_entry_a_pair(self, family):
+        # Integer, float and numpy shapes of one value share the entry.
+        y = [0.0, 1.0, 1.0]
+        first = latent_vector(y, family, JacobiHyper(3, 7))
+        info = _fit_modes.cache_info()
+        for a, b in [(3.0, 7.0), (np.int64(3), np.float64(7.0)), (np.array(3.0), 7)]:
+            np.testing.assert_array_equal(latent_vector(y, family, JacobiHyper(a, b)), first)
+        after = _fit_modes.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 3, info.misses)
+        m0, m1 = binary_modes(family, 3.0, 7.0)
+        assert first.tolist() == [m0, m1, m1]
+
+    def test_float32_shapes_get_float64_logit_modes(self):
+        a, b = np.float32(0.3), np.float32(0.7)
+        eta = latent_vector([0.0, 1.0], "logit", JacobiHyper(a, b))
+        assert eta.tolist() == [logit_mode(0, float(a), float(b)), logit_mode(1, float(a), float(b))]
+
+    @pytest.mark.parametrize("family", ["logit", "probit"])
+    def test_grid_and_search_leave_the_memo_alone(self, family):
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(40), rng.standard_normal((40, 2))])
+        y = (rng.random(40) < 0.5).astype(float)
+        info = _fit_modes.cache_info()
+        grid = sensitivity_grid(X, y, X, y, family, [0.25, 0.5, 1.0], [0.5, 2.0])
+        search = stochastic_search(X, y, X, y, family, budget=20, seed=SeedSpec(4, 0))
+        assert _fit_modes.cache_info() == info
+        assert np.isfinite(grid.scores).all() and len(search.trace) == 20
