@@ -5,12 +5,25 @@ class so that CLI and harness code can map errors to exit codes and
 per-replication failure counts without string matching.
 """
 
+import math
 import numbers
+import sys
 
 
 def is_count(value, lo: int = 1) -> bool:
     """True for an integer >= lo that is not a bool: the test of every count argument."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= lo
+
+
+def real(value) -> float:
+    """value as a float if it is a finite real number, else NaN, which fails any range test
+    (``real(v) > 0``). Real: an int or float but not a bool, or a numpy integer or floating
+    scalar or 0-d array; not a Fraction or Decimal, which numpy's arrays do not mix with."""
+    if not isinstance(value, float):  # np.float64 is one: one type test, one finiteness test
+        numpy_real = getattr(getattr(value, "dtype", None), "kind", None) in ("i", "u", "f")
+        fits = numpy_real and value.ndim == 0 or type(value) is int and abs(value) <= sys.float_info.max
+        value = float(value) if fits else math.nan  # 10**400 does not fit
+    return value if math.isfinite(value) else math.nan
 
 
 class JacobiPriorError(Exception):

@@ -24,6 +24,7 @@ from .errors import (
     InvalidHyperError,
     InvalidResponseError,
     NoConvergenceError,
+    real,
 )
 from .linalg import LazyModule, as_array, as_matrix, lstsq, stable_matvec
 
@@ -39,11 +40,8 @@ PROBIT_BRACKET = 12.0  # the least bracket half-width; see _probit_half_width
 
 
 def valid_shape(x) -> bool:
-    """True for a prior shape parameter in (0, inf): ``JacobiHyper``'s test of a and b."""
-    try:
-        return 0 < x < math.inf
-    except TypeError:  # not a number
-        return False
+    """True for a prior shape parameter, a finite real > 0: ``JacobiHyper``'s test of a and b."""
+    return real(x) > 0
 
 
 def shown(value) -> str:

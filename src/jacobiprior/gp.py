@@ -24,7 +24,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
 from .dmr import CountTable, fit_dmr, softmax_rows
-from .errors import DimensionMismatchError, InvalidHyperError, NotPositiveDefiniteError
+from .errors import DimensionMismatchError, InvalidHyperError, NotPositiveDefiniteError, real
 from .glm import FittedGLM, JacobiHyper, fit_jacobi, shown
 from .linalg import as_array, as_matrix, lapack
 
@@ -42,12 +42,7 @@ class KernelParams:
 
     def __post_init__(self):
         for name, rule in (("tau", ">"), ("rho", ">"), ("sigma", ">=")):
-            value = getattr(self, name)
-            try:
-                ok = np.isfinite(value) and (value > 0 or rule == ">=" and value == 0)
-            except TypeError:  # not a number
-                ok = False
-            if not ok:
+            if not (real(value := getattr(self, name)) > 0 or rule == ">=" and real(value) == 0):
                 raise InvalidHyperError(f"need finite {name} {rule} 0, got {name}={shown(value)}")
         if self.kind not in KERNEL_KINDS:
             raise InvalidHyperError(f"unknown kernel kind {self.kind!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidHyperError, is_count
+from .errors import DimensionMismatchError, InvalidHyperError, is_count, real
 from .glm import binary_modes, check_response, inverse_link, probit_modes, valid_shape
 from .linalg import BLOCK_ROWS, as_array, as_matrix, lstsq, rhs_width, stable_matvec
 from .modelio import csv_text
@@ -183,7 +183,7 @@ def stochastic_search(
     """
     if not is_count(budget):
         raise InvalidHyperError(f"budget must be an integer >= 1, got {budget!r}")
-    if not 0 < lo <= hi < math.inf:
+    if not 0 < real(lo) <= real(hi):
         raise InvalidHyperError(f"need finite 0 < lo <= hi, got lo={lo!r}, hi={hi!r}")
     if objective not in OBJECTIVES:
         raise InvalidHyperError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")

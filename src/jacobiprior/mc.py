@@ -8,14 +8,13 @@ from (seed, r) and keeps its bits in any block, so any worker count gives the sa
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, InsufficientDrawsError, is_count
+from .errors import ConfigError, InsufficientDrawsError, is_count, real
 from .glm import JacobiHyper, check_response, default_hyper
 from .linalg import as_array, lstsq, rhs_width
 from .rng import SeedSpec, derive_rng
@@ -102,7 +101,7 @@ def sample_beta(
 
 def summarize(draws: BetaDraws, level: float = 0.9) -> DrawSummary:
     """Per-coefficient mean, SD, and equal-tailed interval at the given level."""
-    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+    if not 0.0 < real(level) < 1.0:
         raise InsufficientDrawsError(f"level must be a number in (0, 1), got {level!r}")
     if draws.n_draws < 2:
         raise InsufficientDrawsError("need at least 2 draws to summarize")

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatchError, InvalidHyperError, JacobiPriorError,
                      SchemaMismatchError, is_count)
 from .glm import JacobiHyper, as_response, check_response, latent_vector, validate_family
-from .linalg import as_array, lstsq, project
+from .linalg import as_array, as_finite, lstsq, project
 from .rng import SeedSpec, derive_rng
 
 SCHEMA_VERSION = 2
@@ -48,8 +48,7 @@ class PartialStats:
                 f"need p x p r and p-vector qteta, p >= 1, n_shard >= 1; got r {self.r.shape}, "
                 f"qteta {self.qteta.shape}, n_shard {self.n_shard}"
             )
-        if not (np.isfinite(self.r).all() and np.isfinite(self.qteta).all()):
-            raise DimensionMismatchError("r or qteta contains non-finite entries")
+        self.r, self.qteta = as_finite(self.r, 2, "r"), as_finite(self.qteta, 1, "qteta")
         if np.tril(self.r, -1).any():
             raise DimensionMismatchError("r is not upper triangular")
 

@@ -26,14 +26,13 @@ the softmax probabilities for ``dmr``.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import time
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from ..errors import ConfigError, JacobiPriorError, RankDeficientError, SeparationError, is_count
+from ..errors import ConfigError, JacobiPriorError, RankDeficientError, SeparationError, is_count, real
 from ..glm import JacobiHyper, default_hyper, fit_jacobi, inverse_link
 from ..dmr import predict_proba
 from ..mle import fit_mle
@@ -129,22 +128,18 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def _real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 def _integer(lo):
     return (lambda v: is_count(v, lo), f"an integer >= {lo}")
 
 
 def _fraction(kind, own):
-    return (lambda v: _real(v) and 0 <= v <= 1 and (v == 0 or kind == own),
+    return (lambda v: 0 <= real(v) <= 1 and (v == 0 or kind == own),
             f"a number in [0, 1], and 0 unless kind is {own!r}")
 
 
 def _vector(v) -> bool:
     return (isinstance(v, (list, tuple, np.ndarray)) and len(v) > 0
-            and all(_real(x) and math.isfinite(x) for x in v))
+            and all(math.isfinite(real(x)) for x in v))
 
 
 def _checks(kind):
@@ -159,11 +154,11 @@ def _checks(kind):
         "n_features": _integer(1),
         "n_classes": _integer(2),
         "beta0": (lambda v: v is None or _vector(v), "a non-empty 1-d list of finite numbers"),
-        "sigma": (lambda v: _real(v) and 0 < v < math.inf, "a finite number > 0"),
-        "rho": (lambda v: _real(v) and -1 < v < 1, "a number in (-1, 1)"),
+        "sigma": (lambda v: real(v) > 0, "a finite number > 0"),
+        "rho": (lambda v: -1 < real(v) < 1, "a number in (-1, 1)"),
         "flip_fraction": _fraction(kind, "logit"),
         "replace_fraction": _fraction(kind, "poisson"),
-        "replace_rate": (lambda v: _real(v) and 0 <= v < math.inf, "a finite number >= 0"),
+        "replace_rate": (lambda v: real(v) >= 0, "a finite number >= 0"),
         "contamination_mode": (lambda v: v in ("refit", "eval_only"), "'refit' or 'eval_only'"),
         "methods": (
             lambda v: isinstance(v, (list, tuple)) and v and all(m in own for m in v)

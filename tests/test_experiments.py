@@ -188,6 +188,24 @@ def test_bad_config_names_its_key(doc, key, tmp_path, capsys):
     assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json", "out"}  # nothing escaped --out
 
 
+HUGE = 10**400  # a 401-digit integer: too large for a float
+HUGE_CONFIGS = {
+    "sigma": {"sigma": HUGE},
+    "replace_rate": {"kind": "poisson", "replace_fraction": 0.1, "replace_rate": HUGE},
+    "beta0": {"beta0": [1.0, HUGE]},
+    "hyper": {"hyper": {"a": HUGE}},
+}
+
+
+@pytest.mark.parametrize("key", HUGE_CONFIGS)
+def test_integer_too_large_for_a_float_exits_2(key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 30, "n_reps": 3, **HUGE_CONFIGS[key]}))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: $.{key}: ") and err.count("\n") == 1, err
+
+
 def test_readme_example_config_runs():
     """The README's example config builds and runs (with n_reps cut to 2)."""
     section = README.read_text(encoding="utf-8").split("### Experiment harness", 1)[1]

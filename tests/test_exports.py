@@ -105,3 +105,34 @@ def test_alias_guard_flags_each_kind_of_use(tmp_path):
         "b = fit.betas\n"
     )
     assert sorted(perfbench_alias_uses(tmp_path)) == [("sub/mod.py", k) for k in (1, 2, 4, 5)]
+
+
+def own_real_tests(package_dir):
+    """(file, line) of each place in the package's source that names ``numbers.Real``, other
+    than ``errors.py`` and ``glm.shown``: ``errors.real`` is the one test of a real number."""
+    uses = []
+    for path in sorted(pathlib.Path(package_dir).rglob("*.py")):
+        where = path.relative_to(package_dir).as_posix()
+        if where == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), where)
+        shown = [top for top in tree.body if where == "glm.py" and getattr(top, "name", "") == "shown"]
+        allowed = {id(node) for top in shown for node in ast.walk(top)}
+        uses += [(where, node.lineno) for node in ast.walk(tree) if id(node) not in allowed and (
+            isinstance(node, ast.Attribute) and node.attr == "Real"
+            or isinstance(node, ast.ImportFrom) and any(a.name == "Real" for a in node.names))]
+    return uses
+
+
+def test_one_real_number_test():
+    assert own_real_tests(pathlib.Path(jacobiprior.__file__).parent) == []
+
+
+def test_real_guard_flags_each_module(tmp_path):
+    (tmp_path / "errors.py").write_text("import numbers\nR = numbers.Real\n")
+    (tmp_path / "glm.py").write_text("import numbers\ndef shown(v):\n    return numbers.Real\n"
+                                     "def other(v):\n    return numbers.Real\n")
+    (tmp_path / "mc.py").write_text("import numbers as n\nok = isinstance(1, n.Real)\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "gp.py").write_text("from numbers import Integral, Real\n")
+    assert own_real_tests(tmp_path) == [("glm.py", 5), ("mc.py", 2), ("sub/gp.py", 1)]

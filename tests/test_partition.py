@@ -242,6 +242,18 @@ class TestCodec:
         with pytest.raises(SchemaMismatchError, match="shard 5"):
             decode_shard_message(struct.pack("<I", len(body)) + body)
 
+    @pytest.mark.parametrize("cell, value, where", [
+        ((1, 2), np.nan, "r contains a non-finite entry at row 1, column 2: nan"),
+        ((3, 0), -np.inf, "qteta contains a non-finite entry at index 0: -inf"),
+    ])
+    def test_non_finite_payload_cell_is_named(self, cell, value, where):
+        X, y = logit_data(seed=6, n=40)
+        frame = bytearray(encode_shard_message(shard_stats(X[:, :3], y, "logit", shard_id=3)))
+        row, column = cell  # the payload is r, C order, then qteta, as row 3 of a 4 x 3 array
+        struct.pack_into("<d", frame, 4 + struct.calcsize("<IQQI") + 8 * (3 * row + column), value)
+        with pytest.raises(SchemaMismatchError, match=f"^shard 3: {re.escape(where)}$"):
+            decode_shard_message(bytes(frame))
+
     def test_json_debug_round_trips_through_text(self):
         X, y = logit_data(seed=7, n=10)
         stats = shard_stats(X, y, "logit", shard_id=3)
