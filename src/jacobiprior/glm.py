@@ -23,6 +23,7 @@ from .errors import (
     ImproperPosteriorError,
     InvalidHyperError,
     InvalidResponseError,
+    JacobiPriorError,
     NoConvergenceError,
     real,
 )
@@ -34,7 +35,7 @@ _special = LazyModule("scipy.special")  # the probit link only: logit and poisso
 _EXP_MAX = math.log(np.finfo(float).max)  # exp(u) is finite up to here and overflows above
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-PROBIT_TOL = 1e-10  # probit_mode stops at |grad| <= PROBIT_TOL
+PROBIT_TOL = 1e-10  # a probit lane stops at |grad| <= PROBIT_TOL
 PROBIT_MAX_ITER = 200  # Newton steps before NoConvergenceError
 PROBIT_BRACKET = 12.0  # the least bracket half-width; see _probit_half_width
 
@@ -113,59 +114,6 @@ class FittedGLM:
         return self.beta
 
 
-def _posterior_shapes(y, a: float, b: float) -> tuple[int, float, float]:
-    """(y, y + a, b + 1 - y): y checked, and the binary posterior's Beta shapes, both > 0."""
-    if y not in (0, 1, 0.0, 1.0):
-        raise InvalidResponseError(f"binary response must be 0 or 1, got {y!r}")
-    y = int(y)
-    num = y + a
-    den = b + 1.0 - y
-    if num <= 0 or den <= 0:
-        raise ImproperPosteriorError(f"need y + a > 0 and b + 1 - y > 0, got {num}, {den}")
-    return y, num, den
-
-
-def logit_mode(y, a: float, b: float) -> float:
-    """Posterior mode of eta for a Bernoulli observation under the logit link.
-
-    Equals log((y + a) / (b + 1 - y)); a Beta(a, b) prior on the
-    success probability updated by y, transported to the log-odds
-    scale.
-    """
-    _, num, den = _posterior_shapes(y, a, b)
-    ratio = num / den
-    if not 0 < ratio < math.inf:  # 1e-300 / 1e300 underflows, 1e300 / 1e-10 overflows
-        raise InvalidHyperError(f"need (y + a) / (b + 1 - y) in (0, inf), got {num} / {den}")
-    return math.log(ratio)
-
-
-def poisson_mode(y, a: float, b: float) -> float:
-    """Posterior mode of eta for a Poisson count under the log link.
-
-    Equals log((y + a) / (1 + b)); a Gamma(a, rate b) prior on the
-    rate updated by y, transported to the log scale.
-    """
-    if y < 0 or y != int(y):
-        raise InvalidResponseError(f"count response must be a non-negative integer, got {y!r}")
-    if y + a <= 0:
-        raise InvalidHyperError(f"need y + a > 0, got {y + a}")
-    if 1.0 + b <= 0:
-        raise InvalidHyperError(f"need 1 + b > 0, got {1.0 + b}")
-    return math.log(_count_ratio(y, a, b))
-
-
-def _count_ratio(y, a: float, b: float):
-    """(y + a) / (1 + b) for a count or count array, the count mode's argument of log, checked
-    to lie in (0, inf); a valid shape pair need not give that: 1e-300 / (1 + 1e300) is 0."""
-    ratio = (y + a) / (1.0 + b)
-    # Two reductions cost half of a (0 < ratio) & (ratio < inf) mask at n = 100.
-    lo = np.minimum.reduce(ratio, axis=None, initial=1.0)  # initial=1.0: an empty y passes
-    hi = np.maximum.reduce(ratio, axis=None, initial=1.0)
-    if not 0 < lo <= hi < math.inf:
-        raise InvalidHyperError(f"need (y + a) / (1 + b) in (0, inf), got a={a}, b={b}")
-    return ratio
-
-
 def _probit_grad_hess(eta, c1, c2):
     """Gradient and Hessian of c1*log Phi(eta) + c2*log(1 - Phi(eta)) - eta^2/2, element-wise."""
     log_phi = -0.5 * eta * eta - _LOG_SQRT_2PI
@@ -219,67 +167,123 @@ def _probit_lanes(y, a, b) -> tuple[np.ndarray, np.ndarray]:
     return mode, ok
 
 
-def probit_mode(y, a: float, b: float) -> float:
-    """Posterior mode of eta for a Bernoulli observation under the probit link.
+def lanes(family: str, y, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The modes of eta over float arrays or scalars of lanes (y, a, b), broadcast; NaN where
+    ok is False. a and b enter as given: a float32 b gives a poisson lane its float32 1 + b.
+    logit: log((y + a) / (b + 1 - y)) by ``math.log``, which numpy's log differs from in the
+    last bit on a few inputs in 1e5; poisson: log((y + a) / (1 + b)); probit: ``_probit_lanes``.
+    ok is one True for a poisson call whose lanes all pass; y is taken to be in the support."""
+    y = np.asarray(y, dtype=float)
+    if family == "poisson" and isinstance(b, float) and 0.0 <= b < math.inf:  # a fit's shapes
+        ratio = (y + a) / (1.0 + b)
+        # Two reductions cost half of a (0 < ratio) & (ratio < inf) mask at n = 100.
+        lo = np.minimum.reduce(ratio, axis=None, initial=1.0)  # initial=1.0: no lanes pass
+        hi = np.maximum.reduce(ratio, axis=None, initial=1.0)
+        if 0 < lo <= hi < math.inf:
+            return np.log(ratio), np.True_
+    if family == "probit":
+        y, a, b = np.broadcast_arrays(y, a, b)
+        mode = _probit_lanes(*(v.ravel() for v in (y, a, b)))[0].reshape(y.shape)
+        return mode, ~np.isnan(mode)
+    num = y + a
+    den = b + 1.0 - y if family == "logit" else 1.0 + b
+    with np.errstate(all="ignore"):  # a zero den, or a ratio that overflows or is undefined
+        ratio = num / den
+    ok = (num > 0) & (den > 0) & (0 < ratio) & (ratio < math.inf)
+    mode = np.full(ok.shape, np.nan)
+    mode[ok] = [math.log(r) for r in ratio[ok].tolist()] if family == "logit" else np.log(ratio[ok])
+    return mode, ok
 
-    Maximizes Phi(eta)^(y+a-1) * (1-Phi(eta))^(b-y) * phi(eta) by one lane of
-    ``_probit_lanes``: safeguarded Newton iteration started at 0 on the bracket
-    [-w, w], w = ``_probit_half_width(a if y == 0 else b)``. The gradient
-    must change sign there, or NoConvergenceError. In exact arithmetic it
-    does for any valid (y, a, b); in float the ratios phi/Phi lose
-    their digits once |eta| is large, so a lane whose own shape is below
-    about 3e-5 fails the bracket test or the |grad| <= PROBIT_TOL test.
-    """
-    a, b = float(a), float(b)  # a message shows floats, whatever type the caller passed
-    y, _, _ = _posterior_shapes(y, a, b)
-    (mode,), (ok,) = _probit_lanes(np.array([float(y)]), np.array([a]), np.array([b]))
-    if not ok:  # the shapes passed _posterior_shapes, so the bracket test failed
+
+def _first_error(family: str, y, a, b, ok) -> JacobiPriorError | None:
+    """The error of the first lane, in C order, that has a y outside the support or is not ok,
+    as a loop over single lanes gives it, or None. A lane checks y; y + a and b + 1 - y (1 + b,
+    poisson) > 0; log's argument in (0, inf), or the probit bracket, then iteration cap."""
+    y, a, b, ok = np.broadcast_arrays(y, a, b, ok)
+    outside, what = _outside(y, family)
+    bad = np.flatnonzero(outside | ~ok)
+    if not bad.size:
+        return None
+    y, a, b = (float(v.flat[bad[0]]) for v in (y, a, b))
+    if outside.flat[bad[0]]:
+        return InvalidResponseError(f"{what}, got {y!r}")
+    if family == "poisson":
+        for name, value in (("y + a", y + a), ("1 + b", 1.0 + b)):
+            if value <= 0:
+                return InvalidHyperError(f"need {name} > 0, got {value}")
+        if not 0 < (y + a) / (1.0 + b) < math.inf:  # 1e-300 / (1 + 1e300) underflows to 0
+            return InvalidHyperError(f"need (y + a) / (1 + b) in (0, inf), got a={a}, b={b}")
+        return None
+    num, den = y + a, b + 1.0 - y
+    if num <= 0 or den <= 0:  # a b below about 1.1e-16 rounds b + 1 - 1 to 0
+        return ImproperPosteriorError(f"need y + a > 0 and b + 1 - y > 0, got {num}, {den}")
+    if family == "logit":  # 1e-300 / 1e300 underflows, 1e300 / 1e-10 overflows
+        return None if 0 < num / den < math.inf else InvalidHyperError(
+            f"need (y + a) / (b + 1 - y) in (0, inf), got {num} / {den}")
+    (mode,), (bracketed,) = _probit_lanes(*(np.array([v]) for v in (y, a, b)))
+    if not bracketed:
         with np.errstate(all="ignore"):  # a tiny shape's half-width overflows to inf
             hi = float(_probit_half_width(b if y else a))
-        raise NoConvergenceError(
-            f"gradient does not bracket a maximum on [{-hi}, {hi}] for y={y}, a={a}, b={b}"
-        )
+        return NoConvergenceError(
+            f"gradient does not bracket a maximum on [{-hi}, {hi}] for y={int(y)}, a={a}, b={b}")
     if math.isnan(mode):
-        raise NoConvergenceError(f"probit mode did not reach |grad| <= {PROBIT_TOL} "
-                                 f"in {PROBIT_MAX_ITER} iterations")
-    return float(mode)
+        return NoConvergenceError(f"probit mode did not reach |grad| <= {PROBIT_TOL} "
+                                  f"in {PROBIT_MAX_ITER} iterations")
+    return None
 
 
-def probit_modes(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``binary_modes("probit", a, b)`` for arrays of shape pairs: (m0, m1, converged).
+def _scalar_mode(family: str, y, a, b) -> float:
+    """One lane's mode as a float, or its error; y, a and b are real numbers (``errors.real``)
+    or floats, inf and NaN included, and anything else is its role's typed error."""
+    for name, value in zip("yab", (y, a, b)):
+        if not isinstance(value, (float, np.floating)) and math.isnan(real(value)):
+            raise (InvalidResponseError if name == "y" else InvalidHyperError)(
+                f"{name} must be a real number, got {name}={value!r}")
+    lane = [float(v) for v in (y, a, b)]
+    mode, ok = lanes(family, *(np.array([v]) for v in lane))
+    if (error := _first_error(family, *lane, ok)) is not None:
+        raise error
+    return float(mode[0])
 
-    Runs a y = 0 and a y = 1 lane of ``_probit_lanes`` per pair, each bit for bit ``probit_mode``'s.
-    A failed lane is NaN and its pair not converged; ``binary_modes`` gives its error.
-    """
-    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
-    mode, _ = _probit_lanes(np.repeat([0.0, 1.0], a.size), np.tile(a, 2), np.tile(b, 2))
-    m0, m1 = mode.reshape(2, -1)
-    return m0, m1, ~(np.isnan(m0) | np.isnan(m1))
+
+def logit_mode(y, a: float, b: float) -> float:
+    """Posterior mode of eta for a Bernoulli observation under the logit link: one lane."""
+    return _scalar_mode("logit", y, a, b)
 
 
-def binary_modes(family: str, a: float, b: float) -> tuple[float, float]:
-    """Latent modes (m0, m1) of a binary family at y = 0 and y = 1.
+def probit_mode(y, a: float, b: float) -> float:
+    """Posterior mode of eta for a Bernoulli observation under the probit link: one lane."""
+    return _scalar_mode("probit", y, a, b)
 
-    y = 1 goes first: a b below about 1.1e-16 rounds its b + 1 - y to 0, which is
-    ImproperPosteriorError for both families whatever the y = 0 mode would do.
-    """
-    mode = logit_mode if family == "logit" else probit_mode
-    m1 = mode(1, a, b)
-    return mode(0, a, b), m1
+
+def poisson_mode(y, a: float, b: float) -> float:
+    """Posterior mode of eta for a Poisson count under the log link: one lane."""
+    return _scalar_mode("poisson", y, a, b)
 
 
 @functools.lru_cache(maxsize=256)  # every fit at one shape pair asks for the same two modes
 def _fit_modes(family: str, a: float, b: float) -> tuple[float, float]:
-    """``binary_modes`` for fits, on float shapes; an error is not cached. Grids and searches
-    call ``binary_modes`` themselves: their many pairs would push the fits' pairs out."""
-    return binary_modes(family, a, b)
+    """The binary modes (m0, m1) for fits, on float shapes; an error is not cached. Grids and
+    searches call ``lanes``: their many pairs would push the fits' pairs out."""
+    mode, ok = lanes(family, (1.0, 0.0), a, b)  # y = 1 first, as a pair is checked
+    if not ok.all():
+        raise _first_error(family, (1.0, 0.0), a, b, ok)
+    return tuple(mode.tolist()[::-1])
+
+
+def _outside(y: np.ndarray, family: str) -> tuple[np.ndarray, str]:
+    """Where y is outside the family's support, and the rule it breaks there."""
+    if family == "poisson":
+        what = "count response must be a non-negative integer"
+        return ~np.isfinite(y) | (y < 0) | (y != np.floor(y)), what
+    return (y != 0.0) & (y != 1.0), "binary response must be 0 or 1"
 
 
 def as_response(y) -> np.ndarray:
     """y as a float array; an entry that is not a number is InvalidResponseError."""
     try:
         return np.asarray(y, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1.8e308
         raise InvalidResponseError(f"response y must be numeric: {exc}") from None
 
 
@@ -298,12 +302,7 @@ def check_response(y, family: str, rows: int | None = None, ndims=(1, 2)) -> np.
         raise DimensionMismatchError(f"{family} response must have ndim in {ndims}, got {y.ndim}")
     if rows is not None and y.shape[0] != rows:
         raise DimensionMismatchError(f"y length {y.shape[0]} != design rows {rows}")
-    if family == "poisson":
-        bad = ~np.isfinite(y) | (y < 0) | (y != np.floor(y))
-        what = "count response must be a non-negative integer"
-    else:
-        bad = (y != 0.0) & (y != 1.0)
-        what = "binary response must be 0 or 1"
+    bad, what = _outside(y, family)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         where = f"row {idx[0]}, column {idx[1]}" if len(idx) == 2 else f"index {idx[0]}"
@@ -320,7 +319,7 @@ def latent_vector(
     given and the allowed ``ndims``. ``poisson`` also takes an n x K count
     matrix and maps every column at once. Resolves the one_over_n schedule
     using the row count n. Binary families only take two distinct values,
-    so the probit optimization runs at most twice regardless of n.
+    so one ``lanes`` call of two lanes serves every n.
     """
     y = check_response(y, family, rows, ndims)
     return _latents(y, family, hyper or default_hyper(family))
@@ -330,7 +329,10 @@ def _latents(y: np.ndarray, family: str, hyper: JacobiHyper) -> np.ndarray:
     """``latent_vector`` of a y that has been through ``check_response``."""
     a, b = hyper.resolve(y.shape[0])
     if family == "poisson":
-        return np.log(_count_ratio(y, a, b))
+        eta, ok = lanes(family, y, a, b)
+        if not (ok is np.True_ or ok.all()):  # np.True_.all() costs 1.3 us of a 25 us fit
+            raise _first_error(family, y, a, b, ok)
+        return eta
     mode0, mode1 = _fit_modes(family, float(a), float(b))
     return np.where(y == 1.0, mode1, mode0)
 

@@ -5,14 +5,12 @@ through scalars. With u = X_eval solve(1), logit and probit give
 X_eval beta(a, b) = m0 u + (m1 - m0) X_eval solve(y) for the modes m0, m1
 at y = 0, 1, and poisson X_eval solve(log(y + a)) - log(1 + b) u. So a
 grid or a search costs one ``lstsq`` (binary), or one plus one per ``rhs_width(n, p)``
-distinct a (poisson); each pair is then mode work and an O(n_eval)
-combination. The probit modes of all pairs come from one array Newton loop
-(``glm.probit_modes``); logit and poisson pairs take their closed forms one by
-one. A cell whose score is not finite (a poisson rate past 1e308) is NaN in a
-grid and skipped in a search. Cells are scored in batches of at most
-``linalg.BLOCK_ROWS`` predictions (``BLOCK_ROWS // n_eval`` cells, at
-least one): one array pass forms a batch's block and the objective
-reduces each row, so every score is bit-identical to its cell's alone.
+distinct a (poisson); each pair is then mode work (one ``glm.lanes`` call for all binary
+pairs) and an O(n_eval) combination. A cell whose score is not finite (a poisson rate
+past 1e308) is NaN in a grid and skipped in a search. Cells are scored in batches of at
+most ``linalg.BLOCK_ROWS`` predictions (``BLOCK_ROWS // n_eval`` cells, at least one):
+one array pass forms a batch's block and the objective reduces each row, so every score
+is bit-identical to its cell's alone.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidHyperError, is_count, real
-from .glm import binary_modes, check_response, inverse_link, probit_modes, valid_shape
+from .glm import _first_error, check_response, inverse_link, lanes, valid_shape
 from .linalg import BLOCK_ROWS, as_array, as_matrix, lstsq, rhs_width, stable_matvec
 from .modelio import csv_text
 from .rng import SeedSpec, derive_rng
@@ -78,31 +76,20 @@ def _surface(X_train, y_train, X_eval, y_eval, family: str):
     def count_part(a):
         return stable_matvec(X_eval, coef[a])
 
-    def modes(pairs):
-        """(kept, cells): the indices of the pairs whose shapes and modes are valid, in
-        order, and their modes (m0, m1), or (a, log(1 + b)) for poisson. All probit modes
-        come from one array loop; a pair it does not solve is rerun alone, so the first
-        NoConvergenceError is that of a pair-at-a-time loop."""
+    def score_pairs(pairs, score):
         kept = [k for k, (a, b) in enumerate(pairs) if valid_shape(a) and valid_shape(b)]
         if poisson:
-            return kept, [(pairs[k][0], math.log(1.0 + pairs[k][1])) for k in kept]
-        if family == "probit":
-            m0, m1, ok = probit_modes(*np.array([pairs[k] for k in kept]).reshape(-1, 2).T)
-            cells = list(zip(m0.tolist(), m1.tolist()))
-            rerun = np.flatnonzero(~ok).tolist()
-        else:  # a logit mode's closed form is cheaper alone than in an array
-            cells, rerun = [None] * len(kept), range(len(kept))
-        for i in rerun:
-            try:
-                cells[i] = binary_modes(family, *pairs[kept[i]])
-            except InvalidHyperError:  # e.g. b + 1 - y rounds to 0 for a tiny b
-                cells[i] = None
-        found = [c is not None for c in cells]
-        return list(itertools.compress(kept, found)), list(itertools.compress(cells, found))
-
-    def score_pairs(pairs, score):
-        kept, cells = modes(pairs)
-        distinct = list(dict.fromkeys(a for a, _ in cells)) if poisson else []
+            cells = np.array([(pairs[k][0], math.log(1.0 + pairs[k][1])) for k in kept]).reshape(-1, 2)
+        else:
+            a, b = np.array([pairs[k] for k in kept]).reshape(-1, 2).T[:, :, None]  # pairs x 1
+            mode, ok = lanes(family, (1.0, 0.0), a, b)  # pairs x 2: a pair's lanes y = 1, y = 0
+            solved = ok.all(axis=1)
+            for i in np.flatnonzero(~solved).tolist():  # a pair's first failing lane decides
+                error = _first_error(family, (1.0, 0.0), a[i], b[i], ok[i])
+                if not isinstance(error, InvalidHyperError):  # an improper pair is dropped
+                    raise error
+            kept, cells = list(itertools.compress(kept, solved.tolist())), mode[solved, ::-1]
+        distinct = list(dict.fromkeys(cells[:, 0].tolist())) if poisson else []
         width = rhs_width(n, p)  # values of a per lstsq: one QR, one walk of X
         for i in range(0, len(distinct), width):
             group = distinct[i : i + width]
@@ -110,7 +97,7 @@ def _surface(X_train, y_train, X_eval, y_eval, family: str):
             coef.update(zip(group, lstsq(X_train, np.log(T, out=T)).T))
         scores = []
         for i in range(0, len(cells), step):
-            m = np.array(cells[i : i + step])
+            m = cells[i : i + step]
             with np.errstate(over="ignore", invalid="ignore"):  # a rate past 1e308: dropped below
                 if poisson:
                     eta = np.array([count_part(a) for a in m[:, 0].tolist()]) - m[:, 1:] * u
@@ -199,6 +186,7 @@ def stochastic_search(
         "utility": lambda P: -utility_total(y_val, 1.0 - (P >= 0.5), disbursement),
     }[objective]
     rng = derive_rng(seed, 0)
+    lo, hi = (float(v) if isinstance(v, int) else v for v in (lo, hi))  # np.log(2**64) fails
     candidates = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(budget, 2)))
     pairs = candidates.tolist()
     kept, scores = score_pairs(pairs, score)

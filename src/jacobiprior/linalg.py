@@ -87,7 +87,7 @@ def as_array(a, ndim: int | None, name: str) -> np.ndarray:
     must be numbers."""
     try:
         a = np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1.8e308
         raise DimensionMismatchError(f"{name} must be numeric: {exc}") from None
     if ndim is not None and a.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be {ndim}-d, got ndim={a.ndim}")

@@ -81,6 +81,7 @@ def sample_beta(
         raise InsufficientDrawsError(f"n_draws must be an integer >= 1, got {n_draws!r}")
     if not is_count(workers):
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    n_draws, workers = int(n_draws), int(workers)  # the block arithmetic overflows an np.int8
     X = as_array(X, 2, "X")
     y = check_response(y, family, X.shape[0], (1,))
     lstsq(X, np.empty((len(y), 0)))  # a design lstsq rejects raises here, before any draw

@@ -138,7 +138,7 @@ def _fraction(kind, own):
 
 
 def _vector(v) -> bool:
-    return (isinstance(v, (list, tuple, np.ndarray)) and len(v) > 0
+    return (isinstance(v, (list, tuple, np.ndarray)) and getattr(v, "ndim", 1) == 1 and len(v) > 0
             and all(math.isfinite(real(x)) for x in v))
 
 

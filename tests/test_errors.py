@@ -8,12 +8,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jacobiprior.errors import ConfigError, InsufficientDrawsError, InvalidHyperError, real
-from jacobiprior.glm import JacobiHyper, shown
+from jacobiprior.dmr import CountTable
+from jacobiprior.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    InsufficientDrawsError,
+    InvalidHyperError,
+    InvalidResponseError,
+    real,
+)
+from jacobiprior.glm import JacobiHyper, fit_jacobi, shown
 from jacobiprior.gp import KernelParams
-from jacobiprior.hyper import stochastic_search
+from jacobiprior.hyper import sensitivity_grid, stochastic_search
 from jacobiprior.mc import BetaDraws, summarize
-from jacobiprior.rng import SeedSpec
+from jacobiprior.rng import SeedSpec, derive_rng
 from jacobiprior.simlab.experiments import ExperimentConfig
 
 # kind -> the value of that kind, from an intake's in-range float f and integer i.
@@ -132,3 +140,44 @@ def test_real_is_the_float_or_nan():
 def test_huge_integer_hyper_is_rejected_before_any_fit():
     with pytest.raises(InvalidHyperError, match=r"^need finite a > 0, got a=10{400}$"):
         JacobiHyper(10**400, 1.0)
+
+
+# An int too large for a float, inside a list the array intakes convert: the intake's own error.
+HUGE_IN_A_LIST = {
+    "fit_jacobi design": (lambda: fit_jacobi([[10**400, 1.0], [1.0, 2.0], [3.0, 1.0]], [0, 1, 0], "logit"),
+                          DimensionMismatchError, "X must be numeric: "),
+    "fit_jacobi response": (lambda: fit_jacobi([[1.0, 1.0], [1.0, 2.0], [3.0, 1.0]], [0, 10**400, 0], "logit"),
+                            InvalidResponseError, "response y must be numeric: "),
+    "sensitivity_grid a_values": (lambda: sensitivity_grid(X, Y, X, Y, "logit", [10**400], [1.0]),
+                                  InvalidHyperError, "a_values must be numeric: "),
+    "CountTable.from_labels": (lambda: CountTable.from_labels([10**400, 1]),
+                               InvalidResponseError, "response y must be numeric: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_IN_A_LIST))
+def test_huge_integer_in_a_list_is_the_intakes_error(case):
+    call, error, prefix = HUGE_IN_A_LIST[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == prefix + "int too large to convert to float"
+
+
+@pytest.mark.parametrize("lo, hi", [(2**64, 2**65), (1e-3, 2**70)])
+def test_search_bounds_past_int64_are_taken_as_floats(lo, hi):
+    got = stochastic_search(X, Y, X, Y, "logit", 3, SeedSpec(1, 1), lo=lo, hi=hi)
+    want = stochastic_search(X, Y, X, Y, "logit", 3, SeedSpec(1, 1), lo=float(lo), hi=float(hi))
+    assert got.trace == want.trace and len(got.trace) == 3
+
+
+def test_a_float32_search_bound_keeps_its_own_log():
+    lo = np.float32(0.01)
+    got = stochastic_search(X, Y, X, Y, "logit", 4, SeedSpec(1, 1), lo=lo)
+    want = np.exp(derive_rng(SeedSpec(1, 1), 0).uniform(np.log(lo), np.log(2.0), size=(4, 2)))
+    assert [(a, b) for a, b, _ in got.trace] == [tuple(c) for c in want.tolist()]
+
+
+def test_zero_d_beta0_is_a_config_error():
+    with pytest.raises(ConfigError) as raised:
+        ExperimentConfig(beta0=np.array(1.0))
+    assert str(raised.value) == "$.beta0: need a non-empty 1-d list of finite numbers, got array(1.)"

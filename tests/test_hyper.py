@@ -14,11 +14,12 @@ from jacobiprior.errors import (
 )
 from jacobiprior.glm import (
     JacobiHyper,
-    binary_modes,
     fit_jacobi,
     inverse_link,
+    lanes,
+    logit_mode,
     predict,
-    probit_modes,
+    probit_mode,
 )
 from jacobiprior.hyper import SEARCH_LO, sensitivity_grid, stochastic_search
 from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver, lstsq, stable_matvec
@@ -31,6 +32,13 @@ from jacobiprior.simlab import (
     utility_total,
 )
 from jacobiprior.simlab.metrics import UTILITY_CELLS
+
+
+def pair_modes(family, a, b):
+    """(m0, m1) of a binary shape pair from the scalar modes, y = 1 first: a pair at a time."""
+    mode = logit_mode if family == "logit" else probit_mode
+    m1 = mode(1, a, b)
+    return mode(0, a, b), m1
 
 
 def split_data(seed=0, n=120):
@@ -270,28 +278,23 @@ def bad_inputs():
 class TestInputsCheckedBeforeAnyCell:
     @pytest.fixture()
     def pairs_built(self, monkeypatch):
-        """Records every binary cell's mode call, scalar or array: the first work a cell does."""
+        """Records every binary call's mode lanes: the first work a cell does."""
         built = []
 
-        def counting_modes(*args):
-            built.append(args)
-            return binary_modes(*args)
+        def counting_lanes(family, y, a, b):
+            built.append((family, np.ravel(a).tolist(), np.ravel(b).tolist()))
+            return lanes(family, y, a, b)
 
-        def counting_probit_modes(a, b):
-            built.append(("probit", list(a), list(b)))
-            return probit_modes(a, b)
-
-        monkeypatch.setattr(hyper_module, "binary_modes", counting_modes)
-        monkeypatch.setattr(hyper_module, "probit_modes", counting_probit_modes)
+        monkeypatch.setattr(hyper_module, "lanes", counting_lanes)
         return built
 
     def test_counter_sees_cells(self, pairs_built):
+        # One call a grid: each pair's two lanes, in pair order.
         Xtr, ytr, Xte, yte = family_data("logit")
-        sensitivity_grid(Xtr, ytr, Xte, yte, "logit", [0.5, 1.0], [0.5])
-        assert pairs_built == [("logit", 0.5, 0.5), ("logit", 1.0, 0.5)]
-        pairs_built.clear()
-        sensitivity_grid(Xtr, ytr, Xte, yte, "probit", [0.5, 1.0], [0.5])
-        assert pairs_built == [("probit", [0.5, 1.0], [0.5, 0.5])]
+        for family in ("logit", "probit"):
+            pairs_built.clear()
+            sensitivity_grid(Xtr, ytr, Xte, yte, family, [0.5, 1.0], [0.5])
+            assert pairs_built == [(family, [0.5, 1.0], [0.5, 0.5])]
 
     @pytest.mark.parametrize("case", sorted(bad_inputs()))
     def test_grid(self, case, pairs_built):
@@ -340,7 +343,7 @@ class TestDisbursementChecked:
     def test_before_the_qr_and_any_cell(self, bad, error, match, monkeypatch):
         work = []
         monkeypatch.setattr(hyper_module, "lstsq", lambda X, T: work.append("qr") or lstsq(X, T))
-        monkeypatch.setattr(hyper_module, "binary_modes", lambda *args: work.append("cell"))
+        monkeypatch.setattr(hyper_module, "lanes", lambda *args: work.append("cell"))
         Xtr, ytr, Xv, yv = family_data("logit")
         disb = bad(np.linspace(50.0, 150.0, yv.shape[0]))
         with pytest.raises(error, match=match):
@@ -386,7 +389,7 @@ def cell_at_a_time(Xtr, ytr, Xev, yev, family, disbursement=None):
         if family == "poisson":
             count = stable_matvec(Xev, solver.solve(np.log(ytr + a)))
             return inverse_link(count - math.log(1.0 + b) * u, family)
-        m0, m1 = binary_modes(family, a, b)
+        m0, m1 = pair_modes(family, a, b)
         return inverse_link(m0 * u + (m1 - m0) * v[0], family)
 
     def score(objective, p):
@@ -492,7 +495,7 @@ class TestBatchBoundaries:
         # Newton to reach |grad| <= PROBIT_TOL; such a pair raises from every caller alike.
         Xtr, ytr, Xv, yv = family_data("probit", seed=3, n_eval=BLOCK_ROWS // 3)
         with pytest.raises(NoConvergenceError) as direct:
-            binary_modes("probit", 1e-5, 1e-5)
+            pair_modes("probit", 1e-5, 1e-5)
         with pytest.raises(NoConvergenceError) as grid:
             sensitivity_grid(Xtr, ytr, Xv, yv, "probit", [0.5, 1e-5, 1.0], [0.7, 1e-5])
         assert str(grid.value) == str(direct.value)
@@ -502,7 +505,7 @@ class TestBatchBoundaries:
         first = None
         for k, (a, b) in enumerate(candidates):
             try:
-                binary_modes("probit", float(a), float(b))
+                pair_modes("probit", float(a), float(b))
             except NoConvergenceError as exc:
                 first = k, str(exc)
                 break

@@ -167,6 +167,15 @@ def test_non_integer_counts_are_typed(kwargs, error, message):
         sample_beta(X, y, "logit", **{"n_draws": 5, **kwargs})
 
 
+@pytest.mark.parametrize("count", [np.int8, np.uint8])
+def test_narrow_numpy_counts_draw_as_ints(count):
+    # The block arithmetic once ran in the caller's type: np.int8 overflowed at 8192.
+    X, y = small_problem(seed=3)
+    want = sample_beta(X, y, "logit", n_draws=3, seed=SeedSpec(1, 1), workers=3).draws
+    got = sample_beta(X, y, "logit", n_draws=count(3), seed=SeedSpec(1, 1), workers=count(3)).draws
+    assert got.tobytes() == want.tobytes()
+
+
 def test_beta_posterior_mean_for_success_label():
     # theta | y=1 with a=b=1/2 is Beta(1.5, 0.5), mean 0.75
     rng = derive_rng(SeedSpec(11, 0), 0)

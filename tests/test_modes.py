@@ -13,24 +13,24 @@ from jacobiprior.errors import (
     ImproperPosteriorError,
     InvalidHyperError,
     InvalidResponseError,
+    JacobiPriorError,
     NoConvergenceError,
 )
 from jacobiprior.glm import (
     PROBIT_BRACKET,
     PROBIT_MAX_ITER,
     PROBIT_TOL,
-    _posterior_shapes,
+    _first_error,
     _probit_grad_hess,
     _probit_half_width,
     JacobiHyper,
     _fit_modes,
-    binary_modes,
     fit_jacobi,
+    lanes,
     latent_vector,
     logit_mode,
     poisson_mode,
     probit_mode,
-    probit_modes,
 )
 from jacobiprior.hyper import SEARCH_HI, SEARCH_LO, sensitivity_grid, stochastic_search
 from jacobiprior.rng import SeedSpec
@@ -102,10 +102,11 @@ class TestBinaryShapeCheck:
         # The y = 0 lane alone is proper, and a probit one converges on the bracket of
         # its own shape a; the pair is refused on its y = 1 shape first.
         with pytest.raises(ImproperPosteriorError):
-            binary_modes(family, a, 5e-17)
-        m0, m1, converged = probit_modes([a], [5e-17])
-        assert not converged[0] and math.isnan(m1[0])
-        assert m0[0] == probit_mode(0, a, 5e-17)
+            reference_binary_modes(family, a, 5e-17)
+        mode, ok = lanes(family, (1.0, 0.0), a, 5e-17)
+        assert isinstance(_first_error(family, (1.0, 0.0), a, 5e-17, ok), ImproperPosteriorError)
+        assert ok.tolist() == [False, True] and math.isnan(mode[0])
+        assert mode[1] == (logit_mode if family == "logit" else probit_mode)(0, a, 5e-17)
 
     @pytest.mark.parametrize("y, a, b", [(0, 1e-300, 1e300), (1, 1e300, 1e-10)])
     def test_logit_ratio_outside_zero_to_inf_is_typed(self, y, a, b):
@@ -228,10 +229,10 @@ class TestProbitModeOverTheSearchRange:
         mode = probit_mode(y, a, b)  # NoConvergenceError fails the test
         grad, _ = _probit_grad_hess(mode, (y + a) - 1.0, b - y)
         assert abs(grad) <= PROBIT_TOL
-        m0, m1, converged = probit_modes([a, b], [b, a])
-        assert converged.tolist() == [True, True]
-        assert (m1 if y else m0)[0] == mode
-        assert [m0[1], m1[1]] == [probit_mode(0, b, a), probit_mode(1, b, a)]
+        modes, ok = lanes("probit", (1.0, 0.0), np.array([[a], [b]]), np.array([[b], [a]]))
+        assert ok.all()
+        assert modes[0, 1 - y] == mode
+        assert modes[1].tolist() == [probit_mode(1, b, a), probit_mode(0, b, a)]
 
     @settings(max_examples=200, deadline=None)
     @given(y=st.sampled_from([0, 1]), a=search_shapes, a2=search_shapes, b=search_shapes)
@@ -250,12 +251,13 @@ class TestProbitModeOverTheSearchRange:
         assert abs(mode + probit_mode(0, b, a)) <= probit_slack(1, a, b, mode)
 
     def test_array_flags_what_the_scalar_refuses(self):
-        a = [0.5, 1e-5, 2.0, 1.0]
-        b = [0.5, 1e-5, 1e-17, np.inf]
-        m0, m1, converged = probit_modes(a, b)
-        assert converged.tolist() == [True, False, False, False]
+        a = np.array([[0.5], [1e-5], [2.0], [1.0]])
+        b = np.array([[0.5], [1e-5], [1e-17], [np.inf]])
+        modes, ok = lanes("probit", (1.0, 0.0), a, b)
+        m1, m0 = modes.T
+        assert ok.all(axis=1).tolist() == [True, False, False, False]
         # A failed lane is NaN; the y = 0 lane of (2, 1e-17) is proper and converges.
-        assert np.isnan([m0[1], m0[3], *m1[1:]]).all()
+        assert np.isnan([m0[1], m0[3], *m1[1:]]).all() and np.isnan(modes).sum() == ok.size - ok.sum()
         assert (m0[0], m1[0], m0[2]) == (probit_mode(0, 0.5, 0.5), probit_mode(1, 0.5, 0.5),
                                          probit_mode(0, 2.0, 1e-17))
         with pytest.raises(NoConvergenceError):
@@ -276,12 +278,57 @@ class TestProbitModeOverTheSearchRange:
         # ratios phi/Phi have no digits left, and both calls would fail its bracket test.
         mode = probit_mode(y, a, b)
         assert mode == pytest.approx(0.6120031808 if y else -0.6120031808, abs=1e-10)
-        m0, m1, _ = probit_modes([a], [b])
-        assert (m1 if y else m0)[0] == mode
+        modes, _ = lanes("probit", (1.0, 0.0), a, b)
+        assert modes[1 - y] == mode
 
     def test_empty_arrays(self):
-        m0, m1, converged = probit_modes([], [])
-        assert m0.shape == m1.shape == converged.shape == (0,)
+        for family in ("logit", "probit", "poisson"):
+            mode, ok = lanes(family, np.empty(0), np.empty(0), np.empty(0))
+            assert mode.shape == np.shape(ok) == (0,)
+            modes, ok = lanes(family, (1.0, 0.0), np.empty((0, 1)), np.empty((0, 1)))
+            assert modes.shape == ok.shape == (0, 2)
+
+
+def reference_posterior_shapes(y, a: float, b: float) -> tuple[int, float, float]:
+    """(y, y + a, b + 1 - y): y checked, and the binary posterior's Beta shapes, both > 0."""
+    if y not in (0, 1, 0.0, 1.0):
+        raise InvalidResponseError(f"binary response must be 0 or 1, got {y!r}")
+    y = int(y)
+    num = y + a
+    den = b + 1.0 - y
+    if num <= 0 or den <= 0:
+        raise ImproperPosteriorError(f"need y + a > 0 and b + 1 - y > 0, got {num}, {den}")
+    return y, num, den
+
+
+def reference_logit_mode(y, a: float, b: float) -> float:
+    """The scalar logit mode, log((y + a) / (b + 1 - y)), checked one lane at a time."""
+    _, num, den = reference_posterior_shapes(y, a, b)
+    ratio = num / den
+    if not 0 < ratio < math.inf:  # 1e-300 / 1e300 underflows, 1e300 / 1e-10 overflows
+        raise InvalidHyperError(f"need (y + a) / (b + 1 - y) in (0, inf), got {num} / {den}")
+    return math.log(ratio)
+
+
+def reference_poisson_mode(y, a: float, b: float) -> float:
+    """The scalar count mode, log((y + a) / (1 + b)), with numpy's log as fits take it."""
+    if y < 0 or y != int(y):
+        raise InvalidResponseError(f"count response must be a non-negative integer, got {y!r}")
+    if y + a <= 0:
+        raise InvalidHyperError(f"need y + a > 0, got {y + a}")
+    if 1.0 + b <= 0:
+        raise InvalidHyperError(f"need 1 + b > 0, got {1.0 + b}")
+    ratio = (y + a) / (1.0 + b)
+    if not 0 < ratio < math.inf:
+        raise InvalidHyperError(f"need (y + a) / (1 + b) in (0, inf), got a={a}, b={b}")
+    return float(np.log(ratio))
+
+
+def reference_binary_modes(family: str, a: float, b: float) -> tuple[float, float]:
+    """(m0, m1) of a shape pair, one lane at a time, y = 1 first."""
+    mode = reference_logit_mode if family == "logit" else reference_probit_mode
+    m1 = mode(1, a, b)
+    return mode(0, a, b), m1
 
 
 def reference_probit_newton(y: int, a: float, b: float) -> float:
@@ -324,14 +371,14 @@ def reference_probit_newton(y: int, a: float, b: float) -> float:
 
 def reference_probit_mode(y, a, b) -> float:
     """probit_mode's checks, then the reference loop."""
-    return reference_probit_newton(_posterior_shapes(y, a, b)[0], a, b)
+    return reference_probit_newton(reference_posterior_shapes(y, a, b)[0], a, b)
 
 
 def outcome(mode, y, a, b):
     """('mode', the mode's float hex) or (error type, message)."""
     try:
         return "mode", float(mode(y, a, b)).hex()
-    except (InvalidHyperError, NoConvergenceError) as exc:
+    except JacobiPriorError as exc:
         return type(exc), str(exc)
 
 
@@ -360,7 +407,7 @@ class TestProbitModeAgainstTheReference:
 
 
 class TestProbitModeMemo:
-    """Fits look up their mode pair (m0, m1) in one memo over binary_modes, keyed by
+    """Fits look up their mode pair (m0, m1) in one memo over ``lanes``, keyed by
     (family, float(a), float(b)), logit and probit alike; its errors are not cached."""
 
     @settings(max_examples=100, deadline=None)
@@ -371,7 +418,7 @@ class TestProbitModeMemo:
         assert _fit_modes("probit", a, b) == expected  # a cache hit
         eta = latent_vector([0.0, 1.0], "probit", JacobiHyper(np.float64(a), np.float64(b)))
         assert tuple(eta) == expected
-        assert _fit_modes("logit", a, b) == binary_modes("logit", a, b)
+        assert _fit_modes("logit", a, b) == reference_binary_modes("logit", a, b)
 
     def test_zero_d_arrays_are_accepted(self):
         # The memo is keyed on float shapes, not on the hyper's own values.
@@ -404,8 +451,8 @@ class TestProbitModeMemo:
     ])
     def test_a_failing_logit_pair_raises_on_every_fit(self, monkeypatch, a, b, error):
         calls = []
-        monkeypatch.setattr(glm_module, "binary_modes",
-                            lambda *args: calls.append(args) or binary_modes(*args))
+        monkeypatch.setattr(glm_module, "lanes", lambda family, y, a, b: calls.append(
+            (family, a, b)) or lanes(family, y, a, b))
         X = np.column_stack([np.ones(4), np.arange(4.0)])
         messages = []
         for _ in range(3):
@@ -424,7 +471,7 @@ class TestProbitModeMemo:
             np.testing.assert_array_equal(latent_vector(y, family, JacobiHyper(a, b)), first)
         after = _fit_modes.cache_info()
         assert (after.hits, after.misses) == (info.hits + 3, info.misses)
-        m0, m1 = binary_modes(family, 3.0, 7.0)
+        m0, m1 = reference_binary_modes(family, 3.0, 7.0)
         assert first.tolist() == [m0, m1, m1]
 
     def test_float32_shapes_get_float64_logit_modes(self):
@@ -442,3 +489,94 @@ class TestProbitModeMemo:
         search = stochastic_search(X, y, X, y, family, budget=20, seed=SeedSpec(4, 0))
         assert _fit_modes.cache_info() == info
         assert np.isfinite(grid.scores).all() and len(search.trace) == 20
+
+
+REFERENCE_MODES = {"logit": reference_logit_mode, "probit": reference_probit_mode,
+                   "poisson": reference_poisson_mode}
+
+# Shapes from 1e-300 to 1e300, the search range's, the b + 1 - y rounding edge near 1.1e-16,
+# and values no prior takes: 0, negatives, inf and NaN.
+lane_shapes = st.one_of(
+    st.floats(min_value=math.log(1e-300), max_value=math.log(1e300)).map(math.exp),
+    search_shapes,
+    st.sampled_from([5e-17, 1e-16, 1.1e-16, 1e-5, 0.5, 2.0, 0.0, -0.5, -1.0, -3.0, math.inf,
+                     -math.inf, math.nan]),
+)
+responses = {
+    "logit": st.sampled_from([0.0, 1.0, 0.0, 1.0, 0.5, 2.0, -1.0]),
+    "probit": st.sampled_from([0.0, 1.0, 0.0, 1.0, 0.5, 2.0, -1.0]),
+    "poisson": st.one_of(st.integers(0, 50).map(float), st.sampled_from([1.5, -1.0, -0.5, 1e6])),
+}
+
+
+@st.composite
+def lane_draws(draw):
+    family = draw(st.sampled_from(sorted(REFERENCE_MODES)))
+    rows = draw(st.lists(st.tuples(responses[family], lane_shapes, lane_shapes), min_size=1,
+                         max_size=6))
+    return family, rows
+
+
+class TestLanesAgainstTheReference:
+    """``lanes`` and its error path against today's scalar modes, one lane at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(draw=lane_draws())
+    def test_modes_and_first_error_equal_the_scalar_loop(self, draw):
+        family, rows = draw
+        want = [outcome(REFERENCE_MODES[family], *row) for row in rows]
+        y, a, b = (np.array(col) for col in zip(*rows))
+        mode, ok = lanes(family, y, a, b)
+        ok = np.broadcast_to(ok, mode.shape)
+        for k, expected in enumerate(want):
+            if expected[0] == "mode":
+                assert ok[k] and mode[k].hex() == expected[1]
+            elif expected[0] is not InvalidResponseError:  # lanes take y in the support
+                assert not ok[k] and math.isnan(mode[k])
+        errors = [w for w in want if w[0] != "mode"]
+        error = _first_error(family, y, a, b, ok)
+        assert (None if error is None else (type(error), str(error))) == (errors or [None])[0]
+
+    @pytest.mark.parametrize("family", ["logit", "probit"])
+    def test_a_pair_is_two_lanes_y1_first(self, family):
+        # (2, 1e-17): y = 1 is improper and y = 0 is solved; the pair raises the first.
+        a, b = np.array([[0.5], [2.0]]), np.array([[0.7], [1e-17]])
+        mode, ok = lanes(family, (1.0, 0.0), a, b)
+        assert ok.tolist() == [[True, True], [False, True]]
+        assert mode[0].tolist() == [REFERENCE_MODES[family](1, 0.5, 0.7),
+                                    REFERENCE_MODES[family](0, 0.5, 0.7)]
+        error = _first_error(family, (1.0, 0.0), a, b, ok)
+        assert str(error) == "need y + a > 0 and b + 1 - y > 0, got 3.0, 0.0"
+
+    def test_float32_poisson_shapes_keep_their_float32_one_plus_b(self):
+        # Fits have taken 1 + b in the shape's own float32, so every such fit keeps its bits.
+        y = np.arange(6.0)
+        a, b = np.float32(0.3), np.float32(0.7)
+        want = np.log((y + a) / (1.0 + b))
+        assert latent_vector(y, "poisson", JacobiHyper(a, b)).tobytes() == want.tobytes()
+        assert not np.array_equal(want, np.log((y + float(a)) / (1.0 + float(b))))
+
+    def test_poisson_count_matrix_is_one_call(self):
+        y = np.arange(12.0).reshape(4, 3)
+        mode, ok = lanes("poisson", y, 0.3, 2.0)
+        assert np.all(ok) and mode.tolist() == [[reference_poisson_mode(v, 0.3, 2.0) for v in row]
+                                                 for row in y.tolist()]
+
+
+class TestScalarModesTypedErrors:
+    """The exported scalar modes raise a JacobiPriorError for a value that is not a real number."""
+
+    @pytest.mark.parametrize("mode, args, error", [
+        (logit_mode, (1, "a", 1.0), InvalidHyperError),
+        (poisson_mode, ("3", 1.0, 1.0), InvalidResponseError),
+        (probit_mode, (1, np.array([0.5, 0.5]), 1.0), InvalidHyperError),
+        (poisson_mode, (np.array([1, 2]), 1.0, 1.0), InvalidResponseError),
+        (logit_mode, (None, 0.5, 0.5), InvalidResponseError),
+        (probit_mode, (0, 0.5, 10**400), InvalidHyperError),
+        (poisson_mode, (math.inf, 1.0, 1.0), InvalidResponseError),
+    ], ids=["logit-str-a", "poisson-str-y", "probit-array-a", "poisson-array-y", "logit-none-y",
+            "probit-huge-int-b", "poisson-inf-y"])
+    def test_typed(self, mode, args, error):
+        with pytest.raises(error) as exc:
+            mode(*args)
+        assert isinstance(exc.value, JacobiPriorError)
