@@ -27,7 +27,8 @@ from .errors import (
     NoConvergenceError,
     real,
 )
-from .linalg import LazyModule, as_array, as_matrix, lstsq, stable_matvec
+from .linalg import (SMALL_PRODUCTS, LazyModule, _check_finite, as_array, as_matrix, lstsq,
+                     stable_matvec)
 
 FAMILIES = ("logit", "probit", "poisson")
 
@@ -51,7 +52,7 @@ def shown(value) -> str:
 
 
 def validate_family(family: str) -> str:
-    if family not in FAMILIES:
+    if not (isinstance(family, str) and family in FAMILIES):  # an array's == is elementwise
         raise InvalidResponseError(f"unknown family {family!r}, expected one of {FAMILIES}")
     return family
 
@@ -333,8 +334,8 @@ def _latents(y: np.ndarray, family: str, hyper: JacobiHyper) -> np.ndarray:
         if not (ok is np.True_ or ok.all()):  # np.True_.all() costs 1.3 us of a 25 us fit
             raise _first_error(family, y, a, b, ok)
         return eta
-    mode0, mode1 = _fit_modes(family, float(a), float(b))
-    return np.where(y == 1.0, mode1, mode0)
+    # y holds only 0.0 and 1.0 (check_response), so it indexes the pair (m0, m1)
+    return np.array(_fit_modes(family, float(a), float(b))).take(y.astype(np.intp))
 
 
 def fit_jacobi(X, y, family: str, hyper: JacobiHyper | None = None) -> FittedGLM:
@@ -355,8 +356,19 @@ def _fit(X: np.ndarray, y: np.ndarray, family: str, hyper: JacobiHyper | None) -
 
 
 def predict_linear(model: FittedGLM, X0) -> np.ndarray:
-    """X0 @ beta: an n-vector, or n x K for a p x K fit."""
-    return stable_matvec(as_matrix(X0, "X0", model.beta.shape[0]), model.beta)
+    """X0 @ beta: an n-vector, or n x K for a p x K fit. A sum made in row blocks is X0's
+    finiteness test: X0 is scanned, to name a NaN or inf cell, only if the sum is not finite."""
+    beta = model.beta
+    X0 = as_array(X0, 2, "X0")
+    if X0.shape[1] != beta.shape[0]:
+        as_matrix(X0, "X0", beta.shape[0])  # names a non-finite cell before the column count
+    if X0.shape[0] * beta.size <= SMALL_PRODUCTS:
+        return stable_matvec(_check_finite(X0, "X0"), beta)
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf: the scan below names the cell
+        eta = stable_matvec(X0, beta)
+    if not np.vdot(v := eta.ravel(), v) < np.inf:  # or v'v overflowed: the scan passes
+        _check_finite(X0, "X0")
+    return eta
 
 
 def logistic(eta: np.ndarray) -> np.ndarray:

@@ -5,14 +5,16 @@ the column space of the design, via QR, never via an explicit
 normal-equations inverse. ``project(X, T)`` reduces X and T to the p x p
 triangular R and the first p rows of Q'T at every n, and keeps no Q. Its
 one QR body factors a copy of X whole; a tall X is TSQR, that body on
-each row block and ``project`` again on the stacked (R_b, Q_b'T_b)
-pairs, as the shards' pooled fit is. ``lstsq`` is the one solve:
-``project``, the rank check, the back solve; it reduces X again on each
-call, so a caller passes max(p, BLOCK_ROWS p // n) right-hand sides a
-call (``rhs_width``): the Monte Carlo's draw blocks, the poisson grid's
-values of a. No factor outlives its call, so threads share no state. The
-solver class is kept only for perfbench. The GP kernel solve lives in
-``gp``, which calls LAPACK (``dpotrf``, ``dpotrs``) through ``lapack``.
+each row block and the reduction again on the stacked (R_b, Q_b'T_b)
+pairs, as the shards' pooled fit is. X is read once: a non-finite cell
+makes R non-finite, so X is scanned for it only then. ``lstsq`` is the
+one solve: ``project``, the rank check, the back solve; it reduces X
+again on each call, so a caller passes max(p, BLOCK_ROWS p // n)
+right-hand sides a call (``rhs_width``): the Monte Carlo's draw blocks,
+the poisson grid's values of a. No factor outlives its call, so threads
+share no state. The solver class is kept only for perfbench. The GP
+kernel solve lives in ``gp``, which calls LAPACK (``dpotrf``,
+``dpotrs``) through ``lapack``.
 
 ``lapack`` is the one LAPACK binding, made on first use: the first call
 loads scipy's compiled wrappers, ``scipy.linalg._flapack``, from their
@@ -94,14 +96,14 @@ def as_array(a, ndim: int | None, name: str) -> np.ndarray:
     return a
 
 
-def _check_finite(a: np.ndarray, name: str, row0: int = 0) -> np.ndarray:
-    """a, unless an entry is non-finite: the first is named, its row offset by row0."""
+def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
+    """a, unless an entry is non-finite: the first, in C order, is named."""
     # v'v < inf fails iff an entry is non-finite or v'v overflows; ravel views a contiguous a.
     # np.vdot, since v.dot(v) and v @ v warn when v'v overflows.
     fast = a.size and a.flags.forc and np.vdot(v := a.ravel(order="K"), v) < np.inf
     if not fast and not np.isfinite(a).all():
         idx = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
-        where = f"row {row0 + idx[0]}, column {idx[1]}" if a.ndim == 2 else f"index {idx[0]}"
+        where = f"row {idx[0]}, column {idx[1]}" if a.ndim == 2 else f"index {idx[0]}"
         raise DimensionMismatchError(
             f"{name} contains a non-finite entry at {where}: {float(a[idx])!r}"
         )
@@ -163,28 +165,34 @@ def project(X: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X is a float matrix, n, p >= 1; T a finite n-vector or n x K (K = 0: R alone). R is
     F-ordered and zero below row min(n, p); C, a p-vector or p x K, is padded likewise.
     Below two TSQR row blocks (of n // max(BLOCK_ROWS, 8 p) rows) X is reduced whole. A
-    taller X is TSQR: each row block is reduced alone, a non-finite cell named by its
-    global row, and the stacked (R_b, C_b) pairs are projected again. Only one block's
-    copy is alive at a time; no n x p copy is made.
+    taller X is TSQR: each row block is reduced alone and the stacked (R_b, C_b) pairs are
+    reduced again. Only one block's copy is alive at a time; no n x p copy is made. The
+    reduction is X's finiteness test: a NaN or inf cell makes R non-finite, and only then
+    is X scanned, to name its first non-finite cell.
     """
     n, p = X.shape
     if n < 1 or p < 1:
         raise RankDeficientError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    R, C = _tsqr(X, T)
+    if not np.vdot(v := R.ravel(order="K"), v) < np.inf:  # or R'R overflowed: the scan passes
+        _check_finite(X, "X")
+    return R, C
+
+
+def _tsqr(X: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``project``'s reduction of X and T, by row blocks for a tall X; R is not checked."""
+    n, p = X.shape
     k = n // max(BLOCK_ROWS, 8 * p) if n >= 2 * BLOCK_ROWS else 0  # max() costs a small fit
     if k < 2:
         return _reduce(X, T)
-    pairs, row0 = [], 0
-    for block, t in zip(np.array_split(X, k), np.array_split(T, k)):
-        pairs.append(_reduce(block, t, row0))
-        row0 += len(block)
-    return project(np.vstack([R for R, _ in pairs]), np.concatenate([C for _, C in pairs]))
+    pairs = [_reduce(block, t) for block, t in zip(np.array_split(X, k), np.array_split(T, k))]
+    return _tsqr(np.vstack([R for R, _ in pairs]), np.concatenate([C for _, C in pairs]))
 
 
-def _reduce(X: np.ndarray, T: np.ndarray, row0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """``project`` of X whole: an F-ordered copy, checked finite (row0 is its first row's
-    index in the design), factored in place. Each column of T gets its own dormqr, since
-    one multi-column call rounds differently."""
-    qr, tau = _geqrf(_check_finite(np.array(X, order="F"), "X", row0))
+def _reduce(X: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X and T reduced whole: an F-ordered copy of X, factored in place. Each column of T
+    gets its own dormqr, since one multi-column call rounds differently."""
+    qr, tau = _geqrf(np.array(X, order="F"))
     m, p = tau.shape[0], X.shape[1]  # min(n, p) reflectors
     cols = T if T.ndim == 2 else T[:, None]
     R, C = np.zeros((p, p), order="F"), np.zeros((p, cols.shape[1]))

@@ -72,7 +72,7 @@ def shard_stats(
     InvalidHyperError without it, since a shard cannot know it.
     """
     try:
-        X_m = as_array(X_m, None, "X")  # its values are checked after y, once per row
+        X_m = as_array(X_m, None, "X")  # its values are checked after y, by project
         if X_m.ndim != 2 or X_m.shape[0] == 0:
             raise DimensionMismatchError(f"need a non-empty matrix, got {X_m.shape}")
         if hyper is not None and hyper.schedule == "one_over_n":

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
@@ -14,8 +14,11 @@ from jacobiprior.errors import (
     InvalidHyperError,
     InvalidResponseError,
 )
+from jacobiprior.dmr import predict_proba
 from jacobiprior.glm import (
+    FittedGLM,
     JacobiHyper,
+    _fit_modes,
     default_hyper,
     fit_jacobi,
     inverse_link,
@@ -23,6 +26,7 @@ from jacobiprior.glm import (
     logistic,
     predict,
     predict_linear,
+    validate_family,
 )
 from jacobiprior.gp import gp_fit_binary, gp_predict_proba
 from jacobiprior.hyper import sensitivity_grid, stochastic_search
@@ -373,3 +377,76 @@ class TestOneResponseIntake:
             call, name = lambda: sensitivity_grid(X, y, X0, y, "logit", [0.5], [0.5]), "X_eval"
         with pytest.raises(DimensionMismatchError, match=f"^{name} has 2 columns, model expects 3$"):
             call()
+
+
+class TestBinaryLatentsByGather:
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(["logit", "probit"]),
+           a=st.floats(0.01, 20.0), b=st.floats(0.01, 20.0),
+           y=st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=40))
+    @example(family="logit", a=2.5, b=1.5, y=[0.0, 1.0, -0.0])  # m0 = log(a / (b + 1)) = 0
+    @example(family="logit", a=0.5, b=1.5, y=[1.0, 0.0])  # m1 = log((1 + a) / b) = 0
+    @example(family="probit", a=0.5, b=1.5, y=[1.0, 0.0])  # m1 = 0: a = b - 1
+    @example(family="probit", a=1.5, b=0.5, y=[0.0, 1.0])  # m0 = 0: a = b + 1
+    def test_bit_equal_to_where(self, family, a, b, y):
+        # The modes are gathered by y: np.where's bits, zero modes and a y of -0.0 included.
+        m0, m1 = _fit_modes(family, a, b)
+        y = np.array(y)
+        got = latent_vector(y, family, JacobiHyper(a, b))
+        assert got.tobytes() == np.where(y == 1.0, m1, m0).tobytes()
+
+
+class TestValidateFamily:
+    @pytest.mark.parametrize("family", [np.array(["logit"]), np.array(["logit", "probit"]), ["logit"], None, 1.0])
+    def test_non_string_family_is_unknown(self, family):
+        X, y = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]]), np.array([0.0, 1.0, 1.0, 0.0])
+        message = f"unknown family {family!r}, expected one of ('logit', 'probit', 'poisson')"
+        for call in (lambda: validate_family(family), lambda: fit_jacobi(X, y, family)):
+            with pytest.raises(InvalidResponseError, match=f"^{re.escape(message)}$"):
+                call()
+
+
+def _predict_entries():
+    """(entry point, model) pairs on three columns, whose coefficients in column 2 are zero."""
+    logit = FittedGLM(np.array([0.5, 0.25, 0.0]), "logit", JacobiHyper(), np.zeros(3), 3)
+    counts = FittedGLM(np.array([[0.5, -0.1], [0.2, 0.3], [0.0, 0.0]]), "poisson",
+                       JacobiHyper(1.0, 1.0), np.zeros((3, 2)), 3)
+    return {"predict": (predict, logit), "predict_linear": (predict_linear, logit),
+            "predict_linear.matrix": (predict_linear, counts), "predict_proba": (predict_proba, counts)}
+
+
+class TestNonFinitePredictDesign:
+    """A blocked prediction sum is X0's finiteness test, a small one checks X0 first: both
+    raise the same message and warn of nothing."""
+
+    CELLS = {  # the cells set in X0's last row, and the first of them in C order
+        "inf_in_zero_coefficient_column": ({2: np.inf}, 2),
+        "plus_and_minus_inf": ({0: np.inf, 1: -np.inf}, 0),  # inf - inf in the sum
+        "nan": ({1: np.nan}, 1),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(_predict_entries()))
+    @pytest.mark.parametrize("case", sorted(CELLS))
+    @pytest.mark.parametrize("n", [100, 2 * BLOCK_ROWS + 1])
+    def test_names_the_cell(self, n, case, entry):
+        call, model = _predict_entries()[entry]
+        cells, first = self.CELLS[case]
+        X0 = np.random.default_rng(n).standard_normal((n, 3))
+        for j, value in cells.items():
+            X0[n - 1, j] = value
+        message = f"X0 contains a non-finite entry at row {n - 1}, column {first}: {cells[first]!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+                call(model, X0)
+            # The NaN is named before a wrong column count.
+            X0 = np.column_stack([X0, np.zeros(n)])
+            with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+                call(model, X0)
+
+    @pytest.mark.parametrize("n", [100, 2 * BLOCK_ROWS + 1])
+    def test_finite_design_that_overflows_still_warns(self, n):
+        model = FittedGLM(np.array([1e200, 1e200, 0.0]), "logit", JacobiHyper(), np.zeros(3), 3)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            eta = predict_linear(model, np.full((n, 3), 1e200))
+        assert np.array_equal(eta, np.full(n, np.inf))

@@ -333,6 +333,25 @@ class TestBlockedFactor:
         finally:
             linalg_module.BLOCK_ROWS = block_rows
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 200), p=st.integers(1, 6), kind=st.sampled_from(["zeros", "eye", "ones", "normal"]),
+           value=st.sampled_from([np.nan, np.inf, -np.inf]), blocked=st.booleans(), data=st.data())
+    def test_any_non_finite_cell_makes_r_non_finite(self, n, p, kind, value, blocked, data):
+        # project tests R, not X: a NaN or inf cell must reach R even where the reflectors
+        # are the identity (zero and identity columns) and through every stack of factors.
+        X = {"zeros": np.zeros((n, p)), "eye": np.eye(n, p), "ones": np.ones((n, p)),
+             "normal": np.random.default_rng(n * p).standard_normal((n, p))}[kind]
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, p - 1))
+        X[i, j] = value
+        linalg_module.BLOCK_ROWS, block_rows = (4 if blocked else BLOCK_ROWS), linalg_module.BLOCK_ROWS
+        try:
+            assert not np.isfinite(linalg_module._tsqr(X, np.ones(n))[0]).all()
+            message = f"X contains a non-finite entry at row {i}, column {j}: {value!r}"
+            with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+                linalg_module.project(X, np.ones((n, 0)))
+        finally:
+            linalg_module.BLOCK_ROWS = block_rows
+
     def test_column_zero_throughout_first_block_fits(self):
         n = 3 * BLOCK_ROWS
         X = tall_design(n, p=4, seed=1)
