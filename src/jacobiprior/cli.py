@@ -247,6 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedule", choices=("fixed", "one-over-n"), default="fixed"
     )
 
+    response_flags = argparse.ArgumentParser(add_help=False)
+    response_flags.add_argument("--target", required=True)
+    response_flags.add_argument("--family", choices=FAMILIES, default="logit")
+
     parser = argparse.ArgumentParser(
         prog="jacobiprior",
         description="Closed-form posterior-mode GLM toolkit and experiment harness",
@@ -277,11 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "table"), default="csv")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("sensitivity", help="shape-pair sensitivity grid")
+    p = sub.add_parser("sensitivity", parents=[response_flags], help="shape-pair sensitivity grid")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--family", choices=FAMILIES, default="logit")
     p.add_argument("--grid-min", type=float, default=0.05)
     p.add_argument("--grid-max", type=float, default=2.0)
     p.add_argument("--grid-steps", type=count, default=12)
@@ -290,11 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("search", parents=[seed_flags], help="stochastic shape-pair search")
+    p = sub.add_parser(
+        "search", parents=[seed_flags, response_flags], help="stochastic shape-pair search"
+    )
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--family", choices=FAMILIES, default="logit")
     p.add_argument("--budget", type=count, default=50)
     p.add_argument("--objective", choices=("rmse", "accuracy", "utility"), default="rmse")
     p.add_argument("--disbursement", default=None, help="loan amount column (utility)")
@@ -303,12 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "shards",
-        parents=[seed_flags, threads_flag, hyper_flags],
+        parents=[seed_flags, threads_flag, hyper_flags, response_flags],
         help="partitioned distributed fit",
     )
     p.add_argument("--data", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--family", choices=FAMILIES, default="logit")
     p.add_argument("--shards", type=count, required=True)
     p.add_argument("--emit-partials", default=None, help="JSON debug dump path")
     p.add_argument("--out", default=None, help="coefficient CSV path")
@@ -316,12 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "uncertainty",
-        parents=[seed_flags, threads_flag, hyper_flags],
+        parents=[seed_flags, threads_flag, hyper_flags, response_flags],
         help="Monte Carlo coefficient draws",
     )
     p.add_argument("--data", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--family", choices=FAMILIES, default="logit")
     p.add_argument("--draws", type=two_or_more, default=1000)  # an interval needs two
     p.add_argument("--level", type=level, default=0.9)
     p.add_argument("--out", required=True)

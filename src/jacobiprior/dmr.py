@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidResponseError, is_count
+from .errors import MAX_COUNT, DimensionMismatchError, InvalidResponseError, is_count
 from .glm import FittedGLM, JacobiHyper, _fit, check_response, predict_linear
 from .linalg import as_array
 
@@ -51,7 +51,7 @@ class CountTable:
         if labels.shape[0] == 0:
             raise DimensionMismatchError("labels must be non-empty")
         k = int(labels.max()) + 1 if n_classes is None else n_classes
-        if not (is_count(k, 2) and k < 2**31):
+        if not (is_count(k, 2) and k <= MAX_COUNT):
             raise DimensionMismatchError(f"need an integer 2 <= n_classes < 2**31, got {k!r}")
         if labels.max() >= k:
             raise InvalidResponseError(f"label {int(labels.max())} out of range for {k} classes")

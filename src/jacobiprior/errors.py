@@ -9,6 +9,8 @@ import math
 import numbers
 import sys
 
+MAX_COUNT = 2**31 - 1  # the most rows or columns one LP64 LAPACK call takes: the cap of a count
+
 
 def is_count(value, lo: int = 1) -> bool:
     """True for an integer >= lo that is not a bool: the test of every count argument."""

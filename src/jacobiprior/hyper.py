@@ -6,10 +6,11 @@ X_eval beta(a, b) = m0 u + (m1 - m0) X_eval solve(y) for the modes m0, m1
 at y = 0, 1, and poisson X_eval solve(log(y + a)) - log(1 + b) u. So a
 grid or a search costs one ``lstsq`` (binary), or one plus one per ``rhs_width(n, p)``
 distinct a (poisson); each pair is then mode work (one ``glm.lanes`` call for all binary
-pairs) and an O(n_eval) combination. A cell whose score is not finite (a poisson rate
-past 1e308) is NaN in a grid and skipped in a search. Cells are scored in batches of at
-most ``linalg.BLOCK_ROWS`` predictions (``BLOCK_ROWS // n_eval`` cells, at least one):
-one array pass forms a batch's block and the objective reduces each row, so every score
+pairs) and an O(n_eval) combination. ``_surface`` returns one score per pair, NaN where
+the pair's shapes or modes are refused or its score is not finite (a poisson rate past
+1e308); a grid reshapes it, a search keeps its finite scores. Cells are scored in batches
+of at most ``linalg.BLOCK_ROWS`` predictions (``BLOCK_ROWS // n_eval`` cells, at least
+one): one array pass forms a batch's block and the objective reduces each row, so every score
 is bit-identical to its cell's alone.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidHyperError, is_count, real
+from .errors import MAX_COUNT, DimensionMismatchError, InvalidHyperError, is_count, real
 from .glm import _first_error, check_response, inverse_link, lanes, valid_shape
 from .linalg import BLOCK_ROWS, as_array, as_matrix, lstsq, rhs_width, stable_matvec
 from .modelio import csv_text
@@ -54,12 +55,12 @@ class GridReport:
         return csv_text(["a", "b", "score"], zip(a.flat, b.flat, self.scores.flat))
 
 
-def _surface(X_train, y_train, X_eval, y_eval, family: str):
-    """(score_pairs, checked y_eval) from ``lstsq`` calls on X_train; inputs are checked first.
-    score_pairs(pairs, score): (indices, scores) of the pairs whose shapes and modes are
-    valid and whose score is finite, in order. Every mode is found before the first
-    batch is scored, so the first error is that of a pair-at-a-time loop; then score
-    reduces each batch's rows of predictions."""
+def _surface(X_train, y_train, X_eval, y_eval, family: str, pairs, score) -> np.ndarray:
+    """One float per (a, b) in pairs: score(y_eval, P) of its predictions P on X_eval from
+    ``lstsq`` calls on X_train, or NaN where its shapes or modes are refused or its score is
+    not finite. The inputs are checked first, and every mode is found before the first batch
+    is scored, so the first error is that of a pair-at-a-time loop; score reduces each row
+    of a batch's predictions."""
     X_train = as_array(X_train, 2, "X")
     y = check_response(y_train, family, X_train.shape[0], (1,))
     n, p = X_train.shape
@@ -69,46 +70,41 @@ def _surface(X_train, y_train, X_eval, y_eval, family: str):
     y_eval = check_response(y_eval, family, X_eval.shape[0], (1,))
     u, *v = (stable_matvec(X_eval, beta) for beta in basis.T)
     step = max(1, BLOCK_ROWS // max(1, u.shape[0]))  # cells a batch: at most BLOCK_ROWS predictions
-
+    kept = [k for k, (a, b) in enumerate(pairs) if valid_shape(a) and valid_shape(b)]
+    if poisson:
+        cells = np.array([(pairs[k][0], math.log(1.0 + pairs[k][1])) for k in kept]).reshape(-1, 2)
+    else:
+        a, b = np.array([pairs[k] for k in kept]).reshape(-1, 2).T[:, :, None]  # pairs x 1
+        mode, ok = lanes(family, (1.0, 0.0), a, b)  # pairs x 2: a pair's lanes y = 1, y = 0
+        solved = ok.all(axis=1)
+        for i in np.flatnonzero(~solved).tolist():  # a pair's first failing lane decides
+            error = _first_error(family, (1.0, 0.0), a[i], b[i], ok[i])
+            if not isinstance(error, InvalidHyperError):  # an improper pair is dropped
+                raise error
+        kept, cells = list(itertools.compress(kept, solved.tolist())), mode[solved, ::-1]
     coef = {}  # a -> the p coefficients of log(y + a), poisson
+    distinct = list(dict.fromkeys(cells[:, 0].tolist())) if poisson else []
+    width = rhs_width(n, p)  # values of a per lstsq: one QR, one walk of X
+    for i in range(0, len(distinct), width):
+        group = distinct[i : i + width]
+        T = np.add.outer(group, y).T  # F-ordered, column j a_j + y: its log as for one a
+        coef.update(zip(group, lstsq(X_train, np.log(T, out=T)).T))
 
     @functools.lru_cache(maxsize=1)  # a grid visits each a in one run of cells
     def count_part(a):
         return stable_matvec(X_eval, coef[a])
 
-    def score_pairs(pairs, score):
-        kept = [k for k, (a, b) in enumerate(pairs) if valid_shape(a) and valid_shape(b)]
-        if poisson:
-            cells = np.array([(pairs[k][0], math.log(1.0 + pairs[k][1])) for k in kept]).reshape(-1, 2)
-        else:
-            a, b = np.array([pairs[k] for k in kept]).reshape(-1, 2).T[:, :, None]  # pairs x 1
-            mode, ok = lanes(family, (1.0, 0.0), a, b)  # pairs x 2: a pair's lanes y = 1, y = 0
-            solved = ok.all(axis=1)
-            for i in np.flatnonzero(~solved).tolist():  # a pair's first failing lane decides
-                error = _first_error(family, (1.0, 0.0), a[i], b[i], ok[i])
-                if not isinstance(error, InvalidHyperError):  # an improper pair is dropped
-                    raise error
-            kept, cells = list(itertools.compress(kept, solved.tolist())), mode[solved, ::-1]
-        distinct = list(dict.fromkeys(cells[:, 0].tolist())) if poisson else []
-        width = rhs_width(n, p)  # values of a per lstsq: one QR, one walk of X
-        for i in range(0, len(distinct), width):
-            group = distinct[i : i + width]
-            T = np.add.outer(group, y).T  # F-ordered, column j a_j + y: its log as for one a
-            coef.update(zip(group, lstsq(X_train, np.log(T, out=T)).T))
-        scores = []
-        for i in range(0, len(cells), step):
-            m = cells[i : i + step]
-            with np.errstate(over="ignore", invalid="ignore"):  # a rate past 1e308: dropped below
-                if poisson:
-                    eta = np.array([count_part(a) for a in m[:, 0].tolist()]) - m[:, 1:] * u
-                else:
-                    eta = m[:, :1] * u
-                    eta += (m[:, 1:] - m[:, :1]) * v[0]
-                scores += score(inverse_link(eta, family)).tolist()
-        finite = np.isfinite(scores).tolist()
-        return list(itertools.compress(kept, finite)), list(itertools.compress(scores, finite))
-
-    return score_pairs, y_eval
+    scores = np.full(len(pairs), np.nan)
+    for i in range(0, len(cells), step):
+        m = cells[i : i + step]
+        with np.errstate(over="ignore", invalid="ignore"):  # a rate past 1e308: NaN below
+            if poisson:
+                eta = np.array([count_part(a) for a in m[:, 0].tolist()]) - m[:, 1:] * u
+            else:
+                eta = m[:, :1] * u
+                eta += (m[:, 1:] - m[:, :1]) * v[0]
+            scores[kept[i : i + step]] = score(y_eval, inverse_link(eta, family))
+    return np.where(np.isfinite(scores), scores, np.nan)
 
 
 def sensitivity_grid(
@@ -131,12 +127,9 @@ def sensitivity_grid(
         b_values = np.sort(as_array(b_values, 1, "b_values"))
     except DimensionMismatchError as exc:
         raise InvalidHyperError(str(exc)) from None
-    scores = np.full((a_values.shape[0], b_values.shape[0]), np.nan)
-    score_pairs, y_test = _surface(X_train, y_train, X_test, y_test, family)
     pairs = list(itertools.product(a_values.tolist(), b_values.tolist()))
-    kept, valid = score_pairs(pairs, functools.partial(surrogate_rmse, y_test))
-    scores.flat[kept] = valid
-    return GridReport(a_values=a_values, b_values=b_values, scores=scores)
+    scores = _surface(X_train, y_train, X_test, y_test, family, pairs, surrogate_rmse)
+    return GridReport(a_values, b_values, scores.reshape(len(a_values), len(b_values)))
 
 
 @dataclass
@@ -168,8 +161,8 @@ def stochastic_search(
     reshuffling it, and the incumbent score is non-increasing along
     the trace.
     """
-    if not is_count(budget):
-        raise InvalidHyperError(f"budget must be an integer >= 1, got {budget!r}")
+    if not (is_count(budget) and budget <= MAX_COUNT):
+        raise InvalidHyperError(f"budget must be an integer in [1, {MAX_COUNT}], got {budget!r}")
     if not 0 < real(lo) <= real(hi):
         raise InvalidHyperError(f"need finite 0 < lo <= hi, got lo={lo!r}, hi={hi!r}")
     if objective not in OBJECTIVES:
@@ -178,19 +171,17 @@ def stochastic_search(
         if disbursement is None:
             raise InvalidHyperError("utility objective needs a disbursement vector")
         disbursement = check_disbursement(disbursement, as_array(X_val, 2, "X_eval").shape[0])
-    score_pairs, y_val = _surface(X_train, y_train, X_val, y_val, family)
-    score = {
-        "rmse": lambda P: surrogate_rmse(y_val, P),
-        "accuracy": lambda P: -accuracy(y_val, P),
-        # Approving predicted non-defaulters: defaults are the positive class.
-        "utility": lambda P: -utility_total(y_val, 1.0 - (P >= 0.5), disbursement),
-    }[objective]
     rng = derive_rng(seed, 0)
     lo, hi = (float(v) if isinstance(v, int) else v for v in (lo, hi))  # np.log(2**64) fails
-    candidates = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(budget, 2)))
-    pairs = candidates.tolist()
-    kept, scores = score_pairs(pairs, score)
-    trace = [(*pairs[k], s) for k, s in zip(kept, scores)]
+    pairs = np.exp(rng.uniform(np.log(lo), np.log(hi), size=(budget, 2))).tolist()
+    score = {
+        "rmse": surrogate_rmse,
+        "accuracy": lambda y, P: -accuracy(y, P),
+        # Approving predicted non-defaulters: defaults are the positive class.
+        "utility": lambda y, P: -utility_total(y, 1.0 - (P >= 0.5), disbursement),
+    }[objective]
+    scores = _surface(X_train, y_train, X_val, y_val, family, pairs, score).tolist()
+    trace = [(a, b, s) for (a, b), s in zip(pairs, scores) if math.isfinite(s)]
     if not trace:
         raise InvalidHyperError("every search candidate failed")
     best = min(trace, key=lambda t: t[2])  # the first of equal scores, as the trace runs

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, InsufficientDrawsError, is_count, real
+from .errors import MAX_COUNT, ConfigError, InsufficientDrawsError, is_count, real
 from .glm import JacobiHyper, check_response, default_hyper
 from .linalg import as_array, lstsq, rhs_width
 from .rng import SeedSpec, derive_rng
@@ -77,8 +77,8 @@ def sample_beta(
     near-equal blocks of draw indices, a multiple of ``workers`` of them cut before any
     draw; a block is one ``lstsq`` of at most ``linalg.rhs_width(n, p)`` draws.
     """
-    if not is_count(n_draws):
-        raise InsufficientDrawsError(f"n_draws must be an integer >= 1, got {n_draws!r}")
+    if not (is_count(n_draws) and n_draws <= MAX_COUNT):
+        raise InsufficientDrawsError(f"n_draws must be an integer in [1, {MAX_COUNT}], got {n_draws!r}")
     if not is_count(workers):
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     n_draws, workers = int(n_draws), int(workers)  # the block arithmetic overflows an np.int8

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, is_count
+
 _U64 = (1 << 64) - 1
 
 
@@ -28,15 +30,15 @@ class SeedSpec:
     def __post_init__(self):
         for name, value in (("root_seed", self.root_seed), ("stream_id", self.stream_id)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be non-negative")
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not is_count(self.stream_id, 0):
+            raise ConfigError("stream_id must be non-negative")
 
 
 def derive_rng(seed: SeedSpec, task_index: int = 0) -> np.random.Generator:
     """Generator for one task, independent of all other task indices."""
-    if task_index < 0:
-        raise ValueError("task_index must be non-negative")
+    if not is_count(task_index, 0):
+        raise ConfigError(f"task_index must be a non-negative integer, got {task_index!r}")
     ss = np.random.SeedSequence(
         int(seed.root_seed) & _U64, spawn_key=(seed.stream_id, task_index)
     )

@@ -32,7 +32,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from ..errors import ConfigError, JacobiPriorError, RankDeficientError, SeparationError, is_count, real
+from ..errors import MAX_COUNT, ConfigError, JacobiPriorError, RankDeficientError, SeparationError, is_count, real
 from ..glm import JacobiHyper, default_hyper, fit_jacobi, inverse_link
 from ..dmr import predict_proba
 from ..mle import fit_mle
@@ -68,7 +68,6 @@ METHODS = {
 DEFAULT_METHODS = {kind: tuple(m for m in METHODS if METHODS[m][0] == kind) for kind in KINDS}
 # Offset separating bootstrap streams from replication streams.
 _BOOT_TASK_BASE = 1_000_000
-MAX_ROWS = 2**31 - 1  # the most rows one LP64 LAPACK call takes
 
 
 @dataclass
@@ -149,7 +148,7 @@ def _checks(kind):
         "name": (lambda v: isinstance(v, str) and v not in ("", ".", "..") and os.path.basename(v) == v,
                  "a bare file name"),
         "kind": (lambda v: v in KINDS, f"one of {KINDS}"),
-        "n": (lambda v: is_count(v, 2) and v <= MAX_ROWS, f"an integer in [2, {MAX_ROWS}]"),
+        "n": (lambda v: is_count(v, 2) and v <= MAX_COUNT, f"an integer in [2, {MAX_COUNT}]"),
         "n_reps": _integer(1),
         "n_features": _integer(1),
         "n_classes": _integer(2),

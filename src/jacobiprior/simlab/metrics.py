@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, InsufficientDataError, InvalidResponseError, is_count
+from ..errors import MAX_COUNT, DimensionMismatchError, InsufficientDataError, InvalidResponseError, is_count
 from ..linalg import as_array
 
 
@@ -124,8 +124,8 @@ def bootstrap_median_se(values, rng, n_boot: int = 1000) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape[0] < 2:
         raise InsufficientDataError("need at least 2 values")
-    if not is_count(n_boot):
-        raise InsufficientDataError(f"need an integer n_boot >= 1, got {n_boot!r}")
+    if not (is_count(n_boot) and n_boot <= MAX_COUNT):
+        raise InsufficientDataError(f"need an integer n_boot in [1, {MAX_COUNT}], got {n_boot!r}")
     n = values.shape[0]
     resamples = values[rng.integers(0, n, size=(n_boot, n))]
     resamples.sort(axis=1)

@@ -367,6 +367,8 @@ class TestSearchArguments:
             (dict(budget=2.5), "budget"),
             (dict(budget=0), "budget"),
             (dict(budget=True), "budget"),
+            (dict(budget=2**31), "budget"),  # past the count cap: refused before the draw
+            (dict(budget=2**64), "budget"),
         ],
     )
     def test_bad_range_or_budget_is_typed(self, kwargs, name):

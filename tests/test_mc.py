@@ -157,9 +157,10 @@ def test_poisson_worker_input_validation():
 
 
 @pytest.mark.parametrize("kwargs, error, message", [
-    (dict(n_draws=2.5), InsufficientDrawsError, "n_draws must be an integer >= 1, got 2.5"),
-    (dict(n_draws=True), InsufficientDrawsError, "n_draws must be an integer >= 1, got True"),
+    (dict(n_draws=2.5), InsufficientDrawsError, "n_draws must be an integer in [1, 2147483647], got 2.5"),
+    (dict(n_draws=True), InsufficientDrawsError, "n_draws must be an integer in [1, 2147483647], got True"),
     (dict(workers=2.5), ConfigError, "workers must be an integer >= 1, got 2.5"),
+    (dict(n_draws=2**64), InsufficientDrawsError, f"n_draws must be an integer in [1, 2147483647], got {2**64}"),
 ])
 def test_non_integer_counts_are_typed(kwargs, error, message):
     X, y = small_problem(seed=3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jacobiprior.errors import ConfigError
 from jacobiprior.rng import SeedSpec, derive_rng
 
 
@@ -35,15 +36,21 @@ def test_uniform_mean_within_four_se():
 
 
 def test_negative_indices_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="task_index"):
         derive_rng(SeedSpec(1, 0), -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="stream_id must be non-negative"):
         SeedSpec(1, -2)
+
+
+@pytest.mark.parametrize("task_index", [1.5, True, "0", None])
+def test_non_integer_task_index_rejected(task_index):
+    with pytest.raises(ConfigError, match="task_index must be a non-negative integer"):
+        derive_rng(SeedSpec(1, 0), task_index)
 
 
 @pytest.mark.parametrize("root_seed, stream_id", [("x", 0), (1.7, 0), (True, 0), (1, 2.0), (1, False)])
 def test_non_integer_seed_fields_rejected(root_seed, stream_id):
-    with pytest.raises(TypeError, match="must be an integer"):
+    with pytest.raises(ConfigError, match="must be an integer"):
         SeedSpec(root_seed, stream_id)
 
 
