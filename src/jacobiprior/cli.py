@@ -3,8 +3,8 @@
 Subcommands: fit, predict, experiment, sensitivity, search, shards,
 uncertainty, generate. Each subcommand accepts only the flags it reads
 and imports only the modules it runs (fit and predict load no GP code).
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration
-error (including a malformed model file or CSV).
+Exit codes: 0 success; 2 a usage error, ConfigError (bad config, CSV or model file)
+or InvalidHyperError; 1 any other JacobiPriorError or OSError. An error is one stderr line.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .dmr import CountTable
 from .errors import ConfigError, InvalidHyperError, JacobiPriorError
 from .glm import FAMILIES, JacobiHyper, default_hyper, fit_jacobi
-from .modelio import StoredModel, load_csv_dataset, write_csv
+from .modelio import StoredModel, load_csv_dataset, read_json, write_csv, write_text
 
 
 def _hyper_from_args(args, family: str) -> JacobiHyper:
@@ -94,18 +94,12 @@ def cmd_predict(args) -> int:
 def cmd_experiment(args) -> int:
     from .simlab import ExperimentConfig, run_experiment
 
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
-    config = ExperimentConfig.from_dict(doc)
+    config = ExperimentConfig.from_dict(read_json(args.config))
     report = run_experiment(config)
     os.makedirs(args.out, exist_ok=True)
     texts = {"csv": report.to_csv_text(), "table": report.to_table_text()}
     for fmt, ext in (("csv", "csv"), ("table", "txt")):
-        with open(os.path.join(args.out, f"{config.name}.{ext}"), "w", encoding="utf-8") as fh:
-            fh.write(texts[fmt])
+        write_text(os.path.join(args.out, f"{config.name}.{ext}"), texts[fmt])
     print(texts[args.format], end="")
     failed = sum(r.n_failed for r in report.rows)
     return 1 if failed == config.n_reps * len(config.methods) else 0
@@ -121,8 +115,7 @@ def cmd_sensitivity(args) -> int:
     report = sensitivity_grid(
         train.X, train.y, test.X, test.y, args.family, a_values, b_values
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv_text())
+    write_text(args.out, report.to_csv_text())
     a, b, score = report.best()
     print(f"best cell a={a:g} b={b:g} score={score:.6f} -> {args.out}")
     return 0
@@ -171,9 +164,8 @@ def cmd_shards(args) -> int:
         max_workers=args.threads,
     )
     if args.emit_partials:
-        with open(args.emit_partials, "w", encoding="utf-8") as fh:
-            json.dump([shard_message_json(s) for s in result.partials], fh, indent=2)
-            fh.write("\n")
+        dump = [shard_message_json(s) for s in result.partials]
+        write_text(args.emit_partials, json.dumps(dump, indent=2) + "\n")
     if args.out:
         write_csv(args.out, ["feature", "coefficient"], zip(data.feature_names, result.beta))
     print(f"pooled fit over {result.n_shards} shards (dropped {result.duplicates_dropped} duplicates)")
@@ -342,19 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidHyperError) as exc:
+    except (JacobiPriorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except JacobiPriorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, InvalidHyperError)) else 1
 
 
 if __name__ == "__main__":

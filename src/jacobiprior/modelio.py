@@ -1,13 +1,13 @@
 """CSV reading and writing, and JSON model persistence, for the CLI.
 
-This is the one module that knows the CSV dialect. Input is strict:
-comma-separated, UTF-8 (a leading byte-order mark is skipped), '.' decimal
-point, a header row of distinct names, no missing values. Output is written by
-``csv_text`` and ``write_csv`` alone: csv-module quoting, LF line ends. Model
-files are JSON; coefficient values survive a save/load round trip bit-exactly
-because Python renders floats with shortest-exact repr. A stored ``FittedGLM``
-keeps its p-vector ``beta`` under the key ``beta`` (kind ``glm``), or its
-multinomial p x K ``beta`` under ``betas`` (kind ``dmr``).
+This is the one module that opens a file, and the one that knows the CSV dialect. Input
+is strict: comma-separated, UTF-8 (a leading byte-order mark is skipped), '.' decimal
+point, a header row of distinct names, no missing values. JSON is read by ``read_json``;
+every file is written by ``write_text``, as UTF-8 with LF line ends, and CSV text comes
+from ``csv_text`` alone, with csv-module quoting. Model files are JSON; coefficient values
+survive a save/load round trip bit-exactly because Python renders floats with
+shortest-exact repr. A stored ``FittedGLM`` keeps its p-vector ``beta`` under the key
+``beta`` (kind ``glm``), or its multinomial p x K ``beta`` under ``betas`` (kind ``dmr``).
 """
 
 from __future__ import annotations
@@ -63,10 +63,24 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, with no line-end translation."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def write_csv(path, header, rows) -> None:
     """Write ``csv_text(header, rows)`` to ``path``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(csv_text(header, rows))
+    write_text(path, csv_text(header, rows))
+
+
+def read_json(path):
+    """The JSON document in ``path``; invalid JSON raises ConfigError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _row_error(i, header, rec, used, numeric) -> ConfigError:
@@ -257,18 +271,12 @@ class StoredModel(FittedGLM):
             raise ConfigError(f"malformed value: {exc}") from None
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        write_text(path, json.dumps(self.to_json(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "StoredModel":
         """Read a model file; a malformed file raises ConfigError naming it."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        doc = read_json(path)
         try:
             return cls.from_json(doc)
         except ConfigError as exc:

@@ -40,13 +40,15 @@ class PartialStats:
     qteta: np.ndarray
 
     def __post_init__(self):
+        for name, lo in (("shard_id", 0), ("n_shard", 1)):  # each a u64 of the frame header
+            if not (is_count(value := getattr(self, name), lo) and value < 2**64):
+                raise DimensionMismatchError(f"{name} must be an integer in [{lo}, 2**64), got {value!r}")
         self.r = as_array(self.r, None, "r")
         self.qteta = as_array(self.qteta, None, "qteta")
         p = self.qteta.shape[0] if self.qteta.ndim == 1 else 0
-        if p < 1 or self.r.shape != (p, p) or self.n_shard < 1:
+        if p < 1 or self.r.shape != (p, p):
             raise DimensionMismatchError(
-                f"need p x p r and p-vector qteta, p >= 1, n_shard >= 1; got r {self.r.shape}, "
-                f"qteta {self.qteta.shape}, n_shard {self.n_shard}"
+                f"need p x p r and p-vector qteta, p >= 1; got r {self.r.shape}, qteta {self.qteta.shape}"
             )
         self.r, self.qteta = as_finite(self.r, 2, "r"), as_finite(self.qteta, 1, "qteta")
         if np.tril(self.r, -1).any():

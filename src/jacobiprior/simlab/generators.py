@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import expit
 
 from ..dmr import CountTable, softmax_rows
-from ..errors import RateOverflowError
+from ..errors import ConfigError, RateOverflowError, real
 
 # Benchmark coefficient vectors for the regression experiments.
 EXP_LOGISTIC_BETA = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
@@ -90,9 +90,9 @@ def gen_circular(n: int, rng):
 
 
 def _contamination_count(n: int, fraction: float) -> int:
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    return int(round(fraction * n))
+    if not 0.0 <= (f := real(fraction)) <= 1.0:
+        raise ConfigError(f"fraction must be in [0, 1], got {fraction}")
+    return int(round(f * n))
 
 
 def contaminate_flip(y, fraction: float, rng) -> np.ndarray:

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import MAX_COUNT, DimensionMismatchError, InsufficientDataError, InvalidResponseError, is_count
+from ..errors import (MAX_COUNT, ConfigError, DimensionMismatchError, InsufficientDataError,
+                      InvalidResponseError, is_count)
 from ..linalg import as_array
 
 
-def _paired(y, p_hat, stack: bool = False):
-    """(y, p_hat) as float arrays of one shape; with ``stack``, p_hat may be a stack of
-    such rows, each scored bit for bit as the row alone."""
-    y = np.asarray(y, dtype=float)
-    p_hat = np.asarray(p_hat, dtype=float)
+def _paired(y, p_hat, names=("y", "p_hat"), stack: bool = False):
+    """(y, p_hat) as float arrays of one shape, a non-number named by ``names``; with
+    ``stack``, p_hat may be a stack of such rows, each scored bit for bit as the row alone."""
+    y, p_hat = as_array(y, None, names[0]), as_array(p_hat, None, names[1])
     if y.shape != (p_hat.shape[p_hat.ndim - y.ndim :] if stack else p_hat.shape):
         raise DimensionMismatchError(f"shape mismatch: {y.shape} vs {p_hat.shape}")
     return y, p_hat
@@ -39,12 +39,12 @@ def beta_rmse(beta_hat, beta0, kind: str = "per_coefficient") -> float:
     coefficients, i.e. the Euclidean distance divided by sqrt(p);
     ``euclidean`` is the plain distance.
     """
-    beta_hat, beta0 = _paired(beta_hat, beta0)
+    beta_hat, beta0 = _paired(beta_hat, beta0, ("beta_hat", "beta0"))
     if kind == "per_coefficient":
         return float(np.sqrt(np.mean((beta_hat - beta0) ** 2)))
     if kind == "euclidean":
         return float(np.linalg.norm(beta_hat - beta0))
-    raise ValueError(f"unknown kind {kind!r}")
+    raise ConfigError(f"unknown kind {kind!r}")
 
 
 def accuracy(y, p_hat, threshold: float = 0.5) -> float | np.ndarray:
@@ -67,10 +67,7 @@ def proportion_rmse(counts: np.ndarray, probs: np.ndarray) -> float:
     Rows with a zero count total carry no proportion information and
     are excluded (from both sides, by row index).
     """
-    counts = np.asarray(counts, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    if counts.shape != probs.shape:
-        raise DimensionMismatchError(f"shape mismatch: {counts.shape} vs {probs.shape}")
+    counts, probs = _paired(as_array(counts, 2, "counts"), probs, ("counts", "probs"))
     totals = counts.sum(axis=1)
     keep = totals > 0
     if not np.any(keep):
@@ -103,7 +100,8 @@ def check_disbursement(disbursement, rows: int) -> np.ndarray:
 
 def utility_total(y_default, approve, disbursement) -> float | np.ndarray:
     """Total decision utility over loans, additive per loan; one total per row of ``approve``."""
-    y_default, approve = _paired(as_array(y_default, 1, "y_default"), approve, stack=True)
+    y_default, approve = _paired(as_array(y_default, 1, "y_default"), approve, ("y_default", "approve"),
+                                 stack=True)
     v = check_disbursement(disbursement, y_default.shape[0])
     payoff = np.where(
         y_default == 1.0,

@@ -22,6 +22,7 @@ from jacobiprior.gp import KernelParams
 from jacobiprior.hyper import sensitivity_grid, stochastic_search
 from jacobiprior.mc import BetaDraws, summarize
 from jacobiprior.rng import SeedSpec, derive_rng
+from jacobiprior.simlab import contaminate_flip, contaminate_poisson
 from jacobiprior.simlab.experiments import ExperimentConfig
 
 # kind -> the value of that kind, from an intake's in-range float f and integer i.
@@ -104,6 +105,12 @@ INTAKES = {
         lambda v: f"$.beta0: need a non-empty 1-d list of finite numbers, got {[v, 1.0]!r}"),
     "stochastic_search.lo": (InvalidHyperError, 0.5, 1, *_search(None, 2.0)),
     "stochastic_search.hi": (InvalidHyperError, 0.5, 1, *_search(1e-3, None)),
+    "contaminate_flip.fraction": (
+        ConfigError, 0.5, 1, lambda v: contaminate_flip(Y, v, derive_rng(SeedSpec(), 0)), None,
+        lambda v: f"fraction must be in [0, 1], got {v}"),
+    "contaminate_poisson.fraction": (
+        ConfigError, 0.5, 1, lambda v: contaminate_poisson(Y, v, derive_rng(SeedSpec(), 0)), None,
+        lambda v: f"fraction must be in [0, 1], got {v}"),
     "summarize.level": (
         InsufficientDrawsError, 0.5, 1,
         lambda v: summarize(BetaDraws(np.array([[0.0, 1.0], [1.0, 3.0]]), SeedSpec(), "logit"), v),

@@ -146,6 +146,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"\$\.contamination_mode"):
             ExperimentConfig.from_dict({"kind": "logit", "contamination_mode": "maybe"})
 
+    @pytest.mark.parametrize("doc", [[{"n": 30}], "logit", None, 3])
+    def test_config_must_be_an_object(self, doc):
+        with pytest.raises(ConfigError, match=r"^\$: config must be a JSON object$"):
+            ExperimentConfig.from_dict(doc)
+
 
 # Each of these crashed with a raw exception or gave a silently wrong table.
 BAD_CONFIGS = [

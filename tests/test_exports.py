@@ -136,3 +136,30 @@ def test_real_guard_flags_each_module(tmp_path):
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "gp.py").write_text("from numbers import Integral, Real\n")
     assert own_real_tests(tmp_path) == [("glm.py", 5), ("mc.py", 2), ("sub/gp.py", 1)]
+
+
+def file_opens(package_dir):
+    """(file, line) of each call of ``open``, the builtin or an ``.open`` attribute (``io.open``,
+    ``os.open``, ``Path.open``), in the package's source outside the top-level ``modelio.py``:
+    ``modelio`` is the one module that opens a file."""
+    calls = []
+    for path in sorted(pathlib.Path(package_dir).rglob("*.py")):
+        where = path.relative_to(package_dir).as_posix()
+        if where != "modelio.py":
+            calls += [(where, node.lineno) for node in ast.walk(ast.parse(path.read_text(), where))
+                      if isinstance(node, ast.Call)
+                      and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    return sorted(calls)
+
+
+def test_only_modelio_opens_a_file():
+    assert file_opens(pathlib.Path(jacobiprior.__file__).parent) == []
+
+
+def test_open_guard_flags_each_kind_of_call(tmp_path):
+    (tmp_path / "modelio.py").write_text("fh = open('a')\n")
+    (tmp_path / "cli.py").write_text("import io\nwith open('a', 'w') as fh:\n    pass\n"
+                                     "io.open('b')\nopener = open\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "modelio.py").write_text("import pathlib\npathlib.Path('c').open()\n")
+    assert file_opens(tmp_path) == [("cli.py", 2), ("cli.py", 4), ("sub/modelio.py", 2)]

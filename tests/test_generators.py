@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from jacobiprior.errors import RateOverflowError
+from jacobiprior.errors import ConfigError, RateOverflowError
 from jacobiprior.rng import SeedSpec, derive_rng
 from jacobiprior.simlab import (
     contaminate_flip,
@@ -136,5 +138,7 @@ class TestContamination:
         assert abs(vals.mean() - 20.0) <= 4 * se
 
     def test_fraction_validated(self):
-        with pytest.raises(ValueError):
-            contaminate_flip(np.zeros(5), 1.5, rng_for(15))
+        for contaminate, fraction in ((contaminate_flip, 1.5), (contaminate_flip, 2.0),
+                                      (contaminate_flip, np.nan), (contaminate_poisson, -1.0)):
+            with pytest.raises(ConfigError, match=re.escape(f"fraction must be in [0, 1], got {fraction}")):
+                contaminate(np.zeros(5), fraction, rng_for(15))

@@ -47,6 +47,10 @@ class TestJacobiHyper:
         assert JacobiHyper(2.0, 3.0).resolve(100) == (2.0, 3.0)
         assert JacobiHyper(2.0, 3.0, "one_over_n").resolve(100) == (0.01, 0.01)
 
+    def test_one_over_n_needs_a_row(self):
+        with pytest.raises(InvalidHyperError, match="^one_over_n schedule needs n >= 1$"):
+            fit_jacobi(np.empty((0, 2)), np.empty(0), "logit", JacobiHyper(schedule="one_over_n"))
+
     def test_unknown_schedule(self):
         with pytest.raises(InvalidHyperError):
             JacobiHyper(1.0, 1.0, "sqrt_n")

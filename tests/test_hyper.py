@@ -67,6 +67,13 @@ class TestSensitivityGrid:
         j = list(report.b_values).index(b)
         assert report.scores[i, j] == score
 
+    def test_best_of_no_valid_cell_is_typed(self):
+        Xtr, ytr, Xte, yte = split_data()
+        report = sensitivity_grid(Xtr, ytr, Xte, yte, "logit", [1e-17], [1e-17, 3e-17])
+        assert np.isnan(report.scores).all()
+        with pytest.raises(InvalidHyperError, match="^every grid cell failed$"):
+            report.best()
+
     @pytest.mark.parametrize("name", ["a_values", "b_values"])
     def test_non_numeric_axis_is_typed(self, name):
         Xtr, ytr, Xte, yte = split_data()
@@ -369,6 +376,9 @@ class TestSearchArguments:
             (dict(budget=True), "budget"),
             (dict(budget=2**31), "budget"),  # past the count cap: refused before the draw
             (dict(budget=2**64), "budget"),
+            (dict(objective="mae"), "^unknown objective 'mae', expected one of "),
+            (dict(objective="utility"), "^utility objective needs a disbursement vector$"),
+            (dict(lo=1e-17, hi=1e-17), "^every search candidate failed$"),  # b + 1 - 1 rounds to 0
         ],
     )
     def test_bad_range_or_budget_is_typed(self, kwargs, name):

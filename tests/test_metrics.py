@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobiprior.errors import DimensionMismatchError, InsufficientDataError, InvalidResponseError
+from jacobiprior.errors import ConfigError, DimensionMismatchError, InsufficientDataError, InvalidResponseError
 from jacobiprior.rng import SeedSpec, derive_rng
 from jacobiprior.simlab import (
     accuracy,
@@ -47,7 +47,7 @@ class TestBetaRmse:
     def test_euclidean_kind(self):
         b0 = np.zeros(4)
         assert beta_rmse(np.ones(4), b0, kind="euclidean") == pytest.approx(2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^unknown kind 'max'$"):
             beta_rmse(np.ones(4), b0, kind="max")
 
 
@@ -59,6 +59,10 @@ class TestAccuracy:
 
     def test_multiclass(self):
         assert multiclass_accuracy([0, 1, 2], [0, 2, 2]) == pytest.approx(2.0 / 3.0)
+
+    def test_multiclass_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match=re.escape("shape mismatch: (3,) vs (2,)")):
+            multiclass_accuracy([0, 1, 2], [0, 2])
 
 
 class TestProportionRmse:
@@ -73,6 +77,34 @@ class TestProportionRmse:
         assert proportion_rmse(counts, probs) == 0.0
         with pytest.raises(InsufficientDataError):
             proportion_rmse(np.zeros((2, 2)), probs)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match=re.escape("shape mismatch: (2, 2) vs (2, 3)")):
+            proportion_rmse(np.ones((2, 2)), np.full((2, 3), 1 / 3))
+        with pytest.raises(DimensionMismatchError, match=re.escape("counts must be 2-d, got ndim=1")):
+            proportion_rmse([1.0, 3.0], [0.25, 0.75])
+
+
+# metric -> a call with one argument not a number, and the argument its signature names.
+NON_NUMERIC = {
+    "surrogate_rmse y": (lambda: surrogate_rmse(["a"], [0.5]), "y"),
+    "surrogate_rmse p_hat": (lambda: surrogate_rmse([1.0], ["a"]), "p_hat"),
+    "accuracy y": (lambda: accuracy(["a"], [0.5]), "y"),
+    "accuracy p_hat": (lambda: accuracy([1.0], [b"x"]), "p_hat"),
+    "beta_rmse beta_hat": (lambda: beta_rmse(["a"], [0.0]), "beta_hat"),
+    "beta_rmse beta0": (lambda: beta_rmse([0.0], ["a"]), "beta0"),
+    "proportion_rmse counts": (lambda: proportion_rmse([["a", 1.0]], [[0.5, 0.5]]), "counts"),
+    "proportion_rmse probs": (lambda: proportion_rmse([[1.0, 1.0]], [[0.5, "b"]]), "probs"),
+    "utility_total y_default": (lambda: utility_total(["a"], [1.0], [1.0]), "y_default"),
+    "utility_total approve": (lambda: utility_total([1.0], ["a"], [1.0]), "approve"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC))
+def test_non_numeric_argument_is_named(case):
+    call, name = NON_NUMERIC[case]
+    with pytest.raises(DimensionMismatchError, match=f"^{name} must be numeric: "):
+        call()
 
 
 class TestUtility:

@@ -118,6 +118,11 @@ def test_invalid_family_and_response():
     np.testing.assert_array_equal(mle_score(X, y, beta, "logit"), [-0.5])
 
 
+def test_fewer_rows_than_columns_rejected():
+    with pytest.raises(RankDeficientError, match=r"^need n >= p, got n=1 < p=2$"):
+        fit_mle(np.ones((1, 2)), np.array([1.0]), "logit")
+
+
 def test_deviance_decreases_to_optimum():
     rng = np.random.default_rng(25)
     X = np.column_stack([np.ones(80), rng.standard_normal(80)])

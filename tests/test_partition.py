@@ -160,6 +160,10 @@ class TestAggregate:
         with pytest.raises(SchemaMismatchError):
             aggregate_and_solve([a, b])
 
+    def test_no_shard_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="^need at least one shard$"):
+            aggregate_and_solve([])
+
     def test_duplicate_ids_rejected(self):
         a = PartialStats(0, 2, np.eye(2), np.ones(2))
         with pytest.raises(SchemaMismatchError):
@@ -176,6 +180,33 @@ class TestAggregate:
     def test_non_triangular_factor_rejected(self):
         with pytest.raises(DimensionMismatchError, match="upper triangular"):
             PartialStats(0, 2, np.ones((2, 2)), np.ones(2))
+
+    @pytest.mark.parametrize("shard_id, n_shard, message", [
+        (-1, 1, "shard_id must be an integer in [0, 2**64), got -1"),
+        (2**64, 1, "shard_id must be an integer in [0, 2**64), got 18446744073709551616"),
+        ("x", 1, "shard_id must be an integer in [0, 2**64), got 'x'"),
+        (1.0, 1, "shard_id must be an integer in [0, 2**64), got 1.0"),
+        (True, 1, "shard_id must be an integer in [0, 2**64), got True"),
+        (0, 0, "n_shard must be an integer in [1, 2**64), got 0"),
+        (0, 2**64, "n_shard must be an integer in [1, 2**64), got 18446744073709551616"),
+        (0, "x", "n_shard must be an integer in [1, 2**64), got 'x'"),
+        (0, 1.5, "n_shard must be an integer in [1, 2**64), got 1.5"),
+        (0, True, "n_shard must be an integer in [1, 2**64), got True"),
+    ])
+    def test_shard_id_and_row_count_fit_the_frame_header(self, shard_id, n_shard, message):
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            PartialStats(shard_id, n_shard, np.eye(1), [1.0])
+
+    def test_header_extremes_round_trip(self):
+        top = 2**64 - 1
+        decoded = decode_shard_message(encode_shard_message(PartialStats(top, top, np.eye(1), [1.0])))
+        assert (decoded.shard_id, decoded.n_shard) == (top, top)
+
+    def test_shard_stats_names_a_bad_shard_id(self):
+        X, y = logit_data(seed=6, n=10, p=2)
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape("shard x: shard_id must be an integer in [0, 2**64), got 'x'")):
+            shard_stats(X, y, "logit", shard_id="x")
 
     def test_non_numeric_factor_names_its_field(self):
         with pytest.raises(DimensionMismatchError, match="^r must be numeric: "):
@@ -240,6 +271,17 @@ class TestCodec:
     def test_zero_columns_frame_rejected(self):
         body = struct.pack("<IQQI", 2, 5, 1, 0)
         with pytest.raises(SchemaMismatchError, match="shard 5"):
+            decode_shard_message(struct.pack("<I", len(body)) + body)
+
+    def test_zero_rows_frame_rejected(self):
+        body = struct.pack("<IQQI", 2, 5, 0, 1) + struct.pack("<2d", 1.0, 1.0)
+        with pytest.raises(SchemaMismatchError,
+                           match=re.escape("shard 5: n_shard must be an integer in [1, 2**64), got 0")):
+            decode_shard_message(struct.pack("<I", len(body)) + body)
+
+    def test_payload_length_must_match_p(self):
+        body = struct.pack("<IQQI", 2, 5, 1, 2) + struct.pack("<2d", 1.0, 1.0)
+        with pytest.raises(SchemaMismatchError, match="^payload length 40 != expected 72$"):
             decode_shard_message(struct.pack("<I", len(body)) + body)
 
     @pytest.mark.parametrize("cell, value, where", [
