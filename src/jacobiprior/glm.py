@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,7 @@ from .errors import (
     NoConvergenceError,
     real,
 )
-from .linalg import (SMALL_PRODUCTS, LazyModule, _check_finite, as_array, as_matrix, lstsq,
-                     stable_matvec)
+from .linalg import LazyModule, _check_finite, as_array, as_matrix, lstsq, stable_matvec
 
 FAMILIES = ("logit", "probit", "poisson")
 
@@ -356,18 +356,17 @@ def _fit(X: np.ndarray, y: np.ndarray, family: str, hyper: JacobiHyper | None) -
 
 
 def predict_linear(model: FittedGLM, X0) -> np.ndarray:
-    """X0 @ beta: an n-vector, or n x K for a p x K fit. A sum made in row blocks is X0's
-    finiteness test: X0 is scanned, to name a NaN or inf cell, only if the sum is not finite."""
+    """X0 @ beta: an n-vector, or n x K for a p x K fit. The sum is X0's finiteness test: X0 is
+    scanned, to name a NaN or inf cell, only if the sum is not finite; if X0 is finite, it warns."""
     beta = model.beta
     X0 = as_array(X0, 2, "X0")
     if X0.shape[1] != beta.shape[0]:
         as_matrix(X0, "X0", beta.shape[0])  # names a non-finite cell before the column count
-    if X0.shape[0] * beta.size <= SMALL_PRODUCTS:
-        return stable_matvec(_check_finite(X0, "X0"), beta)
-    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf: the scan below names the cell
-        eta = stable_matvec(X0, beta)
+    eta = stable_matvec(X0, beta)
     if not np.vdot(v := eta.ravel(), v) < np.inf:  # or v'v overflowed: the scan passes
         _check_finite(X0, "X0")
+        if not np.isfinite(eta).all():
+            warnings.warn("overflow encountered in the prediction sum", RuntimeWarning)
     return eta
 
 

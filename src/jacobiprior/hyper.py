@@ -68,7 +68,7 @@ def _surface(X_train, y_train, X_eval, y_eval, family: str, pairs, score) -> np.
     basis = lstsq(X_train, np.column_stack([np.ones(n)] + ([] if poisson else [y])))
     X_eval = as_matrix(X_eval, "X_eval", p)
     y_eval = check_response(y_eval, family, X_eval.shape[0], (1,))
-    u, *v = (stable_matvec(X_eval, beta) for beta in basis.T)
+    u, *v = stable_matvec(X_eval, basis).T
     step = max(1, BLOCK_ROWS // max(1, u.shape[0]))  # cells a batch: at most BLOCK_ROWS predictions
     kept = [k for k, (a, b) in enumerate(pairs) if valid_shape(a) and valid_shape(b)]
     if poisson:

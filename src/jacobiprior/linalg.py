@@ -14,7 +14,8 @@ right-hand sides a call (``rhs_width``): the Monte Carlo's draw blocks,
 the poisson grid's values of a. No factor outlives its call, so threads
 share no state. The solver class is kept only for perfbench. The GP
 kernel solve lives in ``gp``, which calls LAPACK (``dpotrf``,
-``dpotrs``) through ``lapack``.
+``dpotrs``) through ``lapack``. ``stable_matvec``, the one prediction
+sum, is one ``einsum`` per class column over C-ordered row blocks.
 
 ``lapack`` is the one LAPACK binding, made on first use: the first call
 loads scipy's compiled wrappers, ``scipy.linalg._flapack``, from their
@@ -42,9 +43,6 @@ COND_LIMIT = 1e12
 # Rows per block of a tall design, for both the QR and stable_matvec's
 # prediction sum: 1 MB at p = 8, held in L2.
 BLOCK_ROWS = 16384
-# stable_matvec forms at most this many products in one broadcast multiply (32 KB, in L1);
-# beyond about twice this, at p = 8, the column-by-column sum is faster.
-SMALL_PRODUCTS = 4096
 
 
 class LazyModule:
@@ -86,14 +84,16 @@ lapack = LazyModule("scipy.linalg._flapack", _load_extension)
 
 def as_array(a, ndim: int | None, name: str) -> np.ndarray:
     """a as a float array of ``ndim`` dims (any, if None); its values are not checked, but
-    must be numbers."""
+    must be numbers: NaN is one; None, which numpy reads as NaN, is not."""
     try:
-        a = np.asarray(a, dtype=float)
+        arr = np.asarray(a, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1.8e308
         raise DimensionMismatchError(f"{name} must be numeric: {exc}") from None
-    if ndim is not None and a.ndim != ndim:
-        raise DimensionMismatchError(f"{name} must be {ndim}-d, got ndim={a.ndim}")
-    return a
+    if arr is not a and np.isnan(arr).any() and None in np.asarray(a, dtype=object).flat:
+        raise DimensionMismatchError(f"{name} must be numeric: got None")
+    if ndim is not None and arr.ndim != ndim:
+        raise DimensionMismatchError(f"{name} must be {ndim}-d, got ndim={arr.ndim}")
+    return arr
 
 
 def _check_finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -259,39 +259,19 @@ class LeastSquaresSolver:
 
 
 def stable_matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """X @ beta with a fixed left-to-right column accumulation.
+    """X @ beta without BLAS, whose sums vary with buffer alignment, row offset and threads.
 
-    ``beta`` is a p-vector (n-vector result) or a p x K matrix (n x K
-    result, column k bit-identical to ``stable_matvec(X, beta[:, k])``).
-    BLAS gemv/gemm results can differ by a few ULPs between equal-valued
-    buffers at different alignments; prediction surfaces promise
-    bit-identical output for equal inputs (model files round-trip,
-    column order in CSVs is irrelevant), so they avoid BLAS.
-
-    A small product (n p K <= ``SMALL_PRODUCTS``, a 100-row predict) is
-    formed whole by one broadcast multiply and summed over its p columns:
-    p ufunc calls in place of 2p - 1, where a call costs more than its
-    arithmetic. A larger one is summed one row block of ``BLOCK_ROWS`` rows
-    at a time into a preallocated output, with one reused buffer for the
-    products: each block's columns are read while the block sits in L2, so
-    a tall C-ordered design is read from memory once, not once per column.
-    Every output element gets the same multiplies and adds in the same
-    column order either way, so neither changes a bit.
+    ``beta`` is a p-vector (n-vector result) or p x K (n x K result, column k bit-identical
+    to ``stable_matvec(X, beta[:, k])``). Each class column is one ``einsum`` per C-ordered
+    row block of about 1 MB (``BLOCK_ROWS`` rows at p = 8; a copy if X is not C-ordered), so
+    a row's bits follow from its own p values. einsum warns of no overflow.
     """
     n, p = X.shape
-    if n * beta.size <= SMALL_PRODUCTS:
-        terms = np.multiply(X.T if beta.ndim == 1 else X.T[:, :, None], beta[:, None])
-        out = terms[0] + terms[1] if p > 1 else terms[0].copy()
-        for j in range(2, p):
-            out += terms[j]
-        return out
-    mul = np.multiply if beta.ndim == 1 else np.multiply.outer
-    out = np.empty((n,) + beta.shape[1:])
-    scratch = np.empty((min(n, BLOCK_ROWS),) + beta.shape[1:])
-    for start in range(0, n, BLOCK_ROWS):
-        block, acc = X[start : start + BLOCK_ROWS], out[start : start + BLOCK_ROWS]
-        term = scratch[: len(block)]
-        mul(block[:, 0], beta[0], out=acc)
-        for j in range(1, p):
-            acc += mul(block[:, j], beta[j], out=term)
-    return out
+    cols = [np.ascontiguousarray(b) for b in beta.reshape(p, -1).T]
+    out = np.empty((n, len(cols)))
+    step = max(1, BLOCK_ROWS * 8 // p)
+    for start in range(0, n, step):
+        block = np.ascontiguousarray(X[start : start + step])
+        for k, b in enumerate(cols):
+            np.einsum("ij,j->i", block, b, out=out[start : start + step, k])
+    return out if beta.ndim == 2 else out[:, 0]

@@ -81,6 +81,8 @@ def read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: {exc}") from None
 
 
 def _row_error(i, header, rec, used, numeric) -> ConfigError:
@@ -114,45 +116,48 @@ def load_csv_dataset(
     the offending row index and column. ``X``, ``y`` and ``disbursement``
     are column blocks of one float matrix, filled one row at a time.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        repeated = [h for j, h in enumerate(header) if h in header[:j]]
-        if repeated:
-            raise ConfigError(f"{path}: column {repeated[0]!r} appears more than once in header")
-        special = {c for c in (target, classes, disbursement) if c is not None}
-        for col in special:
-            if col not in header:
-                raise ConfigError(f"{path}: column {col!r} not found in header {header}")
-        if features is None:
-            feature_names = [h for h in header if h not in special]
-        else:
-            missing = [f for f in features if f not in header]
-            if missing:
-                raise MissingFeatureError(f"data is missing feature column {missing[0]!r}")
-            feature_names = list(features)
-        if not feature_names:
-            raise ConfigError(f"{path}: need at least one feature column")
-        used = set(feature_names) | special
-        numeric = feature_names + [c for c in (target, disbursement) if c is not None]
-        cols = [header.index(c) for c in numeric]
-        label = header.index(classes) if classes is not None else None
-        values, labels = array("d"), []
-        for i, rec in enumerate(reader, start=1):
-            if len(rec) != len(header):
-                raise ConfigError(f"row {i}: expected {len(header)} fields, got {len(rec)}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
+            reader = csv.reader(fh)
             try:
-                values.extend([float(rec[j]) for j in cols])
-            except ValueError:
-                raise _row_error(i, header, rec, used, numeric) from None
-            if label is not None:
-                labels.append(rec[label].strip())
-                if not labels[-1]:
-                    raise _row_error(i, header, rec, used, numeric)
+                header = next(reader)
+            except StopIteration:
+                raise ConfigError(f"{path}: empty file, header row required") from None
+            header = [h.strip() for h in header]
+            repeated = [h for j, h in enumerate(header) if h in header[:j]]
+            if repeated:
+                raise ConfigError(f"{path}: column {repeated[0]!r} appears more than once in header")
+            special = {c for c in (target, classes, disbursement) if c is not None}
+            for col in special:
+                if col not in header:
+                    raise ConfigError(f"{path}: column {col!r} not found in header {header}")
+            if features is None:
+                feature_names = [h for h in header if h not in special]
+            else:
+                missing = [f for f in features if f not in header]
+                if missing:
+                    raise MissingFeatureError(f"data is missing feature column {missing[0]!r}")
+                feature_names = list(features)
+            if not feature_names:
+                raise ConfigError(f"{path}: need at least one feature column")
+            used = set(feature_names) | special
+            numeric = feature_names + [c for c in (target, disbursement) if c is not None]
+            cols = [header.index(c) for c in numeric]
+            label = header.index(classes) if classes is not None else None
+            values, labels = array("d"), []
+            for i, rec in enumerate(reader, start=1):
+                if len(rec) != len(header):
+                    raise ConfigError(f"row {i}: expected {len(header)} fields, got {len(rec)}")
+                try:
+                    values.extend([float(rec[j]) for j in cols])
+                except ValueError:
+                    raise _row_error(i, header, rec, used, numeric) from None
+                if label is not None:
+                    labels.append(rec[label].strip())
+                    if not labels[-1]:
+                        raise _row_error(i, header, rec, used, numeric)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from None
     if not values:
         raise ConfigError(f"{path}: no data rows")
     matrix = np.frombuffer(values, dtype=float).reshape(-1, len(numeric))
@@ -287,7 +292,7 @@ class StoredModel(FittedGLM):
         missing = [f for f in self.feature_names if f not in data.feature_names]
         if missing:
             raise MissingFeatureError(f"data is missing feature column {missing[0]!r}")
-        return data.X[:, [data.feature_names.index(f) for f in self.feature_names]]
+        return data.X.take([data.feature_names.index(f) for f in self.feature_names], axis=1)
 
     def predict_mean(self, data: CsvDataset) -> np.ndarray:
         """Mean-scale predictions; class probabilities (n x K) for multinomial."""

@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 
 import numpy as np
@@ -145,8 +144,9 @@ class TestFitPredict:
             ("poisson", rng.standard_normal((4, 3)), ["a", "b", "c"]),
         ):
             stored = StoredModel(beta, family, JacobiHyper(), np.empty(0), 100, names, classes)
-            # The reference sums whole columns in model order, with no row blocks.
-            eta = functools.reduce(np.add, (np.multiply.outer(X[:, j], beta[j]) for j in range(4)))
+            # The reference is one einsum per class column over the whole C-ordered X, in model order.
+            cols = [np.einsum("ij,j->i", X, np.ascontiguousarray(b)) for b in np.atleast_2d(beta.T)]
+            eta = np.column_stack(cols) if classes else cols[0]
             want = softmax_rows(eta) if classes else inverse_link(eta, family)
             np.testing.assert_array_equal(stored.predict_mean(plain), want)
             np.testing.assert_array_equal(stored.predict_mean(permuted), want)

@@ -6,7 +6,7 @@ import pytest
 from jacobiprior.cli import main
 
 # case -> (argv, exit code, the error message); run in a directory that holds d.csv (x1..x8, y),
-# m.json (a logit fit of it), bad.json and x1.csv.
+# m.json (a logit fit of it), bad.json, x1.csv, and latin1.json and latin1.csv, each with a 0xff byte.
 EXITS = {
     "lone --a": (["fit", "--train", "d.csv", "--target", "y", "--a", "0.5", "--model-out", "o.json"],
                  2, "--a and --b must be given together"),
@@ -17,6 +17,12 @@ EXITS = {
     "config not JSON": (["experiment", "--config", "bad.json", "--out", "e"], 2,
                         "bad.json: invalid JSON: Expecting property name enclosed in double quotes: "
                         "line 1 column 2 (char 1)"),
+    "config not UTF-8": (["experiment", "--config", "latin1.json", "--out", "e"], 2,
+                         "latin1.json: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 1: "
+                         "invalid start byte"),
+    "CSV not UTF-8": (["fit", "--train", "latin1.csv", "--target", "y", "--model-out", "o.json"], 2,
+                      "latin1.csv: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 7: "
+                      "invalid start byte"),
     "missing feature": (["predict", "--model", "m.json", "--data", "x1.csv", "--out", "p.csv"],
                         1, "data is missing feature column 'x2'"),
     "missing output directory": (["fit", "--train", "d.csv", "--target", "y",
@@ -32,6 +38,8 @@ def workdir(tmp_path, monkeypatch):
     assert main(["fit", "--train", "d.csv", "--target", "y", "--model-out", "m.json"]) == 0
     (tmp_path / "bad.json").write_text("{nope}\n")
     (tmp_path / "x1.csv").write_text("x1\n0.5\n")
+    (tmp_path / "latin1.json").write_bytes(b'{\xff}\n')
+    (tmp_path / "latin1.csv").write_bytes(b"x1,y\n0.\xff,1\n")
     return tmp_path
 
 

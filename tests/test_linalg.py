@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import jacobiprior.linalg as linalg_module
 from jacobiprior.errors import DimensionMismatchError, RankDeficientError
 from jacobiprior.glm import fit_jacobi, latent_vector
-from jacobiprior.linalg import BLOCK_ROWS, SMALL_PRODUCTS, LeastSquaresSolver, as_finite, lstsq, stable_matvec
+from jacobiprior.linalg import BLOCK_ROWS, LeastSquaresSolver, as_finite, lstsq, stable_matvec
 from jacobiprior.partition import shard_stats
 
 
@@ -362,12 +362,10 @@ class TestBlockedFactor:
 
 
 def column_loop(X, beta):
-    """The reference sum: whole columns of X, left to right, no row blocks."""
-    mul = np.multiply if beta.ndim == 1 else np.multiply.outer
-    out = mul(X[:, 0], beta[0])
-    for j in range(1, X.shape[1]):
-        out = out + mul(X[:, j], beta[j])
-    return out
+    """The reference sum: one einsum per column of beta over the whole C-ordered X."""
+    A = np.ascontiguousarray(X)
+    cols = [np.einsum("ij,j->i", A, np.ascontiguousarray(b)) for b in np.atleast_2d(beta.T)]
+    return np.column_stack(cols) if beta.ndim == 2 else cols[0]
 
 
 # Equal-valued designs in the memory layouts predictions meet.
@@ -381,12 +379,11 @@ LAYOUTS = {
 
 class TestStableMatvec:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    # SMALL_PRODUCTS // 6 rows: the vector sum in one broadcast multiply, the matrix sum not.
-    @pytest.mark.parametrize("n", [1, 100, SMALL_PRODUCTS // 6, SMALL_PRODUCTS // 6 + 1, BLOCK_ROWS - 1,
-                                   BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+    # p = 8: a row block is BLOCK_ROWS rows.
+    @pytest.mark.parametrize("n", [1, 100, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
     def test_matches_column_loop_bit_for_bit(self, n, layout):
         rng = np.random.default_rng(n)
-        p, k = 6, 3
+        p, k = 8, 3
         # Columns of very different scales, so a different order of adds shows in the bits.
         A = rng.standard_normal((n, p)) * 10.0 ** np.arange(-4, 2 * p - 4, 2)
         X = LAYOUTS[layout](A)
@@ -402,6 +399,32 @@ class TestStableMatvec:
         for j in range(k):
             np.testing.assert_array_equal(got[:, j], stable_matvec(X, betas[:, j]))
         np.testing.assert_array_equal(X, before)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 80), p=st.sampled_from([1, 2, 3, 5, 8, 17, 64, 255]), K=st.integers(1, 3),
+           blocked=st.booleans(), layout=st.sampled_from(sorted(LAYOUTS)),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_a_row_has_the_same_bits_wherever_it_is(self, n, p, K, blocked, layout, seed, data):
+        # BLOCK_ROWS = 4: row blocks of max(1, 32 // p) rows, so most designs cross an edge.
+        linalg_module.BLOCK_ROWS, block_rows = (4 if blocked else BLOCK_ROWS), linalg_module.BLOCK_ROWS
+        try:
+            rng = np.random.default_rng(seed)
+            A = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-4, 5, p)
+            betas = rng.standard_normal((p, K))
+            want = stable_matvec(A, betas)
+            np.testing.assert_array_equal(want, column_loop(A, betas))
+            for k in range(K):  # column k is the one-column prediction
+                np.testing.assert_array_equal(want[:, k], stable_matvec(A, betas[:, k]))
+            i = data.draw(st.integers(0, n - 1))
+            np.testing.assert_array_equal(stable_matvec(A[i : i + 1], betas), want[i : i + 1])
+            np.testing.assert_array_equal(stable_matvec(A[i:], betas), want[i:])
+            offset = data.draw(st.integers(0, 7))  # bytes: an unaligned copy of A
+            X = np.empty(A.nbytes + 8, np.uint8)[offset : offset + A.nbytes].view(float).reshape(n, p)
+            X[...] = A
+            np.testing.assert_array_equal(stable_matvec(X, betas), want)
+            np.testing.assert_array_equal(stable_matvec(LAYOUTS[layout](A), betas), want)
+        finally:
+            linalg_module.BLOCK_ROWS = block_rows
 
 
 # Prints the hex bytes of logit fits on seeded designs: p = 8 and 32 go through the
@@ -429,6 +452,27 @@ def test_fits_repeat_at_a_fixed_blas_thread_count(fresh_python):
     for b1, b1_again, b2 in zip(one, again, two):
         assert np.array_equal(b1, b1_again)
         assert rel_err(b2, b1) <= 1e-12
+
+
+# Prints the hex bytes of fixed-beta predictions: a tall design in three row blocks, and a
+# wide one, on which a BLAS dot product (``np.vecdot``) rounds differently at two threads.
+THREAD_PREDICTIONS = """
+import numpy as np
+from jacobiprior.glm import FittedGLM, JacobiHyper, predict_linear
+from jacobiprior.linalg import BLOCK_ROWS
+for n, p in ((2 * BLOCK_ROWS + 3, 8), (20, 20_000)):
+    rng = np.random.default_rng(p)
+    model = FittedGLM(rng.standard_normal(p), "logit", JacobiHyper(), np.zeros(0), n)
+    print(predict_linear(model, rng.standard_normal((n, p))).tobytes().hex())
+"""
+
+
+def test_predictions_repeat_across_blas_thread_counts(fresh_python):
+    """README "Determinism": the prediction sum uses no BLAS, so its bits do not depend on
+    the thread count."""
+    one, two = (fresh_python("-c", THREAD_PREDICTIONS, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert [len(line) // 16 for line in one.split()] == [2 * BLOCK_ROWS + 3, 20]
+    assert one == two
 
 
 # Fits a tall logit with scipy.linalg.lapack imported before (argv[1] == "before") or

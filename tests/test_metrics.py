@@ -91,6 +91,8 @@ NON_NUMERIC = {
     "surrogate_rmse p_hat": (lambda: surrogate_rmse([1.0], ["a"]), "p_hat"),
     "accuracy y": (lambda: accuracy(["a"], [0.5]), "y"),
     "accuracy p_hat": (lambda: accuracy([1.0], [b"x"]), "p_hat"),
+    "accuracy p_hat None": (lambda: accuracy([1.0], [None]), "p_hat"),  # numpy reads None as NaN
+    "surrogate_rmse p_hat None": (lambda: surrogate_rmse([1.0], [None]), "p_hat"),
     "beta_rmse beta_hat": (lambda: beta_rmse(["a"], [0.0]), "beta_hat"),
     "beta_rmse beta0": (lambda: beta_rmse([0.0], ["a"]), "beta0"),
     "proportion_rmse counts": (lambda: proportion_rmse([["a", 1.0]], [[0.5, 0.5]]), "counts"),
