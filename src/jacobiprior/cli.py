@@ -150,7 +150,6 @@ def cmd_search(args) -> int:
 
 def cmd_shards(args) -> int:
     from .partition import run_harness, shard_message_json
-    from .rng import SeedSpec
 
     data = load_csv_dataset(args.data, target=args.target)
     hyper = _hyper_from_args(args, args.family)
@@ -160,7 +159,6 @@ def cmd_shards(args) -> int:
         args.shards,
         args.family,
         hyper,
-        seed=SeedSpec(args.seed, args.stream),
         max_workers=args.threads,
     )
     if args.emit_partials:
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "shards",
-        parents=[seed_flags, threads_flag, hyper_flags, response_flags],
+        parents=[threads_flag, hyper_flags, response_flags],
         help="partitioned distributed fit",
     )
     p.add_argument("--data", required=True)

@@ -281,11 +281,11 @@ def _outside(y: np.ndarray, family: str) -> tuple[np.ndarray, str]:
 
 
 def as_response(y) -> np.ndarray:
-    """y as a float array; an entry that is not a number is InvalidResponseError."""
+    """y as a float array; an entry that is not a number, None too, is InvalidResponseError."""
     try:
-        return np.asarray(y, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1.8e308
-        raise InvalidResponseError(f"response y must be numeric: {exc}") from None
+        return as_array(y, None, "response y")
+    except DimensionMismatchError as exc:
+        raise InvalidResponseError(str(exc)) from None
 
 
 def check_response(y, family: str, rows: int | None = None, ndims=(1, 2)) -> np.ndarray:

@@ -12,5 +12,5 @@ _lazy_exports(globals(), {  # home module -> the names the package exports from 
                   "gen_circular gen_dmr gen_logistic gen_poisson gen_sinc",
     "metrics": "accuracy beta_rmse bootstrap_median_se multiclass_accuracy proportion_rmse "
                "surrogate_rmse utility_total",
-    "experiments": "ExperimentConfig ExperimentReport ReportRow run_consistency run_experiment",
+    "experiments": "ExperimentConfig ExperimentReport ReportRow run_experiment",
 })

@@ -21,6 +21,11 @@ replication), the contamination it admits (flips for ``logit``, count
 replacement for ``poisson``, none for ``dmr``) and the scoring:
 ``surrogate_rmse`` of the inverse link for GLMs, ``proportion_rmse`` of
 the softmax probabilities for ``dmr``.
+
+The consistency sweep is one ``jacobi_logit`` config per n, under
+``JacobiHyper(0.5, 0.5, "one_over_n")`` or a fixed pair: replication r draws
+from ``derive_rng(seed, r)`` at every n, and a fit that raises
+``SeparationError`` or ``RankDeficientError`` counts in ``n_failed``.
 """
 
 from __future__ import annotations
@@ -292,31 +297,3 @@ def _assemble(config: ExperimentConfig, records) -> ExperimentReport:
             ReportRow(method, len(fits), config.n_reps - len(fits), *cells, time_us, multiple)
         )
     return report
-
-
-def run_consistency(
-    schedule: str,
-    ns: tuple[int, ...] = (200, 500, 1000, 2000, 5000),
-    n_reps: int = 200,
-    seed: SeedSpec = SeedSpec(20240502, 0),
-    beta0=EXP_LOGISTIC_BETA,
-    sigma: float = 3.0,
-    rho: float = 0.5,
-) -> dict[int, float]:
-    """Median coefficient RMSE of the logit fit across training sizes.
-
-    Under the one_over_n schedule the medians shrink with n; under any
-    fixed shape pair they plateau at the shrinkage bias.
-    """
-    hyper = JacobiHyper(0.5, 0.5, schedule)
-    beta0 = np.asarray(beta0, dtype=float)
-    results = {}
-    for i, n in enumerate(ns):
-        errors = []
-        for rep in range(n_reps):
-            rng = derive_rng(seed, i * n_reps + rep)
-            X, y = gen_logistic(n, beta0, sigma, rho, rng)
-            model = fit_jacobi(X, y, "logit", hyper)
-            errors.append(beta_rmse(model.beta, beta0))
-        results[n] = float(np.median(errors))
-    return results

@@ -66,10 +66,7 @@ def gen_dmr(n: int, n_features: int, n_classes: int, rng):
     X = np.column_stack([np.ones(n), rng.random((n, n_features))])
     probs = softmax_rows(X @ beta0)
     totals = rng.poisson(DMR_TOTAL_RATE, size=n)
-    counts = np.empty((n, n_classes))
-    for i in range(n):
-        counts[i] = rng.multinomial(totals[i], probs[i])
-    return X, CountTable(counts), beta0
+    return X, CountTable(rng.multinomial(totals, probs)), beta0
 
 
 def gen_sinc(n: int, rng, noise_sd: float = 0.1):

@@ -42,7 +42,6 @@ from jacobiprior.simlab import (
     ExperimentConfig,
     gen_circular,
     gen_logistic,
-    run_consistency,
     run_experiment,
 )
 from jacobiprior.simlab.experiments import _generate_rep
@@ -211,10 +210,19 @@ def test_c02_coefficient_metric(exp1_report):
 
 def test_c03_consistency_sweep():
     ns = (200, 500, 1000, 2000, 5000)
-    vanishing = run_consistency("one_over_n", ns=ns, n_reps=200, seed=SeedSpec(20240502, 0))
-    fixed = run_consistency("fixed", ns=ns, n_reps=200, seed=SeedSpec(20240502, 1))
-    v = [vanishing[n] for n in ns]
-    f = [fixed[n] for n in ns]
+
+    def sweep(schedule, seed):
+        """Median coefficient RMSE of the logit fit, one experiment per training size."""
+        hyper = JacobiHyper(0.5, 0.5, schedule)
+        return [
+            run_experiment(ExperimentConfig(kind="logit", n=n, n_reps=200, hyper=hyper,
+                                            methods=("jacobi_logit",), seed=seed))
+            .row("jacobi_logit").rmse_beta
+            for n in ns
+        ]
+
+    v = sweep("one_over_n", SeedSpec(20240502, 0))
+    f = sweep("fixed", SeedSpec(20240502, 1))
     decreasing = all(v[i + 1] < v[i] for i in range(len(v) - 1))
     halved = v[-1] <= 0.5 * v[0]
     flat = abs(f[-1] / f[0] - 1.0) <= 0.25

@@ -324,11 +324,18 @@ class TestUsageErrors:
         assert rc == 2
         assert "row 2: column 'x2'" in capsys.readouterr().err
 
-    def test_flag_the_subcommand_does_not_read_exits_2(self, train_csv, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--train", "{train}", "--target", "y", "--model-out", "{tmp}/m.json", "--threads", "2"],
+        # shards delivers its frames in a seeded order, which no output depends on
+        ["shards", "--data", "{train}", "--target", "y", "--shards", "2", "--out", "{tmp}/c.csv", "--seed", "1"],
+        ["shards", "--data", "{train}", "--target", "y", "--shards", "2", "--out", "{tmp}/c.csv", "--stream", "1"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}")
+    def test_flag_the_subcommand_does_not_read_exits_2(self, train_csv, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["fit", "--train", str(train_csv), "--target", "y", "--threads", "2",
-                  "--model-out", str(tmp_path / "m.json")])
+            main([a.format(train=train_csv, tmp=tmp_path) for a in argv])
         assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+        assert not {"m.json", "c.csv"} & {p.name for p in tmp_path.iterdir()}
 
 
 class TestPredictBadModelFile:
@@ -442,7 +449,7 @@ class TestShardsCommand:
     def test_emitted_partials_reproduce_out_exactly(self, tmp_path, train_csv):
         dump, out = tmp_path / "partials.json", tmp_path / "beta.csv"
         rc = main(["shards", "--data", str(train_csv), "--target", "y", "--shards", "5",
-                   "--seed", "3", "--emit-partials", str(dump), "--out", str(out)])
+                   "--emit-partials", str(dump), "--out", str(out)])
         assert rc == 0
         doc = json.loads(dump.read_text())
         assert [d["shard_id"] for d in doc] == [0, 1, 2, 3, 4]

@@ -28,6 +28,8 @@ class TestCountTable:
             CountTable(np.array([[1.5, 1.0], [0.0, 2.0]]))
         with pytest.raises(InvalidResponseError, match="^response y must be numeric: "):
             CountTable([["a", "b"]])
+        with pytest.raises(InvalidResponseError, match="^response y must be numeric: got None$"):
+            CountTable([[1, None], [0, 2]])
 
     def test_needs_two_classes(self):
         with pytest.raises(DimensionMismatchError):
@@ -58,6 +60,7 @@ class TestCountTable:
         ([0, 1], 1.5, DimensionMismatchError, r"^need an integer 2 <= n_classes < 2\*\*31, got 1.5$"),
         ([0, 1], 1, DimensionMismatchError, r"^need an integer 2 <= n_classes < 2\*\*31, got 1$"),
         ([0, 1], True, DimensionMismatchError, r"^need an integer 2 <= n_classes < 2\*\*31, got True$"),
+        ([0, None, 1], 2, InvalidResponseError, "^response y must be numeric: got None$"),
     ])
     def test_from_labels_edge_inputs_are_typed(self, labels, n_classes, error, message):
         with pytest.raises(error, match=message):

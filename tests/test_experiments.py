@@ -6,7 +6,7 @@ import pytest
 
 from jacobiprior.cli import main
 from jacobiprior.dmr import fit_dmr, predict_proba
-from jacobiprior.errors import ConfigError, InvalidHyperError
+from jacobiprior.errors import ConfigError
 from jacobiprior.glm import JacobiHyper, fit_jacobi, inverse_link, predict_linear
 from jacobiprior.mle import fit_mle
 from jacobiprior.rng import SeedSpec, derive_rng
@@ -17,7 +17,6 @@ from jacobiprior.simlab import (
     gen_logistic,
     gen_poisson,
     proportion_rmse,
-    run_consistency,
     run_experiment,
     surrogate_rmse,
 )
@@ -176,6 +175,7 @@ BAD_CONFIGS = [
     ({"hyper": {"a": 1, "c": 5}}, "hyper"),
     ({"seed": {"root_seed": 1.7}}, "seed"),
     ({"hyper": {"a": "0.5"}}, "hyper"),
+    ({"hyper": {"schedule": "one-over-n"}}, "hyper"),
     ({"name": "../escaped"}, "name"),
     ({"name": ""}, "name"),
 ]
@@ -221,12 +221,10 @@ def test_readme_example_config_runs():
     assert all(r.n_used + r.n_failed == 2 for r in report.rows)
 
 
-def test_consistency_schedule_typo_is_typed():
-    with pytest.raises(InvalidHyperError, match="unknown schedule 'one-over-n'"):
-        run_consistency("one-over-n", ns=(50,), n_reps=2)
-
-
 def test_consistency_sweep_shapes():
-    out = run_consistency("one_over_n", ns=(50, 100), n_reps=5, seed=SeedSpec(5, 5))
-    assert list(out.keys()) == [50, 100]
-    assert all(v > 0 for v in out.values())
+    """The consistency sweep: one one_over_n experiment per training size."""
+    for n in (50, 100):
+        config = ExperimentConfig(kind="logit", n=n, n_reps=5, methods=("jacobi_logit",),
+                                  hyper=JacobiHyper(0.5, 0.5, "one_over_n"), seed=SeedSpec(5, 5))
+        row = run_experiment(config).row("jacobi_logit")
+        assert row.n_used == 5 and row.rmse_beta > 0

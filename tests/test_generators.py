@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from jacobiprior.dmr import softmax_rows
 from jacobiprior.errors import ConfigError, RateOverflowError
 from jacobiprior.rng import SeedSpec, derive_rng
 from jacobiprior.simlab import (
@@ -14,7 +15,7 @@ from jacobiprior.simlab import (
     gen_poisson,
     gen_sinc,
 )
-from jacobiprior.simlab.generators import ar1_covariance, gen_design
+from jacobiprior.simlab.generators import DMR_SPARSITY, DMR_TOTAL_RATE, ar1_covariance, gen_design
 
 
 def rng_for(task):
@@ -80,6 +81,48 @@ def test_dmr_shapes_and_row_sums():
     # row totals were drawn first, multinomial preserves them
     assert np.all(counts.totals >= 0)
     assert np.all(counts.counts.sum(axis=1) == counts.totals)
+
+
+def dmr_row_loop(n, n_features, n_classes, rng):
+    """The reference gen_dmr: the same draws, with one multinomial call per row."""
+    beta0 = rng.standard_normal((n_features + 1, n_classes))
+    beta0[rng.random(beta0.shape) < DMR_SPARSITY] = 0.0
+    X = np.column_stack([np.ones(n), rng.random((n, n_features))])
+    probs = softmax_rows(X @ beta0)
+    totals = rng.poisson(DMR_TOTAL_RATE, size=n)
+    counts = np.empty((n, n_classes))
+    for i in range(n):
+        counts[i] = rng.multinomial(totals[i], probs[i])
+    return X, counts, beta0
+
+
+@pytest.mark.parametrize("shape, tasks", [((1, 1, 2), 25), ((7, 2, 3), 25), ((300, 3, 5), 10),
+                                          ((20_000, 7, 4), 3)])
+def test_dmr_counts_equal_the_row_loop(shape, tasks):
+    """One multinomial call over all rows draws the row loop's counts, and leaves the
+    stream where the loop left it."""
+    zero_rows = 0
+    for task in range(tasks):
+        rng, ref_rng = rng_for(3000 + task), rng_for(3000 + task)
+        X, counts, beta0 = gen_dmr(*shape, rng)
+        ref = dmr_row_loop(*shape, ref_rng)
+        for got, want in zip((X, counts.counts, beta0), ref):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
+        zero_rows += int((counts.totals == 0).sum())
+    if shape[0] == 20_000:
+        assert zero_rows > 0  # Poisson(10) totals: about one zero row in 20,000
+
+
+def test_multinomial_over_zero_total_rows_equals_the_row_loop():
+    probs = softmax_rows(rng_for(9).standard_normal((60, 3)))
+    totals = np.where(np.arange(60) % 3 == 0, 0, rng_for(10).poisson(5.0, 60))
+    rng, ref_rng = rng_for(11), rng_for(11)
+    counts = rng.multinomial(totals, probs)
+    ref = np.array([ref_rng.multinomial(t, p) for t, p in zip(totals, probs)])
+    np.testing.assert_array_equal(counts, ref)
+    np.testing.assert_array_equal(counts[::3], 0)
+    assert rng.random() == ref_rng.random()
 
 
 def test_dmr_sparsity_fraction():

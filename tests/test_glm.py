@@ -326,13 +326,15 @@ def _bad_response(case, y):
         return [*y[:3], "a", *y[4:]], "logit", InvalidResponseError, "response y must be numeric: "
     if case == "dicts":
         return [{}] * len(y), "poisson", InvalidResponseError, "response y must be numeric: "
+    if case == "none":  # numpy reads None as NaN; the intake names it
+        return [*y[:4], None, *y[5:]], "logit", InvalidResponseError, "response y must be numeric: got None"
     return y, "gamma", InvalidResponseError, "unknown family 'gamma'"
 
 
 INTAKE_CASES = [
     (entry, case)
     for entry in sorted(ENTRY_POINTS)
-    for case in ("short", "nan", "out_of_support", "strings", "dicts", "unknown_family")
+    for case in ("short", "nan", "out_of_support", "strings", "dicts", "none", "unknown_family")
     if (entry, case) != ("gp_fit_binary", "unknown_family")  # it has no family argument
 ]
 

@@ -107,6 +107,8 @@ def test_invalid_family_and_response():
         mle_score(X, np.array([0.0, 2.0, 0.0]), beta, "logit")
     with pytest.raises(InvalidResponseError, match="^response y must be numeric: "):
         mle_score(X, ["a", "b", "c"], beta, "logit")
+    with pytest.raises(InvalidResponseError, match="^response y must be numeric: got None$"):
+        mle_score(X, [0, None, 1], beta, "logit")
     with pytest.raises(DimensionMismatchError, match=r"^y length 2 != design rows 3$"):
         mle_score(X, y[:2], beta, "poisson")
     with pytest.raises(DimensionMismatchError, match=r"^beta length 2 != design columns 1$"):
